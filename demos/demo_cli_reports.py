@@ -4,15 +4,13 @@ Deterministic JSON reports from the command line
 
 Every identity suite is also reachable through the ``glq`` console
 command, which prints a versioned JSON report with one entry per check
-and exits nonzero when any suite fails.  Reports are byte-identical
-across runs, including under the optional thread parallelism selected
-by the GLQ_MAX_WORKERS environment variable.
+and exits 1 when any suite fails.  Reports are byte-identical across
+runs.  Invalid arguments are rejected before any work with exit 2.
 """
 
 import io
 import json
-import os
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 from glq.cli import main
 
@@ -37,12 +35,6 @@ for suite in report["suites"]:
 print("byte-identical rerun:", run(["verify", "--m", "1", "--n", "1"])[1]
       == text)
 
-# The same holds with a thread pool evaluating the suites.
-os.environ["GLQ_MAX_WORKERS"] = "4"
-parallel = run(["verify", "--m", "1", "--n", "1"])[1]
-del os.environ["GLQ_MAX_WORKERS"]
-print("parallel run matches:", parallel == text)
-
 # Decomposition reports list each summand with its highest weight.
 code, text = run(["decompose", "--word", "E", "--power", "2",
                   "--m", "2", "--n", "1"])
@@ -59,3 +51,12 @@ code, text = run(["normalform", "zb[1"])
 err = json.loads(text)["error"]
 print("parse error exit %d: %s at position %d"
       % (code, err["message"], err["position"]))
+
+# Bad arguments never reach the checks: the parser exits 2.
+usage = io.StringIO()
+try:
+    with redirect_stderr(usage):
+        run(["decompose", "--word", "E", "--power", "0"])
+except SystemExit as exc:
+    print("decompose --power 0  ->  exit %d: %s"
+          % (exc.code, usage.getvalue().strip().splitlines()[-1]))

@@ -2,19 +2,19 @@
 
 Every subcommand prints one JSON document (schema tag
 ``glq-report/1``) with alphabetically ordered keys, so repeated runs
-are byte-identical, and exits 0 exactly when every reported check
-passed.  The ``GLQ_MAX_WORKERS`` environment variable caps how many
-check suites may run concurrently (default 1); results are assembled
-in submission order either way.
+are byte-identical.  Suites run one after another, in report order.
+The exit code is 0 when every reported check passed and 1 when one
+failed.  Invalid arguments (a negative size, a tensor power or probe
+degree below 1, a negative induction degree, a specialisation point
+that is not a rational other than 0 and 1) are rejected by the argument
+parser with exit 2 before any work is done.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb
 
@@ -55,25 +55,6 @@ def _suite(name, checks, **extra):
 
 def _default_probe_degree(m, n):
     return 4 if (m, n) == (1, 1) else 3
-
-
-def _max_workers():
-    raw = os.environ.get("GLQ_MAX_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_suites(builders):
-    """Run the suite builders, possibly concurrently, and assemble the
-    results in submission order."""
-    workers = _max_workers()
-    if workers == 1 or len(builders) == 1:
-        return [b() for b in builders]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(b) for b in builders]
-        return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +158,14 @@ def _suite_k2rho(ctx, probe_degree):
 def cmd_verify(args):
     ctx = GradingContext(args.m, args.n)
     degree = args.probe_degree or _default_probe_degree(args.m, args.n)
-    q0 = Fraction(args.q0)
-    suites = _run_suites([
-        lambda: _suite_relations(ctx),
-        lambda: _suite_hopf(ctx, degree),
-        lambda: _suite_star(ctx, degree, q0),
-        lambda: _suite_k2rho(ctx, degree),
-    ])
+    suites = [
+        _suite_relations(ctx),
+        _suite_hopf(ctx, degree),
+        _suite_star(ctx, degree, args.q0),
+        _suite_k2rho(ctx, degree),
+    ]
     return {"parameters": {"m": args.m, "n": args.n,
-                           "probe_degree": degree, "q0": str(q0)},
+                           "probe_degree": degree, "q0": str(args.q0)},
             "suites": suites}
 
 
@@ -205,7 +185,8 @@ def cmd_decompose(args):
                "highest_weight": [int(x) for x in s.highest_weight]}
               for s in summands]
     checks = [
-        _check("dimensions-sum", sum(s.dim for s in summands) == rep.dim,
+        _check("dimensions-sum",
+               sum(s.dim for s in summands) == (args.m + args.n) ** args.power,
                total=rep.dim),
         _check("summands-nonempty", bool(summands) or rep.dim == 0),
     ]
@@ -232,16 +213,16 @@ def cmd_rmatrix(args):
                                            skipped=True)])
         return _suite("braid", [_check("braid-relation", result)])
 
-    suites = _run_suites([
-        lambda: _suite("intertwiner", [
+    suites = [
+        _suite("intertwiner", [
             _check("coproduct-intertwiner",
                    rmatrix_mod.check_intertwiner(ctx, kind))]),
-        braid_suite,
-        lambda: _suite("rtt", [
+        braid_suite(),
+        _suite("rtt", [
             _check("exchange-identity",
                    rmatrix_mod.check_rtt(ctx, kind, degree),
                    degree=degree)]),
-    ])
+    ]
     return {"parameters": {"m": args.m, "n": args.n, "kind": kind,
                            "probe_degree": degree},
             "suites": suites}
@@ -420,7 +401,7 @@ def cmd_induce(args):
                                  module_side=lhs, parabolic_side=rhs))
         return _suite("frobenius", checks)
 
-    suites = _run_suites([borel_weil_suite, frobenius_suite])
+    suites = [borel_weil_suite(), frobenius_suite()]
     return {"parameters": {"m": args.m, "n": args.n, "k": k,
                            "side": args.side},
             "suites": suites}
@@ -431,15 +412,37 @@ def cmd_induce(args):
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("%r is not an integer" % text)
+        if value < low:
+            raise argparse.ArgumentTypeError("%d is below %d" % (value, low))
+        return value
+    return parse
+
+
+def _specialisation_point(text):
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("%r is not a rational" % text)
+    if value in (0, 1):
+        raise argparse.ArgumentTypeError("q0 = %s is rejected" % value)
+    return value
+
+
 def _add_size(p):
-    p.add_argument("--m", type=int, default=1,
+    p.add_argument("--m", type=_int_at_least(0), default=1,
                    help="number of even rows (default 1)")
-    p.add_argument("--n", type=int, default=1,
+    p.add_argument("--n", type=_int_at_least(0), default=1,
                    help="number of odd rows (default 1)")
 
 
 def _add_probe(p):
-    p.add_argument("--probe-degree", type=int, default=None,
+    p.add_argument("--probe-degree", type=_int_at_least(1), default=None,
                    help="probe word degree (default 4 at (1|1), else 3)")
 
 
@@ -454,8 +457,9 @@ def build_arg_parser():
                                       "star structure, antipode square")
     _add_size(p)
     _add_probe(p)
-    p.add_argument("--q0", default="3/2",
-                   help="rational specialisation point (default 3/2)")
+    p.add_argument("--q0", type=_specialisation_point, default="3/2",
+                   help="rational specialisation point other than 0 and 1 "
+                        "(default 3/2)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decompose",
@@ -464,8 +468,8 @@ def build_arg_parser():
     _add_size(p)
     p.add_argument("--word", choices=["E", "Ed"], required=True,
                    help="base module: E (vector) or Ed (dual)")
-    p.add_argument("--power", type=int, required=True,
-                   help="tensor power")
+    p.add_argument("--power", type=_int_at_least(1), required=True,
+                   help="tensor power, at least 1")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("rmatrix",
@@ -494,8 +498,8 @@ def build_arg_parser():
     p = sub.add_parser("induce",
                        help="induced-module and reciprocity suites")
     _add_size(p)
-    p.add_argument("--k", type=int, required=True,
-                   help="degree of the induced module")
+    p.add_argument("--k", type=_int_at_least(0), required=True,
+                   help="degree of the induced module, at least 0")
     p.add_argument("--side", choices=["bar", "unbar"], required=True,
                    help="which of the two degree-k modules")
     p.set_defaults(func=cmd_induce)
@@ -513,6 +517,8 @@ def _render(report):
 def main(argv=None):
     parser = build_arg_parser()
     args = parser.parse_args(argv)
+    if args.m + args.n < 1:
+        parser.error("--m and --n must satisfy m + n >= 1")
     base = {"schema": SCHEMA, "command": args.command}
     try:
         body = args.func(args)

@@ -21,8 +21,6 @@ and intertwiner computations.
 
 from __future__ import annotations
 
-import itertools
-
 from .coeff import RatFunc, ZERO, ONE
 
 
@@ -422,10 +420,6 @@ def tensor_unindex(flat, dims):
         out.append(flat % d)
         flat //= d
     return tuple(reversed(out))
-
-
-def all_indices(dims):
-    return itertools.product(*(range(d) for d in dims))
 
 
 def joint_kernel(maps):

@@ -37,15 +37,13 @@ representation, its dual, and their tensor products are provided.
 
 from __future__ import annotations
 
-import itertools
-
-from .coeff import RatFunc, ZERO, ONE, q_int
+from .coeff import ONE, q_int
 from .graded import (
     Echelon,
     GradedMap,
     GradedSpace,
     nullspace,
-    solve,
+    vec_sub_scaled,
 )
 from .uq import (
     UqExpression,
@@ -184,10 +182,34 @@ def tensor_power(rep, k):
     return out
 
 
+def _unit_pivots(basis):
+    """For each basis vector, an index where it is 1 and every other
+    basis vector is 0 (the smallest such index).  Reduced echelon bases,
+    as returned by ``Echelon.basis()``, always have one."""
+    owners = {}
+    for v in basis:
+        for i in v:
+            owners[i] = owners.get(i, 0) + 1
+    pivots = []
+    for j, v in enumerate(basis):
+        piv = min((i for i, x in v.items() if owners[i] == 1 and x == ONE),
+                  default=None)
+        if piv is None:
+            raise ValueError("basis vector %d has no unit pivot" % j)
+        pivots.append(piv)
+    return pivots
+
+
 def submodule_rep(rep, basis, name="sub"):
-    """Restriction of rep to the span of an explicit ordered basis."""
+    """Restriction of rep to the span of an explicit ordered basis.
+
+    The basis must have unit pivots (see ``_unit_pivots``), as the
+    reduced echelon bases from ``Echelon.basis()`` do.  The coordinates
+    of each generator image are read off at the pivots, and the image
+    minus their combination must vanish exactly, or the span is not
+    invariant and ValueError is raised."""
     ctx = rep.ctx
-    k = len(basis)
+    pivots = _unit_pivots(basis)
     parities = []
     weights = []
     for v in basis:
@@ -199,25 +221,21 @@ def submodule_rep(rep, basis, name="sub"):
         parities.append(ps.pop())
         weights.append(ws.pop())
     space = GradedSpace(tuple(parities))
-    ambient = sorted({i for v in basis for i in v})
-    ambient_set = set(ambient)
-    rows = [{j: basis[j][i] for j in range(k) if i in basis[j]}
-            for i in ambient]
     images = {}
     for g in all_generators(ctx):
         mat = rep.image(g)
         entries = {}
         for j, v in enumerate(basis):
             target = mat.apply(v)
-            if any(i not in ambient_set for i in target):
-                raise ValueError("span is not invariant under %s" % (g,))
-            rhs = [target.get(i, ZERO) for i in ambient]
-            x = solve(rows, k, rhs)
-            if x is None:
-                raise ValueError("image of basis vector leaves the span")
-            for r, val in x.items():
-                if val:
-                    entries[(r, j)] = val
+            residual = target
+            for r, piv in enumerate(pivots):
+                x = target.get(piv)
+                if x:
+                    entries[(r, j)] = x
+                    residual = vec_sub_scaled(residual, basis[r], x)
+            if residual:
+                raise ValueError("span is not invariant under %s: the image "
+                                 "of basis vector %d leaves it" % (g, j))
         images[g] = GradedMap(space, space, entries)
     return Representation(ctx, space, images, weights, name=name)
 

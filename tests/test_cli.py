@@ -208,6 +208,27 @@ class TestReports:
                   for s in suite["summands"]]
         assert listed == [(5, (2, 0, 0)), (4, (1, 1, 0))]
 
+    def test_decompose_frontier_cube_at_3_2(self, capsys):
+        # Counted by hand, not by the library: the super-symmetric cube
+        # of V = C^(3|2) has 10 + 12 + 3 = 25 basis monomials (even
+        # letters repeat, odd ones do not), the super-exterior cube
+        # 1 + 6 + 9 + 4 = 20, and the rest of 5^3 = 125 is two copies of
+        # the mixed-symmetry module, (125 - 25 - 20) / 2 = 40 each.
+        code, _, report = run_cli(
+            capsys,
+            ["decompose", "--m", "3", "--n", "2", "--word", "E",
+             "--power", "3"])
+        assert code == 0 and report["ok"] is True
+        suite = report["suites"][0]
+        listed = [(s["dim"], tuple(s["highest_weight"]))
+                  for s in suite["summands"]]
+        assert listed == [(25, (3, 0, 0, 0, 0)), (40, (2, 1, 0, 0, 0)),
+                          (40, (2, 1, 0, 0, 0)), (20, (1, 1, 1, 0, 0))]
+        assert sum(dim for dim, _ in listed) == 125
+        checks = {c["name"]: c for c in suite["checks"]}
+        assert checks["dimensions-sum"] == {
+            "name": "dimensions-sum", "ok": True, "total": 125}
+
     def test_induce_reports_dimension(self, capsys):
         _, _, report = run_cli(
             capsys, ["induce", "--k", "2", "--side", "bar"])
@@ -223,3 +244,42 @@ class TestReports:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["suites"][0]["normal_form"] == "-q^2 * Z[1;0] Zb[1;0]"
+
+
+BAD_INPUTS = [
+    ["decompose", "--word", "E", "--power", "0"],
+    ["decompose", "--word", "E", "--power", "-2"],
+    ["verify", "--probe-degree", "0"],
+    ["rmatrix", "--kind", "pp", "--probe-degree", "-1"],
+    ["induce", "--k", "-1", "--side", "bar"],
+    ["verify", "--m", "0", "--n", "0"],
+    ["verify", "--m", "-1", "--n", "2"],
+    ["normalform", "--m", "1", "--n", "-1", "z[1]"],
+    ["verify", "--q0", "abc"],
+    ["verify", "--q0", "0"],
+    ["verify", "--q0", "1"],
+    ["verify", "--q0", "2/2"],
+]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+    def test_rejected_by_parser_with_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    def test_valid_edge_values_accepted(self, capsys):
+        code, _, report = run_cli(
+            capsys, ["decompose", "--m", "1", "--n", "0", "--word", "E",
+                     "--power", "1"])
+        assert code == 0
+        assert report["parameters"]["power"] == 1
+        code, _, report = run_cli(
+            capsys, ["verify", "--q0", "2/3", "--probe-degree", "1"])
+        assert code == 0
+        assert report["parameters"]["q0"] == "2/3"
+        assert report["parameters"]["probe_degree"] == 1

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from glq.coeff import ONE, QINV, q_int
-from glq.graded import GradingContext
+from glq.coeff import ONE, QINV, ZERO, q_int
+from glq.graded import GradingContext, solve
 from glq.reps import (
     check_relations,
     decompose,
@@ -135,6 +135,54 @@ def test_summand_subreps_satisfy_relations():
     for s in decompose(rep):
         sub = submodule_rep(rep, s.basis)
         assert all(ok for _, ok in check_relations(sub))
+
+
+def _solved_image(rep, basis, g):
+    """Matrix of g on the span of the basis, found by a general linear
+    solve over the ambient coordinates the basis touches."""
+    ambient = sorted({i for v in basis for i in v})
+    rows = [{r: v[i] for r, v in enumerate(basis) if i in v}
+            for i in ambient]
+    entries = {}
+    for j, v in enumerate(basis):
+        target = rep.image(g).apply(v)
+        x = solve(rows, len(basis), [target.get(i, ZERO) for i in ambient])
+        assert x is not None
+        entries.update(((r, j), val) for r, val in x.items() if val)
+    return entries
+
+
+@pytest.mark.parametrize("size,dual", [((2, 1), False), ((1, 2), True)],
+                         ids=["V3-m2n1", "Vbar3-m1n2"])
+def test_submodule_rep_matches_solved_coordinates(size, dual):
+    ctx = GradingContext(*size)
+    base = vector_rep(ctx)
+    if dual:
+        base = dual_rep(base)
+    rep = tensor_power(base, 3)
+    for s in decompose(rep):
+        sub = submodule_rep(rep, s.basis)
+        for g in all_generators(ctx):
+            assert sub.image(g).entries == _solved_image(rep, s.basis, g), g
+
+
+def test_submodule_rep_rejects_non_invariant_span():
+    ctx = GradingContext(2, 1)
+    rep = tensor_power(vector_rep(ctx), 2)
+    v1_v2 = {1: ONE}  # row-major index of v_1 (x) v_2
+    with pytest.raises(ValueError, match="not invariant"):
+        submodule_rep(rep, [v1_v2])
+
+
+def test_submodule_rep_rejects_basis_without_unit_pivots():
+    ctx = GradingContext(2, 1)
+    rep = tensor_power(vector_rep(ctx), 2)
+    basis = max(decompose(rep), key=lambda s: s.dim).basis
+    b0, b1 = basis[0], basis[1]
+    b0_plus_b1 = {i: b0.get(i, ZERO) + b1.get(i, ZERO)
+                  for i in set(b0) | set(b1)}
+    with pytest.raises(ValueError, match="basis vector 1 has no unit pivot"):
+        submodule_rep(rep, [b0_plus_b1, b1] + basis[2:])
 
 
 def test_highest_weight_vector_count(ctx):

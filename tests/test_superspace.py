@@ -59,8 +59,6 @@ def _alphabet(ctx):
 
 
 def test_every_rule_is_functionally_sound(ctx):
-    if (ctx.m, ctx.n) == (2, 2):
-        pytest.skip("covered at the three smaller sizes; probes get slow")
     deg = 3 if (ctx.m, ctx.n) == (1, 1) else 2
     for x in _alphabet(ctx):
         for y in _alphabet(ctx):
@@ -90,8 +88,6 @@ def test_rules_sound_against_root_vector_probes():
 
 
 def test_normal_form_is_functionally_sound(ctx):
-    if (ctx.m, ctx.n) == (2, 2):
-        pytest.skip("covered at the three smaller sizes; probes get slow")
     deg = 3 if (ctx.m, ctx.n) == (1, 1) else 2
     rng = random.Random(7401)
     letters = _alphabet(ctx)
