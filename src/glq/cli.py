@@ -519,6 +519,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.m + args.n < 1:
         parser.error("--m and --n must satisfy m + n >= 1")
+    if args.command == "induce" and args.n < 1:
+        # The realized modules and their expected dimensions and highest
+        # weights are stated for an odd block of size at least one.
+        parser.error("induce needs --n >= 1")
     base = {"schema": SCHEMA, "command": args.command}
     try:
         body = args.func(args)

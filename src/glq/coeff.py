@@ -359,3 +359,89 @@ def q_int(e):
 def sign_pow(k):
     """(-1)^k as a RatFunc."""
     return ONE if k % 2 == 0 else -ONE
+
+
+def add_term(terms, key, c):
+    """terms[key] += c in a sparse dict, dropping the key when it cancels."""
+    s = terms.get(key, ZERO) + c
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
+class Combination:
+    """A Q(q)-linear combination of words: {word: nonzero RatFunc}.
+
+    Subclasses fix what a word is.  The product here concatenates words
+    with no sign; a subclass whose product needs one overrides
+    ``__mul__``.  Elements are mutable and therefore unhashable."""
+
+    __slots__ = ("ctx", "terms")
+
+    def __init__(self, ctx, terms=None):
+        self.ctx = ctx
+        self.terms = {w: c for w, c in terms.items() if c} if terms else {}
+
+    def _new(self, terms):
+        """An element of the same kind as self with the given terms."""
+        return type(self)(self.ctx, terms)
+
+    # Keyword terms: a subclass whose constructor takes more than
+    # (ctx, terms) gets a TypeError here rather than a wrong element.
+    @classmethod
+    def zero(cls, ctx):
+        return cls(ctx, terms=None)
+
+    @classmethod
+    def one(cls, ctx):
+        return cls(ctx, terms={(): ONE})
+
+    @classmethod
+    def from_word(cls, ctx, word, coeff=ONE):
+        return cls(ctx, terms={tuple(word): coeff})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ctx == other.ctx and self.terms == other.terms
+
+    __hash__ = None
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            add_term(out, w, c)
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({w: -c for w, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, s):
+        if isinstance(s, int):
+            s = RatFunc.from_int(s)
+        if not s:
+            return self._new(None)
+        return self._new({w: c * s for w, c in self.terms.items()})
+
+    def __mul__(self, other):
+        """Concatenation product of words, with no sign."""
+        out = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                add_term(out, w1 + w2, c1 * c2)
+        return self._new(out)
+
+    def map_words(self, f):
+        """The linear extension of f: word -> (word', coeff)."""
+        out = {}
+        for w, c in self.terms.items():
+            nw, nc = f(w)
+            add_term(out, nw, c * nc)
+        return self._new(out)

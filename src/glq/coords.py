@@ -32,9 +32,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .coeff import RatFunc, ZERO, ONE, q_int
-from .uq import UqExpression, antipode, probe_monomials, word_parity
-from .reps import Representation, dual_rep, tensor_rep, trivial_rep, vector_rep
+from .coeff import Combination, ZERO, ONE, add_term, q_int, sign_pow
+from .uq import UqExpression, probe_monomials, word_parity
+from .reps import dual_rep, tensor_rep, trivial_rep, vector_rep
 
 
 CoordLetter = namedtuple("CoordLetter", ["barred", "row", "col"])
@@ -56,77 +56,14 @@ def coord_word_parity(ctx, word):
     return sum(letter_parity(ctx, w) for w in word) % 2
 
 
-class GqElement:
+class GqElement(Combination):
     """A Q(q)-linear combination of coordinate words."""
 
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx, terms=None):
-        self.ctx = ctx
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    self.terms[tuple(w)] = c
-
-    @staticmethod
-    def zero(ctx):
-        return GqElement(ctx)
-
-    @staticmethod
-    def one(ctx):
-        return GqElement(ctx, {(): ONE})
-
-    @staticmethod
-    def from_word(ctx, word, coeff=ONE):
-        return GqElement(ctx, {tuple(word): coeff})
+    __slots__ = ()
 
     @staticmethod
     def from_letter(ctx, letter, coeff=ONE):
         return GqElement(ctx, {(letter,): coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, GqElement):
-            return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return GqElement(self.ctx, out)
-
-    def __neg__(self):
-        return GqElement(self.ctx, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s):
-        if isinstance(s, int):
-            s = RatFunc.from_int(s)
-        if not s:
-            return GqElement.zero(self.ctx)
-        return GqElement(self.ctx, {w: c * s for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = out.get(w, ZERO) + c1 * c2
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        return GqElement(self.ctx, out)
 
     def __repr__(self):
         if not self.terms:
@@ -249,13 +186,8 @@ def coproduct_word(ctx, letters):
                 second = CoordLetter(letter.barred, c, b)
                 sgn = (pa + pc) * (pc + pb)  # per-letter coproduct sign
                 sgn += pright * (pa + pc)    # move the new left letter home
-                val = coeff if sgn % 2 == 0 else -coeff
-                key = (wl + (first,), wr + (second,))
-                s = nxt.get(key, ZERO) + val
-                if s:
-                    nxt[key] = s
-                else:
-                    nxt.pop(key, None)
+                add_term(nxt, (wl + (first,), wr + (second,)),
+                         coeff if sgn % 2 == 0 else -coeff)
         out = nxt
     return out
 
@@ -266,11 +198,7 @@ def coproduct(element):
     out = {}
     for w, c in element.terms.items():
         for key, dc in coproduct_word(ctx, w).items():
-            s = out.get(key, ZERO) + c * dc
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            add_term(out, key, c * dc)
     return out
 
 
@@ -326,23 +254,15 @@ def antipode_word_coords(ctx, letters):
 
 def antipode_coords(element):
     ctx = element.ctx
-    out = {}
-    for w, c in element.terms.items():
-        nw, nc = antipode_word_coords(ctx, w)
-        s = out.get(nw, ZERO) + c * nc
-        if s:
-            out[nw] = s
-        else:
-            out.pop(nw, None)
-    return GqElement(ctx, out)
+    return element.map_words(lambda w: antipode_word_coords(ctx, w))
 
 
 def star_letter(ctx, letter, theta):
-    """Star on one letter: bar status flips, indices stay."""
+    """Star on one letter: bar status flips, indices stay.  Returns the
+    new letter and the exponent of its sign."""
     a, b = letter.row, letter.col
     sgn = (theta + ctx.parity(a)) * (ctx.parity(a) + ctx.parity(b))
-    coeff = ONE if sgn % 2 == 0 else -ONE
-    return CoordLetter(not letter.barred, a, b), coeff
+    return CoordLetter(not letter.barred, a, b), sgn
 
 
 def star_coords(element, theta=1):
@@ -351,21 +271,17 @@ def star_coords(element, theta=1):
     if theta not in (1, 2):
         raise ValueError("star type must be 1 or 2")
     ctx = element.ctx
-    out = {}
-    for w, c in element.terms.items():
+
+    def star_word(word):
         letters = []
-        coeff = c
-        for letter in reversed(w):
-            nl, nc = star_letter(ctx, letter, theta)
+        sign = 0
+        for letter in reversed(word):
+            nl, s = star_letter(ctx, letter, theta)
             letters.append(nl)
-            coeff = coeff * nc
-        key = tuple(letters)
-        s = out.get(key, ZERO) + coeff
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return GqElement(ctx, out)
+            sign += s
+        return tuple(letters), sign_pow(sign)
+
+    return element.map_words(star_word)
 
 
 def star_coproduct(element, theta=1):
@@ -381,12 +297,7 @@ def star_coproduct(element, theta=1):
         sr = star_coords(GqElement.from_word(ctx, wr), theta)
         ((nwl, cl),) = sl.terms.items()
         ((nwr, cr),) = sr.terms.items()
-        key = (nwl, nwr)
-        s = out.get(key, ZERO) + c * cl * cr
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        add_term(out, (nwl, nwr), c * cl * cr)
     return out
 
 
@@ -470,13 +381,7 @@ def matrix_coefficients(ctx, profile, summands, which):
                         for v in range(u + 1, len(word)):
                             sign += pw[v] * pr[u]
                     coeff = di * cs
-                    if sign % 2:
-                        coeff = -coeff
-                    acc = terms.get(word, ZERO) + coeff
-                    if acc:
-                        terms[word] = acc
-                    else:
-                        terms.pop(word, None)
+                    add_term(terms, word, -coeff if sign % 2 else coeff)
             out_row.append(GqElement(ctx, terms))
         out.append(out_row)
     return out

@@ -21,7 +21,7 @@ and intertwiner computations.
 
 from __future__ import annotations
 
-from .coeff import RatFunc, ZERO, ONE
+from .coeff import RatFunc, ZERO, ONE, add_term
 
 
 class GradingContext:
@@ -156,7 +156,7 @@ class GradedMap:
             self.entries.pop((r, c), None)
 
     def add_to(self, r, c, v):
-        self.set(r, c, self.get(r, c) + v)
+        add_term(self.entries, (r, c), v)
 
     def is_zero(self):
         return not self.entries
@@ -171,11 +171,7 @@ class GradedMap:
     def __add__(self, other):
         out = GradedMap(self.domain, self.codomain, dict(self.entries))
         for rc, v in other.entries.items():
-            s = out.entries.get(rc, ZERO) + v
-            if s:
-                out.entries[rc] = s
-            else:
-                out.entries.pop(rc, None)
+            add_term(out.entries, rc, v)
         return out
 
     def __neg__(self):
@@ -203,12 +199,7 @@ class GradedMap:
         out = {}
         for (r2, c2), v2 in other.entries.items():
             for r1, v1 in by_col.get(r2, ()):
-                key = (r1, c2)
-                s = out.get(key, ZERO) + v1 * v2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                add_term(out, (r1, c2), v1 * v2)
         return GradedMap(other.domain, self.codomain, out)
 
     def __matmul__(self, other):
@@ -224,11 +215,7 @@ class GradedMap:
             if not x:
                 continue
             for r, v in by_col.get(c, ()):
-                s = out.get(r, ZERO) + v * x
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
+                add_term(out, r, v * x)
         return out
 
     def tensor(self, other):
@@ -302,11 +289,7 @@ def vec_sub_scaled(vec, other, s):
     """vec - s * other, in place on a copy."""
     out = dict(vec)
     for i, x in other.items():
-        d = out.get(i, ZERO) - s * x
-        if d:
-            out[i] = d
-        else:
-            out.pop(i, None)
+        add_term(out, i, -(s * x))
     return out
 
 

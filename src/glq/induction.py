@@ -15,7 +15,7 @@ down.
 
 from __future__ import annotations
 
-from .coeff import ZERO, q_int
+from .coeff import ZERO, add_term, q_int
 from .graded import GradedMap, GradedSpace, nullspace
 from .uq import (
     UqExpression,
@@ -39,8 +39,8 @@ from .superspace import (
     normal_form,
     plain_monomials,
     space_letter_parity,
+    space_word,
     to_coordinate_element,
-    SpaceLetter,
 )
 
 
@@ -66,13 +66,8 @@ def left_translation(ctx, x, element):
     out = {}
     for (wl, wr), c in coords_coproduct(element).items():
         v = evaluate(ctx, GqElement.from_word(ctx, wl), six)
-        if not v:
-            continue
-        s = out.get(wr, ZERO) + c * v
-        if s:
-            out[wr] = s
-        else:
-            out.pop(wr, None)
+        if v:
+            add_term(out, wr, c * v)
     return GqElement(ctx, out)
 
 
@@ -90,26 +85,15 @@ def right_translation(ctx, x, element):
                   + coord_word_parity(ctx, wr)) % 2
             if (px * (pf + px)) % 2:
                 v = -v
-        s = out.get(wl, ZERO) + c * v
-        if s:
-            out[wl] = s
-        else:
-            out.pop(wl, None)
+        add_term(out, wl, c * v)
     return GqElement(ctx, out)
 
 
 def _superspace_from_coords(ctx, element):
     """Reinterpret a coordinate element whose letters all sit in the
     last column as a superspace element."""
-    out = {}
-    for word, c in element.terms.items():
-        letters = []
-        for l in word:
-            if l.col != ctx.N:
-                raise ValueError("letter %r is not a superspace letter" % (l,))
-            letters.append(SpaceLetter(l.barred, l.row))
-        out[tuple(letters)] = c
-    return SuperspaceElement(ctx, out)
+    return SuperspaceElement(ctx, {space_word(ctx, w): c
+                                   for w, c in element.terms.items()})
 
 
 def dot_action_on_word(ctx, x, word):
@@ -312,12 +296,11 @@ def hom_dimension(rep_w, rep_h):
                 for kk in range(dw):
                     v = MW.get(kk, j)
                     if v:
-                        row[var(i, kk)] = row.get(var(i, kk), ZERO) + v
+                        add_term(row, var(i, kk), v)
                 for kk in range(dh):
                     v = MH.get(i, kk)
                     if v:
-                        row[var(kk, j)] = row.get(var(kk, j), ZERO) - v
-                row = {key: val for key, val in row.items() if val}
+                        add_term(row, var(kk, j), -v)
                 if row:
                     rows.append(row)
     return len(nullspace(rows, nvars))
@@ -350,10 +333,8 @@ def parabolic_hom_dimension(ctx, rep_w, k, side):
             for kk in range(dw):
                 v = MW.get(kk, j)
                 if v:
-                    row[kk] = row.get(kk, ZERO) + v
-            prev = row.get(j, ZERO) - phi
-            row[j] = prev
-            row = {key: val for key, val in row.items() if val}
+                    add_term(row, kk, v)
+            add_term(row, j, -phi)
             if row:
                 rows.append(row)
     return len(nullspace(rows, dw))

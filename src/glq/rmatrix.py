@@ -29,10 +29,9 @@ R T_1 T_2 = T_2 T_1 R then holds for all three leg pairings.
 
 from __future__ import annotations
 
-from .coeff import RatFunc, ZERO, ONE, Q, QINV, q_int
+from .coeff import ZERO, ONE, Q, QINV, add_term, q_int
 from .graded import GradedMap, GradedSpace, graded_flip, solve
 from .uq import UqExpression, all_generators, coproduct, coproduct_opposite
-from .reps import vector_rep, dual_rep, tensor_rep
 
 
 def _vector_space(ctx):
@@ -57,8 +56,7 @@ def r_matrix_vv(ctx):
         for b in range(a + 1, N + 1):
             sgn = ctx.parity(b) + (ctx.parity(a) + ctx.parity(b)) * ctx.parity(b)
             val = coeff if sgn % 2 == 0 else -coeff
-            key = (_flat(ctx, a, b), _flat(ctx, b, a))
-            ent[key] = ent.get(key, ZERO) + val
+            add_term(ent, (_flat(ctx, a, b), _flat(ctx, b, a)), val)
     return GradedMap(space, space, ent)
 
 
@@ -76,8 +74,7 @@ def r_matrix_dd(ctx):
         for b in range(1, a):
             sgn = ctx.parity(b) + (ctx.parity(a) + ctx.parity(b)) * ctx.parity(b)
             val = coeff if sgn % 2 == 0 else -coeff
-            key = (_flat(ctx, a, b), _flat(ctx, b, a))
-            ent[key] = ent.get(key, ZERO) + val
+            add_term(ent, (_flat(ctx, a, b), _flat(ctx, b, a)), val)
     return GradedMap(space, space, ent)
 
 
@@ -96,8 +93,7 @@ def r_matrix_dv(ctx):
             pa, pb = ctx.parity(a), ctx.parity(b)
             sgn = pa + pb + pa * pb + (pa + pb) * pa
             val = -coeff if sgn % 2 == 0 else coeff
-            key = (_flat(ctx, b, b), _flat(ctx, a, a))
-            ent[key] = ent.get(key, ZERO) + val
+            add_term(ent, (_flat(ctx, b, b), _flat(ctx, a, a)), val)
     return GradedMap(space, space, ent)
 
 
@@ -198,21 +194,21 @@ def r_element(ctx, kind):
         for a in range(1, N + 1):
             for b in range(a + 1, N + 1):
                 c = -coeff if ctx.parity(b) % 2 else coeff
-                out[(a, b, b, a)] = out.get((a, b, b, a), ZERO) + c
+                add_term(out, (a, b, b, a), c)
     elif kind == "dd":
         for a in range(1, N + 1):
             for b in range(1, a):
                 c = -coeff if ctx.parity(b) % 2 else coeff
-                out[(a, b, b, a)] = out.get((a, b, b, a), ZERO) + c
+                add_term(out, (a, b, b, a), c)
     elif kind == "dv":
         for a in range(1, N + 1):
             for b in range(a + 1, N + 1):
                 pa, pb = ctx.parity(a), ctx.parity(b)
                 c = coeff if (pa + pb + pa * pb) % 2 else -coeff
-                out[(b, a, b, a)] = out.get((b, a, b, a), ZERO) + c
+                add_term(out, (b, a, b, a), c)
     else:
         raise ValueError("kind must be 'vv', 'dd' or 'dv'")
-    return {k: v for k, v in out.items() if v}
+    return out
 
 
 def generating_element(ctx, leg, barred):
@@ -249,12 +245,7 @@ def triple_product(ctx, A, B):
             c = c1 * c2
             if (y1 * (p_mid + p_word) + y2 * p_word) % 2:
                 c = -c
-            key = (i1, j2, k1, l2, w1 + w2)
-            s = out.get(key, ZERO) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            add_term(out, (i1, j2, k1, l2, w1 + w2), c)
     return out
 
 
@@ -269,12 +260,7 @@ def _eval_coordinate_leg(ctx, element, x_word):
     for (i, j, k, l, w), c in element.items():
         v = evaluate_word(ctx, w, x_word)
         if v:
-            key = (i, j, k, l)
-            s = out.get(key, ZERO) + c * v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            add_term(out, (i, j, k, l), c * v)
     return out
 
 

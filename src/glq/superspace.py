@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .coeff import RatFunc, ZERO, ONE, q_int
+from .coeff import Combination, ZERO, ONE, add_term, q_int
 from .coords import CoordLetter, GqElement
 
 SpaceLetter = namedtuple("SpaceLetter", ["barred", "index"])
@@ -53,78 +53,15 @@ def to_coordinate_letter(ctx, letter):
 
 
 def to_coordinate_element(ctx, element):
-    out = GqElement.zero(ctx)
-    for word, c in element.terms.items():
-        letters = tuple(to_coordinate_letter(ctx, l) for l in word)
-        out = out + GqElement.from_word(ctx, letters, c)
-    return out
+    return GqElement(ctx, {
+        tuple(to_coordinate_letter(ctx, l) for l in word): c
+        for word, c in element.terms.items()})
 
 
-class SuperspaceElement:
+class SuperspaceElement(Combination):
     """Linear combination of superspace words over the coefficient field."""
 
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx, terms=None):
-        self.ctx = ctx
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
-
-    @staticmethod
-    def zero(ctx):
-        return SuperspaceElement(ctx)
-
-    @staticmethod
-    def one(ctx):
-        return SuperspaceElement(ctx, {(): ONE})
-
-    @staticmethod
-    def from_word(ctx, word, coeff=ONE):
-        return SuperspaceElement(ctx, {tuple(word): coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, SuperspaceElement)
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return SuperspaceElement(self.ctx, out)
-
-    def __neg__(self):
-        return SuperspaceElement(
-            self.ctx, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s):
-        if not s:
-            return SuperspaceElement.zero(self.ctx)
-        return SuperspaceElement(
-            self.ctx, {w: c * s for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                key = w1 + w2
-                s = out.get(key, ZERO) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return SuperspaceElement(self.ctx, out)
+    __slots__ = ()
 
     def __repr__(self):
         return "SuperspaceElement(%d terms)" % len(self.terms)
@@ -209,12 +146,7 @@ def apply_rule(ctx, word, i, rule):
     out = {}
 
     def put(mid, coeff):
-        key = head + tuple(mid) + tail
-        s = out.get(key, ZERO) + coeff
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        add_term(out, head + tuple(mid) + tail, coeff)
 
     if rule in ("odd_square_plain", "odd_square_barred"):
         return {}
@@ -276,11 +208,7 @@ def normal_form(ctx, element, strategy="leftmost", seed=0,
         word, coeff = work.popitem()
         reds = redexes(ctx, word)
         if not reds:
-            s = done.get(word, ZERO) + coeff
-            if s:
-                done[word] = s
-            else:
-                done.pop(word, None)
+            add_term(done, word, coeff)
             continue
         if strategy == "leftmost":
             i, rule = reds[0]
@@ -296,11 +224,7 @@ def normal_form(ctx, element, strategy="leftmost", seed=0,
             if instrument:
                 assert measure(ctx, new_word) < before, (
                     "measure failed to decrease", rule, word, new_word)
-            s = work.get(new_word, ZERO) + coeff * c
-            if s:
-                work[new_word] = s
-            else:
-                work.pop(new_word, None)
+            add_term(work, new_word, coeff * c)
     return SuperspaceElement(ctx, done), steps
 
 
@@ -422,7 +346,8 @@ def word_of_multi_index(ctx, plain_index, barred_index):
     return tuple(word)
 
 
-def _space_word(ctx, coord_word):
+def space_word(ctx, coord_word):
+    """The superspace word of a coordinate word in the last column."""
     letters = []
     for l in coord_word:
         if l.col != ctx.N:
@@ -443,12 +368,7 @@ def coaction(ctx, element):
         sgn = coord_word_parity(ctx, wl) * coord_word_parity(ctx, wr)
         if sgn % 2:
             c = -c
-        key = (_space_word(ctx, wr), wl)
-        s = terms.get(key, ZERO) + c
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
+        add_term(terms, (space_word(ctx, wr), wl), c)
     return terms
 
 
@@ -480,7 +400,7 @@ def cp_basis(ctx, d, probe_degree=None):
     space (empty when the monomials are independent)."""
     from .uq import pbw_probe_expressions
     from .coords import evaluate
-    from .graded import rank as _rank, nullspace
+    from .graded import nullspace
 
     if probe_degree is None:
         probe_degree = 2 * d

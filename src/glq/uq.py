@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import itertools
 
-from .coeff import RatFunc, ZERO, ONE, q_int
-from .graded import GradingContext
+from .coeff import Combination, ZERO, ONE, add_term, q_int, sign_pow
 
 
 # ---------------------------------------------------------------------------
@@ -77,37 +76,14 @@ def all_generators(ctx):
     return gens
 
 
-class UqExpression:
+class UqExpression(Combination):
     """A Q(q)-linear combination of free words in the generators."""
 
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx, terms=None):
-        self.ctx = ctx
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    self.terms[w] = c
-
-    @staticmethod
-    def zero(ctx):
-        return UqExpression(ctx)
-
-    @staticmethod
-    def one(ctx):
-        return UqExpression(ctx, {(): ONE})
-
-    @staticmethod
-    def from_word(ctx, word, coeff=ONE):
-        return UqExpression(ctx, {tuple(word): coeff})
+    __slots__ = ()
 
     @staticmethod
     def from_gen(ctx, g):
         return UqExpression(ctx, {(g,): ONE})
-
-    def is_zero(self):
-        return not self.terms
 
     def is_homogeneous(self):
         ps = {word_parity(self.ctx, w) for w in self.terms}
@@ -118,49 +94,6 @@ class UqExpression:
         if len(ps) > 1:
             raise ValueError("expression is not parity-homogeneous")
         return ps.pop() if ps else 0
-
-    def __eq__(self, other):
-        if not isinstance(other, UqExpression):
-            return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return UqExpression(self.ctx, out)
-
-    def __neg__(self):
-        return UqExpression(self.ctx,
-                            {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s):
-        if isinstance(s, int):
-            s = RatFunc.from_int(s)
-        if not s:
-            return UqExpression.zero(self.ctx)
-        return UqExpression(self.ctx,
-                            {w: c * s for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        """Concatenation product; no sign (signs live in tensor legs)."""
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = out.get(w, ZERO) + c1 * c2
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        return UqExpression(self.ctx, out)
 
     def __repr__(self):
         if not self.terms:
@@ -211,13 +144,12 @@ def _antipode_gen(g):
 
 
 def _star_gen(ctx, g, theta):
-    """Star of a generator as (word, coeff) for theta in {1, 2}."""
+    """Star of a generator as (word, sign exponent) for theta in {1, 2}."""
     kind = g[0]
     if kind in ("K", "Kinv"):
-        return (g,), ONE
+        return (g,), 0
     _, a, b = g
-    lo = min(a, b)
-    sign = -ONE if (theta == 2 and lo == ctx.m) else ONE
+    sign = 1 if (theta == 2 and min(a, b) == ctx.m) else 0
     if b == a + 1:
         return (gen_E(b, a), gen_K(a), gen_Kinv(b)), sign
     return (gen_Kinv(b), gen_K(a), gen_E(b, a)), sign
@@ -252,57 +184,37 @@ def antipode_word(ctx, word):
 
 
 def antipode(expr):
-    out = {}
-    for w, c in expr.terms.items():
-        sw, sc = antipode_word(expr.ctx, w)
-        s = out.get(sw, ZERO) + c * sc
-        if s:
-            out[sw] = s
-        else:
-            out.pop(sw, None)
-    return UqExpression(expr.ctx, out)
+    ctx = expr.ctx
+    return expr.map_words(lambda w: antipode_word(ctx, w))
+
+
+def _star_word_map(ctx, theta, twisted=False):
+    """The star of type theta on words: reversed generator stars, with
+    the extra sign (-1)^{|word|} when twisted."""
+    if theta not in (1, 2):
+        raise ValueError("star type must be 1 or 2")
+
+    def star_word(word):
+        sw = ()
+        sign = word_parity(ctx, word) if twisted else 0
+        for g in reversed(word):
+            gw, gs = _star_gen(ctx, g, theta)
+            sw = sw + gw
+            sign += gs
+        return sw, sign_pow(sign)
+
+    return star_word
 
 
 def star(expr, theta=1):
     """Antilinear anti-automorphism; coefficient conjugation is trivial
     on Q(q) with rational coefficients (q is treated as a real point)."""
-    if theta not in (1, 2):
-        raise ValueError("star type must be 1 or 2")
-    out = {}
-    for w, c in expr.terms.items():
-        sw = ()
-        sc = c
-        for g in reversed(w):
-            gw, gc = _star_gen(expr.ctx, g, theta)
-            sw = sw + gw
-            sc = sc * gc
-        s = out.get(sw, ZERO) + sc
-        if s:
-            out[sw] = s
-        else:
-            out.pop(sw, None)
-    return UqExpression(expr.ctx, out)
+    return expr.map_words(_star_word_map(expr.ctx, theta))
 
 
 def star_twisted(expr, theta=1):
     """x -> (-1)^{|x|} *(x), which exchanges the two star types."""
-    ctx = expr.ctx
-    out = {}
-    for w, c in expr.terms.items():
-        sw = ()
-        sc = c
-        for g in reversed(w):
-            gw, gc = _star_gen(ctx, g, theta)
-            sw = sw + gw
-            sc = sc * gc
-        if word_parity(ctx, w) % 2:
-            sc = -sc
-        s = out.get(sw, ZERO) + sc
-        if s:
-            out[sw] = s
-        else:
-            out.pop(sw, None)
-    return UqExpression(ctx, out)
+    return expr.map_words(_star_word_map(expr.ctx, theta, twisted=True))
 
 
 def k2rho_word(ctx, inverse=False):
@@ -326,7 +238,7 @@ def s_inverse(expr):
     return k2rho(ctx, inverse=True) * antipode(expr) * k2rho(ctx)
 
 
-class TensorExpression:
+class TensorExpression(Combination):
     """A Q(q)-linear combination of tensors of free words.
 
     Multiplication follows the Koszul rule: the product of decomposable
@@ -334,16 +246,14 @@ class TensorExpression:
     (-1)^{sum_{i<j} |b_i||a_j|} on a_1 b_1 (x) ... (x) a_l b_l.
     """
 
-    __slots__ = ("ctx", "arity", "terms")
+    __slots__ = ("arity",)
 
     def __init__(self, ctx, arity, terms=None):
-        self.ctx = ctx
+        super().__init__(ctx, terms)
         self.arity = arity
-        self.terms = {}
-        if terms:
-            for ws, c in terms.items():
-                if c:
-                    self.terms[ws] = c
+
+    def _new(self, terms):
+        return TensorExpression(self.ctx, self.arity, terms)
 
     @staticmethod
     def one(ctx, arity):
@@ -352,32 +262,7 @@ class TensorExpression:
     def __eq__(self, other):
         if not isinstance(other, TensorExpression):
             return NotImplemented
-        return (self.ctx == other.ctx and self.arity == other.arity
-                and self.terms == other.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for ws, c in other.terms.items():
-            s = out.get(ws, ZERO) + c
-            if s:
-                out[ws] = s
-            else:
-                out.pop(ws, None)
-        return TensorExpression(self.ctx, self.arity, out)
-
-    def __neg__(self):
-        return TensorExpression(self.ctx, self.arity,
-                                {ws: -c for ws, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s):
-        if isinstance(s, int):
-            s = RatFunc.from_int(s)
-        return TensorExpression(self.ctx, self.arity,
-                                {ws: c * s for ws, c in self.terms.items()}
-                                if s else None)
+        return self.arity == other.arity and super().__eq__(other)
 
     def __mul__(self, other):
         if self.arity != other.arity:
@@ -394,14 +279,8 @@ class TensorExpression:
                         sign += p2[i] * p1[j]
                 ws = tuple(w1 + w2 for w1, w2 in zip(ws1, ws2))
                 c = c1 * c2
-                if sign % 2:
-                    c = -c
-                s = out.get(ws, ZERO) + c
-                if s:
-                    out[ws] = s
-                else:
-                    out.pop(ws, None)
-        return TensorExpression(ctx, self.arity, out)
+                add_term(out, ws, -c if sign % 2 else c)
+        return self._new(out)
 
     def flip(self):
         """Graded swap of the two legs (arity 2 only)."""
@@ -412,12 +291,7 @@ class TensorExpression:
         for (w1, w2), c in self.terms.items():
             if (word_parity(ctx, w1) * word_parity(ctx, w2)) % 2:
                 c = -c
-            key = (w2, w1)
-            s = out.get(key, ZERO) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            add_term(out, (w2, w1), c)
         return TensorExpression(ctx, 2, out)
 
     def multiply_legs(self):
@@ -427,11 +301,7 @@ class TensorExpression:
             w = ()
             for piece in ws:
                 w = w + piece
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            add_term(out, w, c)
         return UqExpression(self.ctx, out)
 
     def map_leg(self, i, word_map):
@@ -440,13 +310,8 @@ class TensorExpression:
         out = {}
         for ws, c in self.terms.items():
             for nw, nc in word_map(ws[i]):
-                key = ws[:i] + (nw,) + ws[i + 1:]
-                s = out.get(key, ZERO) + c * nc
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return TensorExpression(self.ctx, self.arity, out)
+                add_term(out, ws[:i] + (nw,) + ws[i + 1:], c * nc)
+        return self._new(out)
 
     def delta_leg(self, i):
         """Apply the coproduct to leg i, raising the arity by one."""
@@ -454,12 +319,7 @@ class TensorExpression:
         out = {}
         for ws, c in self.terms.items():
             for (wl, wr), dc in _delta_word_terms(ctx, ws[i]):
-                key = ws[:i] + (wl, wr) + ws[i + 1:]
-                s = out.get(key, ZERO) + c * dc
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                add_term(out, ws[:i] + (wl, wr) + ws[i + 1:], c * dc)
         return TensorExpression(ctx, self.arity + 1, out)
 
     def antipode_leg(self, i):
@@ -471,14 +331,8 @@ class TensorExpression:
         out = {}
         for ws, c in self.terms.items():
             e = counit_word(ws[i])
-            if not e:
-                continue
-            key = ws[:i] + ws[i + 1:]
-            s = out.get(key, ZERO) + c * e
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            if e:
+                add_term(out, ws[:i] + ws[i + 1:], c * e)
         if self.arity == 1:
             raise ValueError("cannot drop the last leg")
         return TensorExpression(self.ctx, self.arity - 1, out)
@@ -496,16 +350,10 @@ def _delta_word_terms(ctx, word):
         for (w1, w2), c in cur.items():
             p2 = word_parity(ctx, w2)
             for u, v, dc in _delta_gen(g):
-                sign = p2 * word_parity(ctx, u)
                 cc = c * dc
-                if sign % 2:
+                if (p2 * word_parity(ctx, u)) % 2:
                     cc = -cc
-                key = (w1 + u, w2 + v)
-                s = nxt.get(key, ZERO) + cc
-                if s:
-                    nxt[key] = s
-                else:
-                    nxt.pop(key, None)
+                add_term(nxt, (w1 + u, w2 + v), cc)
         cur = nxt
     return list(cur.items())
 
@@ -515,11 +363,7 @@ def coproduct(expr):
     out = {}
     for w, c in expr.terms.items():
         for key, dc in _delta_word_terms(expr.ctx, w):
-            s = out.get(key, ZERO) + c * dc
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            add_term(out, key, c * dc)
     return TensorExpression(expr.ctx, 2, out)
 
 

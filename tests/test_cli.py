@@ -252,6 +252,8 @@ BAD_INPUTS = [
     ["verify", "--probe-degree", "0"],
     ["rmatrix", "--kind", "pp", "--probe-degree", "-1"],
     ["induce", "--k", "-1", "--side", "bar"],
+    ["induce", "--m", "1", "--n", "0", "--k", "2", "--side", "unbar"],
+    ["induce", "--m", "1", "--n", "0", "--k", "1", "--side", "bar"],
     ["verify", "--m", "0", "--n", "0"],
     ["verify", "--m", "-1", "--n", "2"],
     ["normalform", "--m", "1", "--n", "-1", "z[1]"],

@@ -219,6 +219,18 @@ def test_twisted_star_swaps_the_two_types(ctx):
         assert star_twisted(e, 2) == star(e, 1)
 
 
+@pytest.mark.parametrize("star_map", [star, star_twisted],
+                         ids=["star", "star_twisted"])
+@pytest.mark.parametrize("theta", [0, 3, 7])
+def test_star_rejects_unknown_type(star_map, theta):
+    ctx = GradingContext(2, 1)
+    with pytest.raises(ValueError, match="star type"):
+        star_map(UqExpression.from_gen(ctx, gen_E(2, 3)), theta)
+    # The type is checked once per call, so even zero is rejected.
+    with pytest.raises(ValueError, match="star type"):
+        star_map(UqExpression.zero(ctx), theta)
+
+
 # ---------------------------------------------------------------------------
 # Composite root vectors and probe monomials.
 # ---------------------------------------------------------------------------
