@@ -43,8 +43,9 @@ tests += [("square[%s]" % (s.highest_weight,),
 print("reciprocity grid (only nonzero dimension counts shown):")
 for k in range(3):
     for barred in (False, True):
+        rep_h, _ = induction.build_induced(ctx, k, barred)
         for label, W in tests:
-            lhs, rhs = induction.frobenius_dims(ctx, W, k, barred)
+            lhs, rhs = induction.frobenius_dims(ctx, W, rep_h, k, barred)
             assert lhs == rhs, (k, barred, label)
             if lhs:
                 print("  k=%d %s  W=%-18s dim %d = %d"

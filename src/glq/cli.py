@@ -3,11 +3,19 @@
 Every subcommand prints one JSON document (schema tag
 ``glq-report/1``) with alphabetically ordered keys, so repeated runs
 are byte-identical.  Suites run one after another, in report order.
-The exit code is 0 when every reported check passed and 1 when one
-failed.  Invalid arguments (a negative size, a tensor power or probe
-degree below 1, a negative induction degree, a specialisation point
-that is not a rational other than 0 and 1) are rejected by the argument
-parser with exit 2 before any work is done.
+
+Exit codes:
+
+  0  every reported check passed;
+  1  a check failed, or the expression did not parse (the report says
+     which);
+  2  invalid arguments (a negative size, a tensor power or probe degree
+     below 1, a negative induction degree, induce with no odd block, a
+     specialisation point that is not a rational other than 0 and 1),
+     rejected by the argument parser before any work is done, with no
+     report;
+  3  the command crashed: the traceback goes to stderr and no report is
+     printed.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 from math import comb
 
@@ -363,48 +372,45 @@ def cmd_induce(args):
     ctx = GradingContext(args.m, args.n)
     k = args.k
     barred = args.side == "unbar"
-
-    def borel_weil_suite():
-        checks = []
-        try:
-            rep, words = ind.build_induced(ctx, k, barred)
-        except ValueError as exc:
-            checks.append(_check("span-stable", False, error=str(exc)))
-            return _suite("borel-weil", checks)
-        checks.append(_check("span-stable", True))
-        checks.append(_check("defining-relations", True))
-        expected_dim = sum(comb(ctx.m, j) * comb(ctx.n - 1 + k - j, k - j)
-                           for j in range(min(ctx.m, k) + 1))
-        checks.append(_check("dimension", rep.dim == expected_dim,
-                             expected=expected_dim, measured=rep.dim))
-        summands = reps_mod.decompose(rep)
-        checks.append(_check("irreducible", len(summands) == 1,
-                             summands=len(summands)))
-        if barred:
-            want = ind.skew_highest_weight(ctx, k)
+    parameters = {"m": args.m, "n": args.n, "k": k, "side": args.side}
+    try:
+        rep, _ = ind.build_induced(ctx, k, barred)
+    except ValueError as exc:
+        # Without a module the remaining checks and the reciprocity
+        # suite have nothing to examine.
+        if isinstance(exc, ind.RelationError):
+            checks = [_check("span-stable", True),
+                      _check("defining-relations", False, error=str(exc))]
         else:
-            want = tuple([0] * (ctx.N - 1) + [-k])
-        got = summands[0].highest_weight if summands else None
-        checks.append(_check("highest-weight", got == want,
-                             expected=[int(x) for x in want],
-                             measured=[int(x) for x in got]
-                             if got is not None else None))
-        return _suite("borel-weil", checks)
-
-    def frobenius_suite():
-        checks = []
-        V = reps_mod.vector_rep(ctx)
-        for label, W in (("trivial", reps_mod.trivial_rep(ctx)),
-                         ("vector", V)):
-            lhs, rhs = ind.frobenius_dims(ctx, W, k, barred)
-            checks.append(_check("reciprocity-%s" % label, lhs == rhs,
-                                 module_side=lhs, parabolic_side=rhs))
-        return _suite("frobenius", checks)
-
-    suites = [borel_weil_suite(), frobenius_suite()]
-    return {"parameters": {"m": args.m, "n": args.n, "k": k,
-                           "side": args.side},
-            "suites": suites}
+            checks = [_check("span-stable", False, error=str(exc))]
+        return {"parameters": parameters,
+                "suites": [_suite("borel-weil", checks)]}
+    checks = [_check("span-stable", True), _check("defining-relations", True)]
+    expected_dim = sum(comb(ctx.m, j) * comb(ctx.n - 1 + k - j, k - j)
+                       for j in range(min(ctx.m, k) + 1))
+    checks.append(_check("dimension", rep.dim == expected_dim,
+                         expected=expected_dim, measured=rep.dim))
+    summands = reps_mod.decompose(rep)
+    checks.append(_check("irreducible", len(summands) == 1,
+                         summands=len(summands)))
+    if barred:
+        want = ind.skew_highest_weight(ctx, k)
+    else:
+        want = tuple([0] * (ctx.N - 1) + [-k])
+    got = summands[0].highest_weight if summands else None
+    checks.append(_check("highest-weight", got == want,
+                         expected=[int(x) for x in want],
+                         measured=[int(x) for x in got]
+                         if got is not None else None))
+    reciprocity = []
+    for label, W in (("trivial", reps_mod.trivial_rep(ctx)),
+                     ("vector", reps_mod.vector_rep(ctx))):
+        lhs, rhs = ind.frobenius_dims(ctx, W, rep, k, barred)
+        reciprocity.append(_check("reciprocity-%s" % label, lhs == rhs,
+                                  module_side=lhs, parabolic_side=rhs))
+    return {"parameters": parameters,
+            "suites": [_suite("borel-weil", checks),
+                       _suite("frobenius", reciprocity)]}
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +507,9 @@ def build_arg_parser():
     p.add_argument("--k", type=_int_at_least(0), required=True,
                    help="degree of the induced module, at least 0")
     p.add_argument("--side", choices=["bar", "unbar"], required=True,
-                   help="which of the two degree-k modules")
+                   help="which of the two degree-k modules: bar builds the "
+                        "module on plain z-monomials, unbar the one on "
+                        "barred zb-monomials")
     p.set_defaults(func=cmd_induce)
 
     for sp in sub.choices.values():
@@ -534,6 +542,9 @@ def main(argv=None):
         })
         print(_render(base))
         return 1
+    except Exception:
+        traceback.print_exc()
+        return 3
     base.update(body)
     if args.inject_failure:
         base["suites"] = list(base["suites"]) + [

@@ -233,11 +233,6 @@ class RatFunc:
         return RatFunc(LaurentPoly.from_int(n), LaurentPoly.from_int(1))
 
     @staticmethod
-    def from_fraction(r):
-        r = Fraction(r)
-        return RatFunc(LaurentPoly.from_int(r), LaurentPoly.from_int(1))
-
-    @staticmethod
     def q_power(e, coeff=1):
         """coeff * q^e."""
         return RatFunc(LaurentPoly.q_power(e, coeff), LaurentPoly.from_int(1))

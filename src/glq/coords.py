@@ -326,7 +326,7 @@ def matrix_coefficients(ctx, profile, summands, which):
     list-of-lists of GqElements; entry (i, j) evaluates on every probe
     exactly as entry (i, j) of the summand's representation matrices.
     """
-    from .graded import solve, tensor_unindex
+    from .graded import GradedMap, invert, tensor_unindex
 
     rep = profile_rep(ctx, profile)
     dim = rep.dim
@@ -339,22 +339,12 @@ def matrix_coefficients(ctx, profile, summands, which):
         cols.extend(s.basis)
     if block_start is None or len(cols) != dim:
         raise ValueError("summand list does not decompose the module")
-    rows = []
-    for r in range(dim):
-        row = {}
-        for c, vec in enumerate(cols):
-            v = vec.get(r)
-            if v:
-                row[c] = v
-        rows.append(row)
-    # column r of the inverse change of basis
-    inv_cols = []
-    for r in range(dim):
-        rhs = [ONE if t == r else ZERO for t in range(dim)]
-        sol = solve(rows, dim, rhs)
-        if sol is None:
-            raise ValueError("summand bases are linearly dependent")
-        inv_cols.append(sol)
+    change = GradedMap(rep.space, rep.space,
+                       {(r, c): v for c, vec in enumerate(cols)
+                        for r, v in vec.items()})
+    inverse = invert(change)
+    if inverse is None:
+        raise ValueError("summand bases are linearly dependent")
     target = summands[which]
     d = target.dim
     dims = tuple(N for _ in profile)
@@ -365,7 +355,7 @@ def matrix_coefficients(ctx, profile, summands, which):
             terms = {}
             vj = target.basis[j]
             for r in range(dim):
-                di = inv_cols[r].get(block_start + i)
+                di = inverse.get(block_start + i, r)
                 if not di:
                     continue
                 rid = tensor_unindex(r, dims) if profile else ()

@@ -15,8 +15,8 @@ entrywise (A (x) B)[(r1,r2),(c1,c2)] = (-1)^{(|r2|+|c2|)|c1|} A[r1,c1] B[r2,c2],
 with row-major flattening of index pairs.
 
 The module also provides exact echelon-form routines (incremental span
-tracking, nullspaces, linear solving) used throughout for weight-space
-and intertwiner computations.
+tracking, nullspaces, linear solving, inverses) used throughout for
+weight-space and intertwiner computations.
 """
 
 from __future__ import annotations
@@ -149,15 +149,6 @@ class GradedMap:
     def get(self, r, c):
         return self.entries.get((r, c), ZERO)
 
-    def set(self, r, c, v):
-        if v:
-            self.entries[(r, c)] = v
-        else:
-            self.entries.pop((r, c), None)
-
-    def add_to(self, r, c, v):
-        add_term(self.entries, (r, c), v)
-
     def is_zero(self):
         return not self.entries
 
@@ -208,13 +199,9 @@ class GradedMap:
     def apply(self, vec):
         """Apply to a sparse column vector {index: RatFunc}."""
         out = {}
-        by_col = {}
         for (r, c), v in self.entries.items():
-            by_col.setdefault(c, []).append((r, v))
-        for c, x in vec.items():
-            if not x:
-                continue
-            for r, v in by_col.get(c, ()):
+            x = vec.get(c)
+            if x:
                 add_term(out, r, v * x)
         return out
 
@@ -387,6 +374,23 @@ def solve(rows, ncols, rhs):
             inv = t.inverse()
             return {c: x * inv for c, x in vec.items() if c != aug}
     return None
+
+
+def invert(mat):
+    """Exact inverse of a square GradedMap, one solve per column, or None
+    if it is singular."""
+    d = mat.domain.dim
+    rows = [{} for _ in range(d)]
+    for (r, c), v in mat.entries.items():
+        rows[r][c] = v
+    ent = {}
+    for j in range(d):
+        x = solve(rows, d, [ONE if i == j else ZERO for i in range(d)])
+        if x is None:
+            return None
+        for i, v in x.items():
+            ent[(i, j)] = v
+    return GradedMap(mat.domain, mat.domain, ent)
 
 
 def tensor_index(indices, dims):

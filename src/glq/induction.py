@@ -209,11 +209,16 @@ def _dot_weight(ctx, word):
     return tuple(wt)
 
 
+class RelationError(ValueError):
+    """A realized module violates a defining relation."""
+
+
 def build_induced(ctx, k, barred):
     """Left-translation module on the degree-k normal monomials.
 
-    Verifies block stability (the action lands exactly in the span) and
-    the defining relations; returns the Representation and its basis."""
+    Verifies block stability (the action lands exactly in the span,
+    else ValueError) and the defining relations (else RelationError);
+    returns the Representation and its basis."""
     words = barred_monomials(ctx, k) if barred else plain_monomials(ctx, k)
     index = {w: i for i, w in enumerate(words)}
     parities = tuple(
@@ -235,7 +240,7 @@ def build_induced(ctx, k, barred):
     rep = Representation(ctx, space, images, weights, name)
     bad = [nm for nm, ok in check_relations(rep) if not ok]
     if bad:
-        raise ValueError("induced module violates relations: %s" % bad)
+        raise RelationError("induced module violates relations: %s" % bad)
     return rep, words
 
 
@@ -340,11 +345,11 @@ def parabolic_hom_dimension(ctx, rep_w, k, side):
     return len(nullspace(rows, dw))
 
 
-def frobenius_dims(ctx, rep_w, k, barred):
+def frobenius_dims(ctx, rep_w, rep_h, k, barred):
     """(enveloping-side dim, parabolic-side dim) for one test module
-    against one realized induced module."""
+    against the realized induced module rep_h = build_induced(ctx, k,
+    barred)."""
     side = "upper" if barred else "lower"
-    rep_h, _ = build_induced(ctx, k, barred)
     lhs = hom_dimension(rep_w, rep_h)
     rhs = parabolic_hom_dimension(ctx, rep_w, k, side)
     return lhs, rhs

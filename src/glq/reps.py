@@ -157,18 +157,24 @@ def dual_rep(rep):
                           name="(%s)~" % rep.name)
 
 
+def eval_tensor_pair(r1, r2, texpr):
+    """Evaluate an arity-2 tensor expression in r1 (x) r2, Koszul matrix
+    conventions."""
+    space = r1.space.tensor(r2.space)
+    out = GradedMap.zero(space, space)
+    for (w1, w2), c in texpr.terms.items():
+        out = out + r1.evaluate_word(w1).tensor(
+            r2.evaluate_word(w2)).scale(c)
+    return out
+
+
 def tensor_rep(r1, r2):
-    """Tensor product through the coproduct, Koszul matrix conventions."""
+    """Tensor product through the coproduct."""
     ctx = r1.ctx
     space = r1.space.tensor(r2.space)
-    images = {}
-    for g in all_generators(ctx):
-        dg = coproduct(UqExpression.from_gen(ctx, g))
-        out = GradedMap.zero(space, space)
-        for (w1, w2), c in dg.terms.items():
-            out = out + r1.evaluate_word(w1).tensor(
-                r2.evaluate_word(w2)).scale(c)
-        images[g] = out
+    images = {g: eval_tensor_pair(r1, r2,
+                                  coproduct(UqExpression.from_gen(ctx, g)))
+              for g in all_generators(ctx)}
     weights = [tuple(x + y for x, y in zip(w1, w2))
                for w1 in r1.weights for w2 in r2.weights]
     return Representation(ctx, space, images, weights,

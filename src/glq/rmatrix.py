@@ -1,7 +1,9 @@
 """R-matrices on pairs of vector/dual-vector representations.
 
-Three operators are constructed on the relevant graded tensor squares
-(Koszul identification of matrix tensors throughout):
+Each R-matrix is stated once, as the matrix-unit coefficients of an R
+element (`r_element`); its operator on the graded tensor square
+(`r_matrix`) is the Koszul tensor of those matrix units, so the signs
+come from the tensor rule in `graded`.  The three R elements:
 
   * vector (x) vector:
         diag q^{sigma_a} on v_a (x) v_a (else 1), plus
@@ -29,153 +31,10 @@ R T_1 T_2 = T_2 T_1 R then holds for all three leg pairings.
 
 from __future__ import annotations
 
-from .coeff import ZERO, ONE, Q, QINV, add_term, q_int
-from .graded import GradedMap, GradedSpace, graded_flip, solve
+from .coeff import ONE, Q, QINV, add_term, q_int
+from .graded import GradedMap, graded_flip
+from .reps import dual_rep, eval_tensor_pair, vector_rep
 from .uq import UqExpression, all_generators, coproduct, coproduct_opposite
-
-
-def _vector_space(ctx):
-    return GradedSpace(tuple(ctx.parity(a) for a in range(1, ctx.N + 1)))
-
-
-def _flat(ctx, a, b):
-    return (a - 1) * ctx.N + (b - 1)
-
-
-def r_matrix_vv(ctx):
-    """R on (vector) (x) (vector)."""
-    N = ctx.N
-    space = _vector_space(ctx).tensor(_vector_space(ctx))
-    ent = {}
-    for a in range(1, N + 1):
-        for b in range(1, N + 1):
-            i = _flat(ctx, a, b)
-            ent[(i, i)] = q_int(ctx.sigma(a)) if a == b else ONE
-    coeff = Q - QINV
-    for a in range(1, N + 1):
-        for b in range(a + 1, N + 1):
-            sgn = ctx.parity(b) + (ctx.parity(a) + ctx.parity(b)) * ctx.parity(b)
-            val = coeff if sgn % 2 == 0 else -coeff
-            add_term(ent, (_flat(ctx, a, b), _flat(ctx, b, a)), val)
-    return GradedMap(space, space, ent)
-
-
-def r_matrix_dd(ctx):
-    """R on (dual) (x) (dual)."""
-    N = ctx.N
-    space = _vector_space(ctx).tensor(_vector_space(ctx))
-    ent = {}
-    for a in range(1, N + 1):
-        for b in range(1, N + 1):
-            i = _flat(ctx, a, b)
-            ent[(i, i)] = q_int(ctx.sigma(a)) if a == b else ONE
-    coeff = Q - QINV
-    for a in range(1, N + 1):
-        for b in range(1, a):
-            sgn = ctx.parity(b) + (ctx.parity(a) + ctx.parity(b)) * ctx.parity(b)
-            val = coeff if sgn % 2 == 0 else -coeff
-            add_term(ent, (_flat(ctx, a, b), _flat(ctx, b, a)), val)
-    return GradedMap(space, space, ent)
-
-
-def r_matrix_dv(ctx):
-    """R on (dual) (x) (vector)."""
-    N = ctx.N
-    space = _vector_space(ctx).tensor(_vector_space(ctx))
-    ent = {}
-    for a in range(1, N + 1):
-        for b in range(1, N + 1):
-            i = _flat(ctx, a, b)
-            ent[(i, i)] = q_int(-ctx.sigma(a)) if a == b else ONE
-    coeff = Q - QINV
-    for a in range(1, N + 1):
-        for b in range(a + 1, N + 1):
-            pa, pb = ctx.parity(a), ctx.parity(b)
-            sgn = pa + pb + pa * pb + (pa + pb) * pa
-            val = -coeff if sgn % 2 == 0 else coeff
-            add_term(ent, (_flat(ctx, b, b), _flat(ctx, a, a)), val)
-    return GradedMap(space, space, ent)
-
-
-def eval_tensor_pair(r1, r2, texpr):
-    """Evaluate an arity-2 tensor expression in r1 (x) r2."""
-    out = GradedMap.zero(r1.space.tensor(r2.space),
-                         r1.space.tensor(r2.space))
-    for (w1, w2), c in texpr.terms.items():
-        out = out + r1.evaluate_word(w1).tensor(r2.evaluate_word(w2)).scale(c)
-    return out
-
-
-def intertwines(R, r1, r2):
-    """Does R (r1 (x) r2)(Delta x) = (r1 (x) r2)(Delta' x) R for every
-    generator x?"""
-    ctx = r1.ctx
-    for g in all_generators(ctx):
-        x = UqExpression.from_gen(ctx, g)
-        lhs = R @ eval_tensor_pair(r1, r2, coproduct(x))
-        rhs = eval_tensor_pair(r1, r2, coproduct_opposite(x)) @ R
-        if lhs != rhs:
-            return False
-    return True
-
-
-def braid_from_r(R, space1, space2):
-    """The braid operator: graded flip composed with R."""
-    return graded_flip(space1, space2) @ R
-
-
-def braid_relation_holds(rhat, space):
-    """Check (R^ (x) 1)(1 (x) R^)(R^ (x) 1) = (1 (x) R^)(R^ (x) 1)(1 (x) R^)."""
-    ident = GradedMap.identity(space)
-    r12 = rhat.tensor(ident)
-    r23 = ident.tensor(rhat)
-    return r12 @ r23 @ r12 == r23 @ r12 @ r23
-
-
-def invert(mat):
-    """Exact inverse of a square GradedMap, or None if singular."""
-    d = mat.domain.dim
-    rows = [{} for _ in range(d)]
-    for (r, c), v in mat.entries.items():
-        rows[r][c] = v
-    ent = {}
-    for j in range(d):
-        rhs = [ONE if i == j else ZERO for i in range(d)]
-        x = solve(rows, d, rhs)
-        if x is None:
-            return None
-        for i, v in x.items():
-            if v:
-                ent[(i, j)] = v
-    return GradedMap(mat.domain, mat.domain, ent)
-
-
-def classical_limit_is_identity(R):
-    """Entrywise evaluation at q = 1 must give the identity matrix."""
-    d = R.domain.dim
-    seen = set()
-    for (r, c), v in R.entries.items():
-        val = v.num.evaluate(1) / v.den.evaluate(1)
-        if r == c:
-            if val != 1:
-                return False
-            seen.add(r)
-        elif val != 0:
-            return False
-    return len(seen) == d
-
-
-# ---------------------------------------------------------------------------
-# Exchange relations with the coordinate generating matrices.
-#
-# These are element-level identities in End(V) (x) End(V) (x) G_q: the
-# R element (matrix-unit coefficients exactly as displayed at the top of
-# this module, no Koszul realisation) multiplies the generating elements
-# T_1 = sum e_ab (x) 1 (x) t_ab, T_2 = sum 1 (x) e_ab (x) t_ab (and the
-# barred versions, same index placement) with the full Koszul sign rule
-# for triple tensors, and the G_q leg is then paired against probe
-# words.  R T_1 T_2 = T_2 T_1 R must hold entrywise for every probe.
-# ---------------------------------------------------------------------------
 
 
 def r_element(ctx, kind):
@@ -209,6 +68,71 @@ def r_element(ctx, kind):
     else:
         raise ValueError("kind must be 'vv', 'dd' or 'dv'")
     return out
+
+
+def r_matrix(ctx, kind):
+    """The operator form of r_element(ctx, kind): each coefficient times
+    the Koszul tensor e_ij (x) e_kl of matrix units on V (x) V."""
+    V = vector_rep(ctx).space
+    out = GradedMap.zero(V.tensor(V), V.tensor(V))
+    for (i, j, k, l), c in r_element(ctx, kind).items():
+        eij = GradedMap(V, V, {(i - 1, j - 1): c})
+        out = out + eij.tensor(GradedMap(V, V, {(k - 1, l - 1): ONE}))
+    return out
+
+
+def intertwines(R, r1, r2):
+    """Does R (r1 (x) r2)(Delta x) = (r1 (x) r2)(Delta' x) R for every
+    generator x?"""
+    ctx = r1.ctx
+    for g in all_generators(ctx):
+        x = UqExpression.from_gen(ctx, g)
+        lhs = R @ eval_tensor_pair(r1, r2, coproduct(x))
+        rhs = eval_tensor_pair(r1, r2, coproduct_opposite(x)) @ R
+        if lhs != rhs:
+            return False
+    return True
+
+
+def braid_from_r(R, space1, space2):
+    """The braid operator: graded flip composed with R."""
+    return graded_flip(space1, space2) @ R
+
+
+def braid_relation_holds(rhat, space):
+    """Check (R^ (x) 1)(1 (x) R^)(R^ (x) 1) = (1 (x) R^)(R^ (x) 1)(1 (x) R^)."""
+    ident = GradedMap.identity(space)
+    r12 = rhat.tensor(ident)
+    r23 = ident.tensor(rhat)
+    return r12 @ r23 @ r12 == r23 @ r12 @ r23
+
+
+def classical_limit_is_identity(R):
+    """Entrywise evaluation at q = 1 must give the identity matrix."""
+    d = R.domain.dim
+    seen = set()
+    for (r, c), v in R.entries.items():
+        val = v.num.evaluate(1) / v.den.evaluate(1)
+        if r == c:
+            if val != 1:
+                return False
+            seen.add(r)
+        elif val != 0:
+            return False
+    return len(seen) == d
+
+
+# ---------------------------------------------------------------------------
+# Exchange relations with the coordinate generating matrices.
+#
+# These are element-level identities in End(V) (x) End(V) (x) G_q: the
+# R element (matrix-unit coefficients exactly as displayed at the top of
+# this module, no Koszul realisation) multiplies the generating elements
+# T_1 = sum e_ab (x) 1 (x) t_ab, T_2 = sum 1 (x) e_ab (x) t_ab (and the
+# barred versions, same index placement) with the full Koszul sign rule
+# for triple tensors, and the G_q leg is then paired against probe
+# words.  R T_1 T_2 = T_2 T_1 R must hold entrywise for every probe.
+# ---------------------------------------------------------------------------
 
 
 def generating_element(ctx, leg, barred):
@@ -303,16 +227,13 @@ def resolve_kind(kind):
 def build_r_matrix(ctx, kind):
     """The R-matrix of the requested kind together with the two
     module factors it intertwines: (R, left factor, right factor)."""
-    from .reps import vector_rep, dual_rep
-
     kind = resolve_kind(kind)
+    R = r_matrix(ctx, kind)
     pi = vector_rep(ctx)
     if kind == "vv":
-        return r_matrix_vv(ctx), pi, pi
+        return R, pi, pi
     pibar = dual_rep(pi)
-    if kind == "dd":
-        return r_matrix_dd(ctx), pibar, pibar
-    return r_matrix_dv(ctx), pibar, pi
+    return R, pibar, pibar if kind == "dd" else pi
 
 
 def check_intertwiner(ctx, kind):

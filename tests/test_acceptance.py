@@ -375,8 +375,10 @@ def test_criterion_12_reciprocity():
                   for s in summands]
         for k in range(0, 3):
             for barred in (False, True):
+                rep_h, _ = induction.build_induced(ctx, k, barred)
                 for label, W in tests:
-                    lhs, rhs = induction.frobenius_dims(ctx, W, k, barred)
+                    lhs, rhs = induction.frobenius_dims(ctx, W, rep_h, k,
+                                                        barred)
                     if lhs != rhs:
                         failures.append((size, k, barred, label, lhs, rhs))
                     if lhs:

@@ -237,6 +237,50 @@ class TestReports:
         assert by_name["dimension"]["measured"] == 2
         assert by_name["highest-weight"]["measured"] == [0, -2]
 
+    def test_induce_reports_a_relation_failure(self, capsys, monkeypatch):
+        from glq import induction
+
+        monkeypatch.setattr(induction, "check_relations",
+                            lambda rep: [("forced", False)])
+        code, _, report = run_cli(
+            capsys, ["induce", "--k", "1", "--side", "bar"])
+        assert code == 1 and report["ok"] is False
+        (borel,) = report["suites"]
+        by_name = {c["name"]: c for c in borel["checks"]}
+        assert by_name["span-stable"]["ok"] is True
+        assert by_name["defining-relations"]["ok"] is False
+        assert "forced" in by_name["defining-relations"]["error"]
+
+    def test_induce_reports_an_action_leaving_the_span(self, capsys,
+                                                        monkeypatch):
+        from glq import induction
+
+        full = induction.plain_monomials
+        monkeypatch.setattr(induction, "plain_monomials",
+                            lambda ctx, k: full(ctx, k)[:-1])
+        code, _, report = run_cli(
+            capsys, ["induce", "--k", "1", "--side", "bar"])
+        assert code == 1 and report["ok"] is False
+        (borel,) = report["suites"]
+        by_name = {c["name"]: c for c in borel["checks"]}
+        assert by_name["span-stable"]["ok"] is False
+        assert "leaves the degree-1 span" in by_name["span-stable"]["error"]
+        assert "defining-relations" not in by_name
+
+    def test_crash_exits_3_without_a_report(self, capsys, monkeypatch):
+        from glq import cli
+
+        def crash(args):
+            raise RuntimeError("forced crash")
+
+        monkeypatch.setattr(cli, "cmd_verify", crash)
+        code = main(["verify"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "Traceback" in captured.err
+        assert "RuntimeError: forced crash" in captured.err
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "glq.cli", "normalform", "zb[1]*z[1]"],

@@ -214,6 +214,14 @@ class TestMatrixCoefficients:
             for j in range(2):
                 assert mc[i][j].terms == {(t_(i + 1, j + 1),): ONE}
 
+    def test_dependent_summand_bases_rejected(self):
+        from types import SimpleNamespace
+
+        ctx = GradingContext(1, 1)
+        twice = SimpleNamespace(basis=[{0: ONE}, {0: ONE}], dim=2)
+        with pytest.raises(ValueError, match="linearly dependent"):
+            coords.matrix_coefficients(ctx, (False,), [twice], 0)
+
     def test_trivial_profile_gives_counit(self):
         ctx = GradingContext(1, 1)
         triv = reps.trivial_rep(ctx)

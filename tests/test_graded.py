@@ -13,6 +13,7 @@ from glq.graded import (
     GradedSpace,
     GradingContext,
     graded_flip,
+    invert,
     nullspace,
     rank,
     solve,
@@ -77,6 +78,21 @@ def test_graded_map_compose_and_apply():
     assert prod == _e(sp, 0, 0)
     assert e12.apply({1: Q}) == {0: Q}
     assert e12.apply({0: Q}) == {}
+    both = GradedMap(sp, sp, {(0, 0): ONE, (0, 1): ONE, (1, 1): QINV})
+    assert both.apply({0: Q, 1: -Q}) == {1: -ONE}
+
+
+def test_invert_exact_and_singular():
+    sp = GradedSpace((0, 1, 0))
+    mat = GradedMap(sp, sp, {(0, 0): Q, (0, 2): ONE, (1, 1): Q - QINV,
+                             (2, 0): ONE, (2, 2): Q})
+    inv = invert(mat)
+    assert inv is not None
+    assert inv @ mat == GradedMap.identity(sp)
+    assert mat @ inv == GradedMap.identity(sp)
+    singular = GradedMap(sp, sp, {(0, 0): Q, (0, 2): ONE,
+                                  (2, 0): Q * Q, (2, 2): Q, (1, 1): ONE})
+    assert invert(singular) is None
 
 
 def test_koszul_tensor_sign():

@@ -262,8 +262,9 @@ class TestFrobenius:
         nonzero = {}
         for k in (0, 1, 2):
             for barred in (False, True):
+                rep_h, _ = build_induced(ctx, k, barred)
                 for name, W in mods:
-                    lhs, rhs = frobenius_dims(ctx, W, k, barred)
+                    lhs, rhs = frobenius_dims(ctx, W, rep_h, k, barred)
                     assert lhs == rhs, (size, k, barred, name, lhs, rhs)
                     if lhs:
                         nonzero[(k, barred, name.split("-")[0],

@@ -5,21 +5,16 @@ coordinate generating matrices."""
 import pytest
 
 from glq.coeff import ONE, Q, QINV, q_int
-from glq.graded import GradingContext, GradedMap
+from glq.graded import GradingContext, GradedMap, GradedSpace, invert
 from glq.reps import dual_rep, vector_rep
 from glq.rmatrix import (
-    _flat,
-    _vector_space,
     braid_from_r,
     braid_relation_holds,
     classical_limit_is_identity,
     generating_element,
     intertwines,
-    invert,
     r_element,
-    r_matrix_dd,
-    r_matrix_dv,
-    r_matrix_vv,
+    r_matrix,
     rtt_exchange_holds,
     triple_product,
     _with_empty_word,
@@ -43,9 +38,9 @@ def _operators(ctx):
     pi = vector_rep(ctx)
     pibar = dual_rep(pi)
     return [
-        ("vv", r_matrix_vv(ctx), pi, pi),
-        ("dd", r_matrix_dd(ctx), pibar, pibar),
-        ("dv", r_matrix_dv(ctx), pibar, pi),
+        ("vv", r_matrix(ctx, "vv"), pi, pi),
+        ("dd", r_matrix(ctx, "dd"), pibar, pibar),
+        ("dv", r_matrix(ctx, "dv"), pibar, pi),
     ]
 
 
@@ -78,15 +73,15 @@ def test_braid_relation(size):
     pi = vector_rep(ctx)
     pibar = dual_rep(pi)
     V, D = pi.space, pibar.space
-    rhat_vv = braid_from_r(r_matrix_vv(ctx), V, V)
-    rhat_dd = braid_from_r(r_matrix_dd(ctx), D, D)
+    rhat_vv = braid_from_r(r_matrix(ctx, "vv"), V, V)
+    rhat_dd = braid_from_r(r_matrix(ctx, "dd"), D, D)
     assert braid_relation_holds(rhat_vv, V)
     assert braid_relation_holds(rhat_dd, D)
 
 
 def test_vv_operator_frozen_at_1_1():
     ctx = GradingContext(1, 1)
-    R = r_matrix_vv(ctx)
+    R = r_matrix(ctx, "vv")
     gap = Q - QINV
     assert R.entries == {
         (0, 0): q_int(1),
@@ -97,9 +92,24 @@ def test_vv_operator_frozen_at_1_1():
     }
 
 
+def test_dd_operator_frozen_at_1_1():
+    ctx = GradingContext(1, 1)
+    R = r_matrix(ctx, "dd")
+    gap = Q - QINV
+    # single off-diagonal entry, sending vbar_1 (x) vbar_2 into
+    # vbar_2 (x) vbar_1
+    assert R.entries == {
+        (0, 0): q_int(1),
+        (1, 1): ONE,
+        (2, 2): ONE,
+        (3, 3): q_int(-1),
+        (2, 1): gap,
+    }
+
+
 def test_dv_operator_frozen_at_1_1():
     ctx = GradingContext(1, 1)
-    R = r_matrix_dv(ctx)
+    R = r_matrix(ctx, "dv")
     gap = Q - QINV
     assert R.get(0, 0) == QINV
     assert R.get(3, 3) == Q
@@ -114,11 +124,20 @@ def test_dv_operator_frozen_at_1_1():
 # ---------------------------------------------------------------------------
 
 
-def test_element_realizes_to_operator(ctx):
+def _flat(ctx, a, b):
+    return (a - 1) * ctx.N + (b - 1)
+
+
+@pytest.mark.parametrize("size", SIZES + [(1, 0), (0, 1), (3, 2)],
+                         ids=lambda s: "m%dn%d" % s)
+def test_element_realizes_to_operator(size):
     """The displayed matrix-unit coefficients, pushed through the Koszul
-    identification of matrix tensors, give exactly the operator form."""
-    space = _vector_space(ctx).tensor(_vector_space(ctx))
-    for kind, op, _, _ in _operators(ctx):
+    identification of matrix tensors with a hand-coded sign and flat
+    index, give exactly the operator form."""
+    ctx = GradingContext(*size)
+    V = GradedSpace(tuple(ctx.parity(a) for a in range(1, ctx.N + 1)))
+    space = V.tensor(V)
+    for kind in ("vv", "dd", "dv"):
         ent = {}
         for (i, j, k, l), c in r_element(ctx, kind).items():
             sgn = ((ctx.parity(k) + ctx.parity(l)) * ctx.parity(j)) % 2
@@ -126,7 +145,7 @@ def test_element_realizes_to_operator(ctx):
             cc = -c if sgn else c
             ent[key] = ent.get(key, cc - cc) + cc
         realized = GradedMap(space, space, {k: v for k, v in ent.items() if v})
-        assert realized == op, kind
+        assert realized == r_matrix(ctx, kind), kind
 
 
 def test_r_element_frozen_at_1_1():
@@ -197,10 +216,10 @@ class TestKindWrappers:
     def test_build_matches_constructors(self):
         ctx = GradingContext(1, 1)
         R, r1, r2 = build_r_matrix(ctx, "pp")
-        assert R == r_matrix_vv(ctx)
+        assert R == r_matrix(ctx, "vv")
         assert r1 is r2
         R, r1, r2 = build_r_matrix(ctx, "mixed")
-        assert R == r_matrix_dv(ctx)
+        assert R == r_matrix(ctx, "dv")
         assert r1.name != r2.name
 
     @pytest.mark.parametrize("kind", ["pp", "bb", "mixed"])
