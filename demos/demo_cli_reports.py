@@ -5,7 +5,9 @@ Deterministic JSON reports from the command line
 Every identity suite is also reachable through the ``glq`` console
 command, which prints a versioned JSON report with one entry per check
 and exits 1 when any suite fails.  Reports are byte-identical across
-runs.  Invalid arguments are rejected before any work with exit 2.
+runs.  Bad input exits 2: invalid arguments are rejected before any
+work with no report, and an expression that does not parse gets a
+report naming the error and its position.
 """
 
 import io
@@ -46,7 +48,8 @@ code, text = run(["normalform", "zb[1]*z[1]"])
 print("normalform zb[1]*z[1]  ->",
       json.loads(text)["suites"][0]["normal_form"])
 
-# Parse errors carry positions; failures flip the exit code.
+# An expression that does not parse is bad input: exit 2, and the
+# report names the error and its position.
 code, text = run(["normalform", "zb[1"])
 err = json.loads(text)["error"]
 print("parse error exit %d: %s at position %d"

@@ -7,13 +7,13 @@ are byte-identical.  Suites run one after another, in report order.
 Exit codes:
 
   0  every reported check passed;
-  1  a check failed, or the expression did not parse (the report says
-     which);
-  2  invalid arguments (a negative size, a tensor power or probe degree
-     below 1, a negative induction degree, induce with no odd block, a
-     specialisation point that is not a rational other than 0 and 1),
-     rejected by the argument parser before any work is done, with no
-     report;
+  1  a check failed (the report says which);
+  2  bad input: invalid arguments (a negative size, a tensor power or
+     probe degree below 1, a negative induction degree, induce with no
+     odd block, a specialisation point that is not a rational other
+     than 0 and 1), rejected by the argument parser before any work is
+     done, with no report; or a normalform expression that does not
+     parse, with a report naming the error and its position;
   3  the command crashed: the traceback goes to stderr and no report is
      printed.
 """
@@ -28,8 +28,9 @@ from fractions import Fraction
 from math import comb
 
 from .coeff import q_int
-from .graded import GradingContext, rank
+from .graded import GradedMap, GradingContext, rank
 from . import coords as coords_mod
+from . import induction as induction_mod
 from . import reps as reps_mod
 from . import rmatrix as rmatrix_mod
 from .coords import GqElement, t_, tbar_
@@ -40,6 +41,7 @@ from .uq import (
     all_generators,
     antipode,
     coproduct,
+    counit,
     k2rho,
     pbw_probe_expressions,
     probe_monomials,
@@ -101,9 +103,6 @@ def _suite_hopf(ctx, probe_degree):
     checks.append(_check("coassociativity", coassoc))
     checks.append(_check("counit-axiom", counit_ax))
     rep = reps_mod.vector_rep(ctx)
-    from .graded import GradedMap
-    from .uq import counit
-
     degree = min(probe_degree, 2)
     axiom = True
     for word in probe_monomials(ctx, degree):
@@ -367,18 +366,16 @@ def cmd_normalform(args):
 
 
 def cmd_induce(args):
-    from . import induction as ind
-
     ctx = GradingContext(args.m, args.n)
     k = args.k
     barred = args.side == "unbar"
     parameters = {"m": args.m, "n": args.n, "k": k, "side": args.side}
     try:
-        rep, _ = ind.build_induced(ctx, k, barred)
+        rep, _ = induction_mod.build_induced(ctx, k, barred)
     except ValueError as exc:
         # Without a module the remaining checks and the reciprocity
         # suite have nothing to examine.
-        if isinstance(exc, ind.RelationError):
+        if isinstance(exc, induction_mod.RelationError):
             checks = [_check("span-stable", True),
                       _check("defining-relations", False, error=str(exc))]
         else:
@@ -394,7 +391,7 @@ def cmd_induce(args):
     checks.append(_check("irreducible", len(summands) == 1,
                          summands=len(summands)))
     if barred:
-        want = ind.skew_highest_weight(ctx, k)
+        want = induction_mod.skew_highest_weight(ctx, k)
     else:
         want = tuple([0] * (ctx.N - 1) + [-k])
     got = summands[0].highest_weight if summands else None
@@ -405,7 +402,7 @@ def cmd_induce(args):
     reciprocity = []
     for label, W in (("trivial", reps_mod.trivial_rep(ctx)),
                      ("vector", reps_mod.vector_rep(ctx))):
-        lhs, rhs = ind.frobenius_dims(ctx, W, rep, k, barred)
+        lhs, rhs = induction_mod.frobenius_dims(ctx, W, rep, k, barred)
         reciprocity.append(_check("reciprocity-%s" % label, lhs == rhs,
                                   module_side=lhs, parabolic_side=rhs))
     return {"parameters": parameters,
@@ -449,7 +446,10 @@ def _add_size(p):
 
 def _add_probe(p):
     p.add_argument("--probe-degree", type=_int_at_least(1), default=None,
-                   help="probe word degree (default 4 at (1|1), else 3)")
+                   help="probe word degree (default 4 at (1|1), else 3); "
+                        "rmatrix uses it in full, verify and coords --check "
+                        "antipode cap it at 2, coords --check star and "
+                        "peterweyl ignore it")
 
 
 def build_arg_parser():
@@ -541,7 +541,7 @@ def main(argv=None):
             "suites": [],
         })
         print(_render(base))
-        return 1
+        return 2
     except Exception:
         traceback.print_exc()
         return 3

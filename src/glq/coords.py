@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .coeff import Combination, ZERO, ONE, add_term, q_int, sign_pow
+from .graded import GradedMap, invert, tensor_unindex
 from .uq import UqExpression, probe_monomials, word_parity
 from .reps import dual_rep, tensor_rep, trivial_rep, vector_rep
 
@@ -326,8 +327,6 @@ def matrix_coefficients(ctx, profile, summands, which):
     list-of-lists of GqElements; entry (i, j) evaluates on every probe
     exactly as entry (i, j) of the summand's representation matrices.
     """
-    from .graded import GradedMap, invert, tensor_unindex
-
     rep = profile_rep(ctx, profile)
     dim = rep.dim
     N = ctx.N

@@ -14,16 +14,24 @@ algebra; ``z[a]``, ``zb[a]`` for the superspace; ``Z[i..;j..]`` and
 ``Zb[i..;j..]`` for superspace monomials given by a two-part
 multi-index (nilpotent exponents, then the rest, separated by ';').
 
-Scalars are rational functions of q and embed into any algebra; letters
-from different algebras never mix.  Errors carry the 0-based character
-offset where they were detected.
+Each entry point parses into one algebra: scalars, rational functions
+of q, embed into it, and a letter of any other algebra is an error.
+Division and negative powers need a scalar, that is, a subexpression
+with no letter in it.  Errors carry the 0-based character offset where
+they were detected.
 """
 
 from __future__ import annotations
 
 from .coeff import ONE, RatFunc
 from .coords import GqElement, t_, tbar_
-from .superspace import SuperspaceElement, word_of_multi_index, z_, zb_
+from .superspace import (
+    SuperspaceElement,
+    multi_index_of,
+    word_of_multi_index,
+    z_,
+    zb_,
+)
 from .uq import UqExpression, gen_E, gen_K, gen_Kinv
 
 
@@ -36,15 +44,25 @@ class ParseError(ValueError):
         self.position = position
 
 
-_LETTER_NAMES = ("Kinv", "K", "E", "tb", "t", "zb", "z", "Zb", "Z", "q")
+# Letter name -> (algebra, number of indices, letter constructor).  Z and
+# Zb take two index groups instead and build a whole word.
+_LETTERS = {
+    "K": (UqExpression, 1, gen_K),
+    "Kinv": (UqExpression, 1, gen_Kinv),
+    "E": (UqExpression, 2, gen_E),
+    "t": (GqElement, 2, t_),
+    "tb": (GqElement, 2, tbar_),
+    "z": (SuperspaceElement, 1, z_),
+    "zb": (SuperspaceElement, 1, zb_),
+    "Z": (SuperspaceElement, None, None),
+    "Zb": (SuperspaceElement, None, None),
+}
 
-_UQ = "uq"
-_COORDS = "coords"
-_SPACE = "superspace"
+_NAMES = sorted([*_LETTERS, "q"], key=len, reverse=True)
 
-_TAG_OF = {"K": _UQ, "Kinv": _UQ, "E": _UQ,
-           "t": _COORDS, "tb": _COORDS,
-           "z": _SPACE, "zb": _SPACE, "Z": _SPACE, "Zb": _SPACE}
+_PUNCTUATION = {"+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
+                "^": "CARET", "(": "LPAREN", ")": "RPAREN",
+                "[": "LBRACK", "]": "RBRACK", ",": "COMMA", ";": "SEMI"}
 
 
 def _tokenize(text):
@@ -64,7 +82,7 @@ def _tokenize(text):
             i = j
             continue
         if c.isalpha():
-            for name in _LETTER_NAMES:
+            for name in _NAMES:
                 if text.startswith(name, i):
                     after = i + len(name)
                     if after < n and text[after].isalnum():
@@ -75,11 +93,8 @@ def _tokenize(text):
             else:
                 raise ParseError("unknown name starting with %r" % c, i)
             continue
-        simple = {"+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
-                  "^": "CARET", "(": "LPAREN", ")": "RPAREN",
-                  "[": "LBRACK", "]": "RBRACK", ",": "COMMA", ";": "SEMI"}
-        if c in simple:
-            tokens.append((simple[c], c, i))
+        if c in _PUNCTUATION:
+            tokens.append((_PUNCTUATION[c], c, i))
             i += 1
             continue
         raise ParseError("unexpected character %r" % c, i)
@@ -87,37 +102,18 @@ def _tokenize(text):
     return tokens
 
 
-class _Value:
-    """A parsed value: a scalar, or an element of one tagged algebra."""
-
-    __slots__ = ("tag", "payload")
-
-    def __init__(self, tag, payload):
-        self.tag = tag
-        self.payload = payload
-
-
-def _one_of(ctx, tag):
-    if tag == _UQ:
-        return UqExpression.one(ctx)
-    if tag == _COORDS:
-        return GqElement.one(ctx)
-    return SuperspaceElement.one(ctx)
-
-
-def _promote(ctx, value, tag):
-    if value.tag == tag:
-        return value.payload
-    return _one_of(ctx, tag).scale(value.payload)
-
-
 class _Parser:
-    def __init__(self, ctx, text, allowed=None):
+    """Parses one text into ``algebra`` (a Combination class), or into
+    Q(q) when ``algebra`` is None.
+
+    A value is a RatFunc until it meets a letter and an element of
+    ``algebra`` from then on, so scalar arithmetic stays in Q(q)."""
+
+    def __init__(self, ctx, text, algebra):
         self.ctx = ctx
-        self.text = text
+        self.algebra = algebra
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.allowed = allowed
 
     # -- token plumbing ----------------------------------------------------
 
@@ -137,59 +133,39 @@ class _Parser:
 
     # -- value arithmetic ---------------------------------------------------
 
-    def _combine_tags(self, a, b, at):
-        if a.tag is None:
-            return b.tag
-        if b.tag is None or a.tag == b.tag:
-            return a.tag
-        raise ParseError("cannot mix %s and %s letters" % (a.tag, b.tag), at)
+    def embed(self, value):
+        if isinstance(value, RatFunc):
+            return self.algebra.one(self.ctx).scale(value)
+        return value
 
-    def _add(self, a, b, at, negate=False):
-        tag = self._combine_tags(a, b, at)
-        if tag is None:
-            s = a.payload + (-b.payload if negate else b.payload)
-            return _Value(None, s)
-        x = _promote(self.ctx, a, tag)
-        y = _promote(self.ctx, b, tag)
-        return _Value(tag, x - y if negate else x + y)
+    def add(self, a, b, negate):
+        if isinstance(a, RatFunc) and isinstance(b, RatFunc):
+            return a + (-b if negate else b)
+        a, b = self.embed(a), self.embed(b)
+        return a - b if negate else a + b
 
-    def _mul(self, a, b, at):
-        tag = self._combine_tags(a, b, at)
-        if tag is None:
-            return _Value(None, a.payload * b.payload)
-        if a.tag is None:
-            return _Value(tag, b.payload.scale(a.payload))
-        if b.tag is None:
-            return _Value(tag, a.payload.scale(b.payload))
-        return _Value(tag, a.payload * b.payload)
+    def mul(self, a, b):
+        if isinstance(a, RatFunc):
+            return a * b if isinstance(b, RatFunc) else b.scale(a)
+        return a.scale(b) if isinstance(b, RatFunc) else a * b
 
-    def _div(self, a, b, at):
-        if b.tag is not None:
+    def div(self, a, b, at):
+        if not isinstance(b, RatFunc):
             raise ParseError("division by a non-scalar", at)
-        if not b.payload:
+        if not b:
             raise ParseError("division by zero", at)
-        inv = b.payload.inverse()
-        if a.tag is None:
-            return _Value(None, a.payload * inv)
-        return _Value(a.tag, a.payload.scale(inv))
+        return self.mul(a, b.inverse())
 
-    def _pow(self, base, exponent, at):
-        if base.tag is None:
-            out = ONE
-            mult = base.payload
-            if exponent < 0:
-                if not mult:
-                    raise ParseError("zero to a negative power", at)
-                mult = mult.inverse()
-                exponent = -exponent
-            for _ in range(exponent):
-                out = out * mult
-            return _Value(None, out)
+    def power(self, base, exponent, at):
         if exponent < 0:
-            raise ParseError("negative power of a non-scalar", at)
-        out = _Value(None, ONE)
+            if not isinstance(base, RatFunc):
+                raise ParseError("negative power of a non-scalar", at)
+            if not base:
+                raise ParseError("zero to a negative power", at)
+            base, exponent = base.inverse(), -exponent
+        out = ONE
         for _ in range(exponent):
-            out = self._mul(out, base, at)
+            out = self.mul(out, base)
         return out
 
     # -- grammar ------------------------------------------------------------
@@ -199,14 +175,13 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "END":
             raise ParseError("unexpected trailing input", tok[2])
-        return value
+        return value if self.algebra is None else self.embed(value)
 
     def expr(self):
         value = self.term()
         while self.peek()[0] in ("PLUS", "MINUS"):
             op = self.advance()
-            rhs = self.term()
-            value = self._add(value, rhs, op[2], negate=op[0] == "MINUS")
+            value = self.add(value, self.term(), op[0] == "MINUS")
         return value
 
     def term(self):
@@ -215,12 +190,12 @@ class _Parser:
             tok = self.peek()
             if tok[0] == "STAR":
                 self.advance()
-                value = self._mul(value, self.factor(), tok[2])
+                value = self.mul(value, self.factor())
             elif tok[0] == "SLASH":
                 self.advance()
-                value = self._div(value, self.factor(), tok[2])
+                value = self.div(value, self.factor(), tok[2])
             elif tok[0] in ("INT", "NAME", "LPAREN"):
-                value = self._mul(value, self.factor(), tok[2])
+                value = self.mul(value, self.factor())
             else:
                 return value
 
@@ -231,7 +206,7 @@ class _Parser:
             inner = self.factor()
             if tok[0] == "PLUS":
                 return inner
-            return self._mul(_Value(None, -ONE), inner, tok[2])
+            return self.mul(-ONE, inner)
         value = self.atom()
         if self.peek()[0] == "CARET":
             at = self.advance()[2]
@@ -240,20 +215,20 @@ class _Parser:
                 self.advance()
                 sign = -1
             etok = self.expect("INT", "an integer exponent")
-            value = self._pow(value, sign * etok[1], at)
+            value = self.power(value, sign * etok[1], at)
         return value
 
     def atom(self):
         tok = self.advance()
         if tok[0] == "INT":
-            return _Value(None, RatFunc.from_int(tok[1]))
+            return RatFunc.from_int(tok[1])
         if tok[0] == "LPAREN":
             value = self.expr()
             self.expect("RPAREN", "a closing parenthesis")
             return value
         if tok[0] == "NAME":
             if tok[1] == "q":
-                return _Value(None, RatFunc.q_power(1))
+                return RatFunc.q_power(1)
             return self.letter(tok)
         raise ParseError("expected a value", tok[2])
 
@@ -282,43 +257,25 @@ class _Parser:
 
     def letter(self, tok):
         name, at = tok[1], tok[2]
-        if self.allowed is not None and name not in self.allowed:
+        if _LETTERS[name][0] is not self.algebra:
             raise ParseError("letter %r not allowed here" % name, at)
         self.expect("LBRACK", "'['")
         if name in ("Z", "Zb"):
             value = self.multi_index_monomial(name, at)
         else:
-            indices = self._index_list()
-            value = self.simple_letter(name, indices, at)
+            value = self.simple_letter(name, self._index_list(), at)
         self.expect("RBRACK", "']'")
         return value
 
     def simple_letter(self, name, indices, at):
-        ctx = self.ctx
-        if name in ("K", "Kinv", "z", "zb"):
-            if len(indices) != 1:
-                raise ParseError("%s takes one index" % name, at)
-            a = self._check_row(*indices[0])
-            if name == "K":
-                elem = UqExpression.from_gen(ctx, gen_K(a))
-            elif name == "Kinv":
-                elem = UqExpression.from_gen(ctx, gen_Kinv(a))
-            elif name == "z":
-                elem = SuperspaceElement.from_word(ctx, (z_(a),))
-            else:
-                elem = SuperspaceElement.from_word(ctx, (zb_(a),))
-            return _Value(_TAG_OF[name], elem)
-        if len(indices) != 2:
-            raise ParseError("%s takes two indices" % name, at)
-        a = self._check_row(*indices[0])
-        b = self._check_row(*indices[1])
-        if name == "E":
-            if abs(a - b) != 1:
-                raise ParseError("E indices must be adjacent",
-                                 indices[1][1])
-            return _Value(_UQ, UqExpression.from_gen(ctx, gen_E(a, b)))
-        letter = t_(a, b) if name == "t" else tbar_(a, b)
-        return _Value(_COORDS, GqElement(ctx, {(letter,): ONE}))
+        algebra, arity, make = _LETTERS[name]
+        if len(indices) != arity:
+            raise ParseError("%s takes %s" % (
+                name, "one index" if arity == 1 else "two indices"), at)
+        rows = [self._check_row(*index) for index in indices]
+        if name == "E" and abs(rows[0] - rows[1]) != 1:
+            raise ParseError("E indices must be adjacent", indices[1][1])
+        return algebra.from_word(self.ctx, (make(*rows),))
 
     def multi_index_monomial(self, name, at):
         ctx = self.ctx
@@ -341,46 +298,27 @@ class _Parser:
             word = word_of_multi_index(ctx, index, zero)
         else:
             word = word_of_multi_index(ctx, zero, index)
-        return _Value(_SPACE, SuperspaceElement.from_word(ctx, word))
-
-
-def parse_expression(ctx, text, allowed=None):
-    """Parse into (tag, value): tag None for a pure scalar, else the
-    algebra name."""
-    value = _Parser(ctx, text, allowed=allowed).parse()
-    return value.tag, value.payload
+        return SuperspaceElement.from_word(ctx, word)
 
 
 def parse_scalar(text):
     """A rational function of q; letters are rejected."""
-    tag, value = parse_expression(None, text, allowed=())
-    return value
+    return _Parser(None, text, None).parse()
 
 
 def parse_uq(ctx, text):
     """An element of the quantised enveloping algebra."""
-    tag, value = parse_expression(ctx, text,
-                                  allowed=("K", "Kinv", "E"))
-    if tag is None:
-        return UqExpression.one(ctx).scale(value)
-    return value
+    return _Parser(ctx, text, UqExpression).parse()
 
 
 def parse_coords(ctx, text):
     """An element of the coordinate algebra."""
-    tag, value = parse_expression(ctx, text, allowed=("t", "tb"))
-    if tag is None:
-        return GqElement.one(ctx).scale(value)
-    return value
+    return _Parser(ctx, text, GqElement).parse()
 
 
 def parse_superspace(ctx, text):
     """An element of the superspace algebra."""
-    tag, value = parse_expression(ctx, text,
-                                  allowed=("z", "zb", "Z", "Zb"))
-    if tag is None:
-        return SuperspaceElement.one(ctx).scale(value)
-    return value
+    return _Parser(ctx, text, SuperspaceElement).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +335,6 @@ def _coeff_string(c):
 
 def format_normal_form(ctx, element):
     """Render a normal superspace element; parse_superspace inverts it."""
-    from .superspace import multi_index_of
-
     if element.is_zero():
         return "0"
     parts = []

@@ -540,12 +540,7 @@ def gram_is_positive(gram, q0):
 
 def unitarity_types(rep, gram, q0):
     """Which star types make (rep, gram) a unitary pair at q0."""
-    out = []
-    for theta in (1, 2):
-        if gram_is_positive(gram, q0) and is_adjoint_pair(rep, gram, theta,
-                                                          q0=q0):
-            out.append(theta)
-    return out
+    return unitarity_check(rep, gram, q0)["unitary_types"]
 
 
 def classify_weight(ctx, weight):

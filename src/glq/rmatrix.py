@@ -32,9 +32,16 @@ R T_1 T_2 = T_2 T_1 R then holds for all three leg pairings.
 from __future__ import annotations
 
 from .coeff import ONE, Q, QINV, add_term, q_int
+from .coords import CoordLetter, evaluate_word, letter_parity
 from .graded import GradedMap, graded_flip
 from .reps import dual_rep, eval_tensor_pair, vector_rep
-from .uq import UqExpression, all_generators, coproduct, coproduct_opposite
+from .uq import (
+    UqExpression,
+    all_generators,
+    coproduct,
+    coproduct_opposite,
+    probe_monomials,
+)
 
 
 def r_element(ctx, kind):
@@ -138,8 +145,6 @@ def classical_limit_is_identity(R):
 def generating_element(ctx, leg, barred):
     """T (or T-bar) with the coordinate letter in the G_q leg:
     sum_{a,b} e_ab placed in the given matrix leg, times t_ab."""
-    from .coords import CoordLetter
-
     N = ctx.N
     out = {}
     for a in range(1, N + 1):
@@ -155,8 +160,6 @@ def generating_element(ctx, leg, barred):
 def triple_product(ctx, A, B):
     """Koszul product in End(V) (x) End(V) (x) G_q on decomposable
     pieces {(i, j, k, l, word): coeff}."""
-    from .coords import letter_parity
-
     out = {}
     for (i1, j1, k1, l1, w1), c1 in A.items():
         p_mid = (ctx.parity(k1) + ctx.parity(l1)) % 2
@@ -178,8 +181,6 @@ def _with_empty_word(element):
 
 
 def _eval_coordinate_leg(ctx, element, x_word):
-    from .coords import evaluate_word
-
     out = {}
     for (i, j, k, l, w), c in element.items():
         v = evaluate_word(ctx, w, x_word)
@@ -257,7 +258,5 @@ def check_braid(ctx, kind):
 def check_rtt(ctx, kind, probe_degree):
     """Does the exchange identity hold on every coordinate probe word up
     to the given degree?"""
-    from .uq import probe_monomials
-
     return rtt_exchange_holds(ctx, resolve_kind(kind),
                               probe_monomials(ctx, probe_degree))

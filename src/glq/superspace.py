@@ -30,7 +30,15 @@ import random
 from collections import namedtuple
 
 from .coeff import Combination, ZERO, ONE, add_term, q_int
-from .coords import CoordLetter, GqElement
+from .coords import (
+    CoordLetter,
+    GqElement,
+    coord_word_parity,
+    coproduct as coords_coproduct,
+    evaluate,
+)
+from .graded import nullspace
+from .uq import pbw_probe_expressions
 
 SpaceLetter = namedtuple("SpaceLetter", ["barred", "index"])
 
@@ -360,8 +368,6 @@ def coaction(ctx, element):
     """The right co-action sending z_a to sum_c z_c (x) t_{ac}: the
     coordinate coproduct with its legs flipped under the Koszul sign.
     Returns {(superspace word, coordinate word): coefficient}."""
-    from .coords import coproduct as coords_coproduct, coord_word_parity
-
     terms = {}
     f = to_coordinate_element(ctx, element)
     for (wl, wr), c in coords_coproduct(f).items():
@@ -376,8 +382,6 @@ def coaction_pair(ctx, terms, x, y):
     """Evaluate a co-action element against the probe pair (x, y):
     first legs paired as superspace functionals, second legs as
     coordinate functionals."""
-    from .coords import evaluate, GqElement
-
     total = ZERO
     for (ws, wg), c in terms.items():
         f1 = to_coordinate_element(ctx, SuperspaceElement.from_word(ctx, ws))
@@ -398,10 +402,6 @@ def cp_basis(ctx, d, probe_degree=None):
     plain monomial with a degree-d barred monomial, their exact rank as
     functionals on the PBW probe family, and a basis of the dependency
     space (empty when the monomials are independent)."""
-    from .uq import pbw_probe_expressions
-    from .coords import evaluate
-    from .graded import nullspace
-
     if probe_degree is None:
         probe_degree = 2 * d
     words = []

@@ -74,6 +74,12 @@ class TestParser:
         ("zb[1", 4),
         ("Z[2;0]", 2),
         ("t[1,2] / t[1,2]", 7),
+        ("z[1]^-1", 4),
+        ("(q-q)^-1", 5),
+        ("z[1]/0", 4),
+        ("z[1,2]", 0),
+        ("t[1]", 0),
+        ("z[1]/(z[1]-z[1]+2)", 4),
     ])
     def test_errors_carry_position(self, text, position):
         ctx = GradingContext(1, 1)
@@ -90,6 +96,8 @@ class TestParser:
         ctx = GradingContext(1, 1)
         with pytest.raises(ParseError):
             parse_uq(ctx, "K[1] + t[1,1]")
+        with pytest.raises(ParseError):
+            parse_scalar("z[1]")
 
 
 class TestNormalFormPrinter:
@@ -182,7 +190,7 @@ class TestReports:
 
     def test_parse_error_reported_with_position(self, capsys):
         code, _, report = run_cli(capsys, ["normalform", "zb[1"])
-        assert code == 1
+        assert code == 2
         assert report["ok"] is False
         assert report["error"]["position"] == 4
         assert report["suites"] == []
