@@ -9,8 +9,9 @@ Exit codes:
   0  every reported check passed;
   1  a check failed (the report says which);
   2  bad input: invalid arguments (a negative size, a tensor power or
-     probe degree below 1, a negative induction degree, induce with no
-     odd block, a specialisation point that is not a rational other
+     probe degree below 1, a probe degree that coords --check star or
+     peterweyl would not read, a negative induction degree, induce with
+     no odd block, a specialisation point that is not a rational other
      than 0 and 1), rejected by the argument parser before any work is
      done, with no report; or a normalform expression that does not
      parse, with a report naming the error and its position;
@@ -449,7 +450,7 @@ def _add_probe(p):
                    help="probe word degree (default 4 at (1|1), else 3); "
                         "rmatrix uses it in full, verify and coords --check "
                         "antipode cap it at 2, coords --check star and "
-                        "peterweyl ignore it")
+                        "peterweyl reject it")
 
 
 def build_arg_parser():
@@ -531,6 +532,10 @@ def main(argv=None):
         # The realized modules and their expected dimensions and highest
         # weights are stated for an odd block of size at least one.
         parser.error("induce needs --n >= 1")
+    if (args.command == "coords" and args.check != "antipode"
+            and args.probe_degree is not None):
+        parser.error("coords --check %s does not read --probe-degree"
+                     % args.check)
     base = {"schema": SCHEMA, "command": args.command}
     try:
         body = args.func(args)

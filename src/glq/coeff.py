@@ -9,6 +9,10 @@ structural equality coincides with mathematical equality:
   * numerator and denominator share no polynomial factor;
   * all unit factors (rational scalars and powers of q) live in the numerator.
 
+A one-term canonical denominator is therefore 1, so polynomial arithmetic
+never reaches the gcd: construction over a unit divides it out, and sums
+and products of polynomials are built already reduced.
+
 Specialisation substitutes an exact rational number for q, so no floating
 point enters anywhere.
 """
@@ -65,28 +69,43 @@ class LaurentPoly:
     def __add__(self, other):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, _ZERO) + c
-            if s:
-                out[e] = s
+            s = out.get(e)
+            if s is None:
+                out[e] = c
             else:
-                out.pop(e, None)
+                s += c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
         return LaurentPoly(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
             return LaurentPoly()
+        if len(b) == 1:
+            # A product of nonzero coefficients cannot cancel.
+            (e2, c2), = b.items()
+            return LaurentPoly({e1 + e2: c1 * c2 for e1, c1 in a.items()})
         out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
-                s = out.get(e, _ZERO) + c1 * c2
-                if s:
-                    out[e] = s
+                s = out.get(e)
+                if s is None:
+                    out[e] = c1 * c2
                 else:
-                    out.pop(e, None)
+                    s += c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
         return LaurentPoly(out)
 
     def scale(self, r):
@@ -190,6 +209,11 @@ def _list_gcd(a, b):
     return a
 
 
+# The canonical denominator of every polynomial.  LaurentPoly values are
+# never mutated, so one instance is shared.
+_POLY_ONE = LaurentPoly({0: _ONE})
+
+
 class RatFunc:
     """An element of Q(q) in canonical reduced form."""
 
@@ -203,10 +227,20 @@ class RatFunc:
             return
         if not den:
             raise ZeroDivisionError("zero denominator in Q(q)")
+        self._hash = None
         if not num:
             self.num = LaurentPoly()
-            self.den = LaurentPoly({0: _ONE})
-            self._hash = None
+            self.den = _POLY_ONE
+            return
+        if len(den.coeffs) == 1:
+            # A unit c*q^e: divide it out; there is nothing to reduce.
+            (e, c), = den.coeffs.items()
+            if c == 1:
+                self.num = num.shift(-e)
+            else:
+                self.num = LaurentPoly({k - e: v / c
+                                        for k, v in num.coeffs.items()})
+            self.den = _POLY_ONE
             return
         shift_n = num.min_exp
         shift_d = den.min_exp
@@ -224,22 +258,21 @@ class RatFunc:
             dl = [c / lead for c in dl]
         self.num = _from_list(nl).shift(net)
         self.den = _from_list(dl)
-        self._hash = None
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_int(n):
-        return RatFunc(LaurentPoly.from_int(n), LaurentPoly.from_int(1))
+        return RatFunc(LaurentPoly.from_int(n), _POLY_ONE, _reduced=True)
 
     @staticmethod
     def q_power(e, coeff=1):
         """coeff * q^e."""
-        return RatFunc(LaurentPoly.q_power(e, coeff), LaurentPoly.from_int(1))
+        return RatFunc(LaurentPoly.q_power(e, coeff), _POLY_ONE, _reduced=True)
 
     @staticmethod
     def from_poly(p):
-        return RatFunc(p, LaurentPoly.from_int(1))
+        return RatFunc(p, _POLY_ONE, _reduced=True)
 
     # -- structure ------------------------------------------------------
 
@@ -272,6 +305,8 @@ class RatFunc:
     def __add__(self, other):
         if isinstance(other, int):
             other = RatFunc.from_int(other)
+        if len(self.den.coeffs) == 1 and len(other.den.coeffs) == 1:
+            return RatFunc(self.num + other.num, _POLY_ONE, _reduced=True)
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den,
@@ -290,6 +325,8 @@ class RatFunc:
     def __mul__(self, other):
         if isinstance(other, int):
             other = RatFunc.from_int(other)
+        if len(self.den.coeffs) == 1 and len(other.den.coeffs) == 1:
+            return RatFunc(self.num * other.num, _POLY_ONE, _reduced=True)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -63,11 +63,6 @@ class GradingContext:
         return (sum(self.sigma(b) for b in range(c + 1, self.N + 1))
                 - sum(self.sigma(b) for b in range(1, c)))
 
-    def two_rho_pairing(self, mu):
-        """(2 rho, mu) for a weight mu given by exponents of eps_a."""
-        return sum(mu[c - 1] * self.two_rho_eps(c)
-                   for c in range(1, self.N + 1))
-
     def k2rho_exponents(self):
         """Exponents n_a with K_{2 rho} = prod_a K_a^{n_a}."""
         return tuple(self.sigma(a) * self.two_rho_eps(a)
@@ -391,14 +386,6 @@ def invert(mat):
         for i, v in x.items():
             ent[(i, j)] = v
     return GradedMap(mat.domain, mat.domain, ent)
-
-
-def tensor_index(indices, dims):
-    """Row-major flattening of a multi-index."""
-    out = 0
-    for i, d in zip(indices, dims):
-        out = out * d + i
-    return out
 
 
 def tensor_unindex(flat, dims):

@@ -149,13 +149,6 @@ def parabolic_generators(ctx, side, theta=None):
     return gens
 
 
-def translate_actions(ctx, x, element):
-    """Both one-sided translations of a coordinate element by the same
-    algebra element, as a (left, right) pair."""
-    return (left_translation(ctx, x, element),
-            right_translation(ctx, x, element))
-
-
 def induced_character(ctx, k, side):
     """The character of the parabolic carried by the degree-k span:
     K_N acts by q_N^{k} on the plain side (paired with 'lower') and by

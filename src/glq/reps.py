@@ -497,12 +497,6 @@ def dual_gram(ctx):
         for a in range(1, N + 1)})
 
 
-def kron_gram(g1, g2):
-    """Gram of a tensor product: plain Kronecker product (diagonal grams
-    acquire no Koszul signs)."""
-    return g1.tensor(g2)
-
-
 def is_adjoint_pair(rep, gram, theta, q0=None):
     """Does M(g)^T G = G M(*g) hold for every generator?
 

@@ -6,7 +6,10 @@ to see the per-criterion lines while they print).
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -403,7 +406,7 @@ def test_criterion_12_reciprocity():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_13_cli_contract(capsys, monkeypatch):
+def test_criterion_13_cli_contract(capsys):
     failures = []
     argv = ["verify", "--m", "1", "--n", "1"]
     code1 = cli_main(argv)
@@ -412,14 +415,16 @@ def test_criterion_13_cli_contract(capsys, monkeypatch):
     out2 = capsys.readouterr().out
     if out1 != out2:
         failures.append("reports-not-byte-identical")
-    monkeypatch.setenv("GLQ_MAX_WORKERS", "4")
-    code3 = cli_main(argv)
-    out3 = capsys.readouterr().out
-    monkeypatch.delenv("GLQ_MAX_WORKERS")
-    if out3 != out1:
-        failures.append("parallel-report-differs")
-    if (code1, code2, code3) != (0, 0, 0):
-        failures.append(("exit-codes", (code1, code2, code3)))
+    codes = [code1, code2]
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "glq.cli"] + argv, capture_output=True,
+            text=True, env=dict(os.environ, PYTHONHASHSEED=seed))
+        codes.append(proc.returncode)
+        if proc.stdout != out1:
+            failures.append(("hash-seed-report-differs", seed))
+    if codes != [0, 0, 0, 0]:
+        failures.append(("exit-codes", codes))
     code_fail = cli_main(argv + ["--inject-failure"])
     fail_report = json.loads(capsys.readouterr().out)
     if code_fail != 1 or fail_report["ok"] is not False:

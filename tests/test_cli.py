@@ -2,6 +2,7 @@
 expression parser, and the normal-form printer."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -168,12 +169,17 @@ class TestReports:
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
 
-    def test_parallel_assembly_matches_serial(self, capsys, monkeypatch):
+    def test_report_independent_of_hash_seed(self, capsys):
+        # Set and dict iteration over hashed keys must not reach a report:
+        # fresh interpreters under two hash seeds print the same bytes.
         argv = ["induce", "--k", "1", "--side", "bar"]
-        _, serial, _ = run_cli(capsys, argv)
-        monkeypatch.setenv("GLQ_MAX_WORKERS", "4")
-        _, parallel, _ = run_cli(capsys, argv)
-        assert serial == parallel
+        _, in_process, _ = run_cli(capsys, argv)
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "glq.cli"] + argv, capture_output=True,
+                text=True, env=dict(os.environ, PYTHONHASHSEED=seed))
+            assert proc.returncode == 0
+            assert proc.stdout == in_process
 
     def test_keys_are_sorted(self, capsys):
         _, out, report = run_cli(capsys, ["rmatrix", "--kind", "pp"])
@@ -303,6 +309,10 @@ BAD_INPUTS = [
     ["decompose", "--word", "E", "--power", "-2"],
     ["verify", "--probe-degree", "0"],
     ["rmatrix", "--kind", "pp", "--probe-degree", "-1"],
+    ["coords", "--check", "star", "--probe-degree", "2"],
+    ["coords", "--check", "peterweyl", "--probe-degree", "3"],
+    ["coords", "--m", "2", "--n", "1", "--check", "star",
+     "--probe-degree", "7"],
     ["induce", "--k", "-1", "--side", "bar"],
     ["induce", "--m", "1", "--n", "0", "--k", "2", "--side", "unbar"],
     ["induce", "--m", "1", "--n", "0", "--k", "1", "--side", "bar"],

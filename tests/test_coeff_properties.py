@@ -6,6 +6,8 @@ that puts every RatFunc into canonical form."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from hypothesis import assume, given, strategies as st
 
 from glq.coeff import LaurentPoly, RatFunc
@@ -85,3 +87,89 @@ def test_equal_values_hash_equal(a, b, c):
     expanded = RatFunc(a.num * c, a.den * c)
     assert expanded == a
     assert hash(expanded) == hash(a)
+
+
+# -- fast paths -----------------------------------------------------------
+#
+# A one-term denominator is a unit, and the canonical denominator of a
+# polynomial is 1, so construction over a unit and polynomial sums and
+# products skip the gcd.  The oracles below reach the same values through
+# the gcd path (a non-unit factor on both sides) or through plain dict
+# arithmetic on the raw numerators, which shares no code with coeff.
+
+_units = st.tuples(st.integers(-3, 3), _nonzero_coeffs)
+_non_units = st.sampled_from([{0: 1, 1: 1}, {0: 2, 2: -1}, {-1: 3, 1: 1}])
+_raw_polys = st.dictionaries(st.integers(-3, 3), _coeffs, max_size=4)
+
+
+def _raw_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _raw_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _assert_exact(x):
+    for c in list(x.num.coeffs.values()) + list(x.den.coeffs.values()):
+        assert type(c) is Fraction
+
+
+@given(_raw_polys, _units, _non_units)
+def test_unit_denominator_matches_the_gcd_path(num, unit, p):
+    e, c = unit
+    fast = RatFunc(LaurentPoly.from_dict(num), LaurentPoly.q_power(e, c))
+    slow = RatFunc(LaurentPoly.from_dict(_raw_mul(num, p)),
+                   LaurentPoly.from_dict(_raw_mul({e: c}, p)))
+    assert fast == slow
+    assert hash(fast) == hash(slow)
+    assert fast.den == LaurentPoly.from_int(1)
+    _assert_exact(fast)
+
+
+@given(_raw_polys, _raw_polys, _non_units)
+def test_polynomial_sums_and_products_match_raw_numerators(a, b, p):
+    x = RatFunc.from_poly(LaurentPoly.from_dict(a))
+    y = RatFunc(LaurentPoly.from_dict(b), LaurentPoly.from_int(1))
+    for got, want in ((x + y, _raw_add(a, b)), (x * y, _raw_mul(a, b)),
+                      (x - y, _raw_add(a, {e: -c for e, c in b.items()}))):
+        assert got.num.coeffs == want
+        assert got.den.coeffs == {0: 1}
+        assert got == RatFunc(LaurentPoly.from_dict(_raw_mul(want, p)),
+                              LaurentPoly.from_dict(p))
+        _assert_exact(got)
+    for k in (-2, 0, 3):
+        _assert_exact(RatFunc.from_int(k))
+        _assert_exact(RatFunc.q_power(k, Fraction(k + 5, 2)))
+
+
+@given(_raw_polys, _raw_polys, _units, ratfuncs)
+def test_fast_path_results_share_no_coefficients(a, b, unit, other):
+    e, c = unit
+    x = RatFunc(LaurentPoly.from_dict(a), LaurentPoly.from_int(1))
+    y = RatFunc(LaurentPoly.from_dict(b), LaurentPoly.from_int(1))
+    den = LaurentPoly.q_power(e, c)
+    inputs = (x.num, y.num, den)
+    results = [x + y, x * y, y * x, x - y, -x, RatFunc(x.num, den),
+               RatFunc(y.num, LaurentPoly.from_int(1))]
+    snapshot = [(dict(r.num.coeffs), dict(r.den.coeffs)) for r in results]
+    for r in results:
+        for p in inputs:
+            assert r.num.coeffs is not p.coeffs
+    # Combine the inputs and the results with more terms; nothing that
+    # was already computed may move.
+    for s in (x, y, *results):
+        for combined in (s + other, s * other, other + s, other * s,
+                         s - other, s.scale(3)):
+            _assert_canonical(combined)
+    assert x.num.coeffs == LaurentPoly.from_dict(a).coeffs
+    assert y.num.coeffs == LaurentPoly.from_dict(b).coeffs
+    assert [(dict(r.num.coeffs), dict(r.den.coeffs))
+            for r in results] == snapshot

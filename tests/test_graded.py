@@ -17,7 +17,6 @@ from glq.graded import (
     nullspace,
     rank,
     solve,
-    tensor_index,
     tensor_unindex,
     joint_kernel,
 )
@@ -56,7 +55,9 @@ def test_two_rho_pairing_on_simple_roots():
         ctx = GradingContext(m, n)
         for a in range(1, ctx.N):
             root = tuple(x - y for x, y in zip(ctx.eps(a), ctx.eps(a + 1)))
-            assert ctx.two_rho_pairing(root) == ctx.sigma(a) + ctx.sigma(a + 1)
+            pairing = sum(root[c - 1] * ctx.two_rho_eps(c)
+                          for c in range(1, ctx.N + 1))
+            assert pairing == ctx.sigma(a) + ctx.sigma(a + 1)
 
 
 def test_graded_space_tensor_row_major():
@@ -224,6 +225,15 @@ def test_random_echelon_consistency():
             ech.add(v)
         for v in vecs:
             assert ech.contains(v)
+
+
+def tensor_index(indices, dims):
+    """Row-major flattening of a multi-index: the inverse that
+    tensor_unindex is checked against."""
+    out = 0
+    for i, d in zip(indices, dims):
+        out = out * d + i
+    return out
 
 
 def test_tensor_index_roundtrip():

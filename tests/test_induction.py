@@ -34,7 +34,6 @@ from glq.induction import (
     equivariance_defects,
     frobenius_dims,
     levi_generators,
-    translate_actions,
     hom_dimension,
     induced_character,
     left_translation,
@@ -347,11 +346,3 @@ class TestTranslationCommutation:
                     if not strict:
                         sign_mattered += 1
         assert sign_mattered > 0
-
-    def test_pair_wrapper(self):
-        ctx = GradingContext(1, 1)
-        f = to_coordinate_element(
-            ctx, SuperspaceElement.from_word(ctx, (z_(1),)))
-        left, right = translate_actions(ctx, gen_K(1), f)
-        assert (left - left_translation(ctx, gen_K(1), f)).terms == {}
-        assert (right - right_translation(ctx, gen_K(1), f)).terms == {}

@@ -19,7 +19,6 @@ from glq.reps import (
     in_first_family,
     in_second_family,
     is_adjoint_pair,
-    kron_gram,
     partition_weight,
     submodule_rep,
     tensor_power,
@@ -347,7 +346,8 @@ def test_dual_rep_unitarity(ctx, q0):
 def test_tensor_square_unitarity(ctx, q0):
     pi = vector_rep(ctx)
     sq = tensor_rep(pi, pi)
-    g = kron_gram(vector_gram(ctx), vector_gram(ctx))
+    # Diagonal grams acquire no Koszul signs: the tensor of the grams.
+    g = vector_gram(ctx).tensor(vector_gram(ctx))
     types = unitarity_types(sq, g, q0)
     assert types == [1]
 
