@@ -10,11 +10,13 @@ Exit codes:
   1  a check failed (the report says which);
   2  bad input: invalid arguments (a negative size, a tensor power or
      probe degree below 1, a probe degree that coords --check star or
-     peterweyl would not read, a negative induction degree, induce with
-     no odd block, a specialisation point that is not a rational other
-     than 0 and 1), rejected by the argument parser before any work is
-     done, with no report; or a normalform expression that does not
-     parse, with a report naming the error and its position;
+     peterweyl would not read, a probe degree above 2 for verify or
+     coords --check antipode, which run at degree 2 at most, a negative
+     induction degree, induce with no odd block, a specialisation point
+     that is not a rational other than 0 and 1), rejected by the
+     argument parser before any work is done, with no report; or a
+     normalform expression that does not parse, with a report naming
+     the error and its position;
   3  the command crashed: the traceback goes to stderr and no report is
      printed.
 """
@@ -75,14 +77,13 @@ def _default_probe_degree(m, n):
 
 
 def _suite_relations(ctx):
-    V = reps_mod.vector_rep(ctx)
-    D = reps_mod.dual_rep(V)
-    pairs = [("vector", V), ("dual", D),
-             ("vector(x)vector", reps_mod.tensor_rep(V, V)),
-             ("vector(x)dual", reps_mod.tensor_rep(V, D))]
+    profiles = [("vector", (False,)), ("dual", (True,)),
+                ("vector(x)vector", (False, False)),
+                ("vector(x)dual", (False, True))]
     checks = []
-    for label, rep in pairs:
-        results = reps_mod.check_relations(rep)
+    for label, profile in profiles:
+        results = reps_mod.check_relations(
+            reps_mod.profile_rep(ctx, profile))
         checks.append(_check("defining-relations-" + label,
                              all(ok for _, ok in results),
                              relations=len(results)))
@@ -103,7 +104,7 @@ def _suite_hopf(ctx, probe_degree):
             counit_ax = False
     checks.append(_check("coassociativity", coassoc))
     checks.append(_check("counit-axiom", counit_ax))
-    rep = reps_mod.vector_rep(ctx)
+    rep = reps_mod.profile_rep(ctx, (False,))
     degree = min(probe_degree, 2)
     axiom = True
     for word in probe_monomials(ctx, degree):
@@ -121,8 +122,8 @@ def _suite_hopf(ctx, probe_degree):
 def _suite_star(ctx, probe_degree, q0):
     checks = []
     degree = min(probe_degree, 2)
-    V = reps_mod.vector_rep(ctx)
-    D = reps_mod.dual_rep(V)
+    V = reps_mod.profile_rep(ctx, (False,))
+    D = reps_mod.profile_rep(ctx, (True,))
     for theta in (1, 2):
         involutive = True
         for word in probe_monomials(ctx, degree):
@@ -146,9 +147,8 @@ def _suite_star(ctx, probe_degree, q0):
 def _suite_k2rho(ctx, probe_degree):
     degree = min(probe_degree, 2)
     checks = []
-    V = reps_mod.vector_rep(ctx)
-    D = reps_mod.dual_rep(V)
-    for label, rep in (("vector", V), ("dual", D)):
+    for label, profile in (("vector", (False,)), ("dual", (True,))):
+        rep = reps_mod.profile_rep(ctx, profile)
         k = rep.evaluate_expr(k2rho(ctx))
         kinv = rep.evaluate_expr(k2rho(ctx, inverse=True))
         ok = True
@@ -185,10 +185,7 @@ def cmd_verify(args):
 
 def cmd_decompose(args):
     ctx = GradingContext(args.m, args.n)
-    base = reps_mod.vector_rep(ctx)
-    if args.word == "Ed":
-        base = reps_mod.dual_rep(base)
-    rep = reps_mod.tensor_power(base, args.power)
+    rep = reps_mod.profile_rep(ctx, (args.word == "Ed",) * args.power)
     summands = reps_mod.decompose(rep)
     listed = [{"dim": s.dim,
                "highest_weight": [int(x) for x in s.highest_weight]}
@@ -269,8 +266,9 @@ def _coords_antipode_suite(ctx, probe_degree):
             f = GqElement.from_letter(ctx, t_(a, b))
             s2 = coords_mod.antipode_coords(coords_mod.antipode_coords(f))
             e = ctx.two_rho_eps(a) - ctx.two_rho_eps(b)
-            if not coords_mod.functional_equal(ctx, s2, f.scale(q_int(e)),
-                                               min(probe_degree, 2)):
+            diff = s2 - f.scale(q_int(e))
+            if coords_mod.functional_witness(
+                    ctx, diff, min(probe_degree, 2)) is not None:
                 squared_ok = False
     checks = [_check("antipode-dual-to-enveloping", dual_ok),
               _check("antipode-squared-weight-ratio", squared_ok)]
@@ -302,15 +300,14 @@ def _coords_star_suite(ctx):
 
 
 def _coords_peterweyl_suite(ctx):
-    V = reps_mod.vector_rep(ctx)
+    V = reps_mod.profile_rep(ctx, (False,))
     funcs = [GqElement.one(ctx)]
     expected = 1
     mc = coords_mod.matrix_coefficients(ctx, (False,),
                                         reps_mod.decompose(V), 0)
     funcs += [mc[i][j] for i in range(V.dim) for j in range(V.dim)]
     expected += V.dim * V.dim
-    square = reps_mod.tensor_rep(V, V)
-    summands = reps_mod.decompose(square)
+    summands = reps_mod.decompose(reps_mod.profile_rep(ctx, (False, False)))
     for which, s in enumerate(summands):
         mc = coords_mod.matrix_coefficients(ctx, (False, False),
                                             summands, which)
@@ -401,8 +398,8 @@ def cmd_induce(args):
                          measured=[int(x) for x in got]
                          if got is not None else None))
     reciprocity = []
-    for label, W in (("trivial", reps_mod.trivial_rep(ctx)),
-                     ("vector", reps_mod.vector_rep(ctx))):
+    for label, profile in (("trivial", ()), ("vector", (False,))):
+        W = reps_mod.profile_rep(ctx, profile)
         lhs, rhs = induction_mod.frobenius_dims(ctx, W, rep, k, barred)
         reciprocity.append(_check("reciprocity-%s" % label, lhs == rhs,
                                   module_side=lhs, parabolic_side=rhs))
@@ -449,8 +446,9 @@ def _add_probe(p):
     p.add_argument("--probe-degree", type=_int_at_least(1), default=None,
                    help="probe word degree (default 4 at (1|1), else 3); "
                         "rmatrix uses it in full, verify and coords --check "
-                        "antipode cap it at 2, coords --check star and "
-                        "peterweyl reject it")
+                        "antipode run at degree 2 at most and reject a "
+                        "larger one, coords --check star and peterweyl "
+                        "reject it")
 
 
 def build_arg_parser():
@@ -536,6 +534,8 @@ def main(argv=None):
             and args.probe_degree is not None):
         parser.error("coords --check %s does not read --probe-degree"
                      % args.check)
+    if args.command in ("verify", "coords") and (args.probe_degree or 0) > 2:
+        parser.error("%s runs at probe degree 2 at most" % args.command)
     base = {"schema": SCHEMA, "command": args.command}
     try:
         body = args.func(args)

@@ -35,7 +35,7 @@ from collections import namedtuple
 from .coeff import Combination, ZERO, ONE, add_term, q_int, sign_pow
 from .graded import GradedMap, invert, tensor_unindex
 from .uq import UqExpression, probe_monomials, word_parity
-from .reps import dual_rep, tensor_rep, trivial_rep, vector_rep
+from .reps import profile_rep
 
 
 CoordLetter = namedtuple("CoordLetter", ["barred", "row", "col"])
@@ -82,53 +82,34 @@ class GqElement(Combination):
 # ---------------------------------------------------------------------------
 
 
-_profile_reps = {}
+_layouts = {}
 
 
-def profile_rep(ctx, profile):
-    """The tensor representation with one vector leg per False and one
-    dual leg per True, cached per (m, n, profile)."""
-    key = (ctx.m, ctx.n, tuple(profile))
-    rep = _profile_reps.get(key)
-    if rep is not None:
-        return rep
-    if not profile:
-        rep = trivial_rep(ctx)
-    else:
-        base_key = (ctx.m, ctx.n, ())
-        if base_key not in _profile_reps:
-            _profile_reps[base_key] = trivial_rep(ctx)
-        v_key = (ctx.m, ctx.n, "V")
-        d_key = (ctx.m, ctx.n, "D")
-        if v_key not in _profile_reps:
-            _profile_reps[v_key] = vector_rep(ctx)
-            _profile_reps[d_key] = dual_rep(_profile_reps[v_key])
-        head = profile_rep(ctx, profile[:-1]) if len(profile) > 1 else None
-        leg = _profile_reps[d_key if profile[-1] else v_key]
-        rep = leg if head is None else tensor_rep(head, leg)
-    _profile_reps[key] = rep
-    return rep
+def word_layout(ctx, word):
+    """Where the canonical pairing of a coordinate word reads its value:
+    (profile module, flat row, flat column, whether the sign negates),
+    computed once per (ctx, word).  The sign exponent
+    sum_{i<j} |w_j| |a_i| is counted in one pass over the letters."""
+    key = (ctx, word)
+    layout = _layouts.get(key)
+    if layout is None:
+        N = ctx.N
+        row = col = sign = rows_parity = 0
+        for letter in word:
+            sign += letter_parity(ctx, letter) * rows_parity
+            rows_parity += ctx.parity(letter.row)
+            row = row * N + (letter.row - 1)
+            col = col * N + (letter.col - 1)
+        rep = profile_rep(ctx, tuple(l.barred for l in word))
+        layout = _layouts[key] = (rep, row, col, sign % 2 == 1)
+    return layout
 
 
 def evaluate_word(ctx, letters, uq_word):
     """The canonical pairing of a coordinate word with a generator word."""
-    letters = tuple(letters)
-    if not letters:
-        rep = profile_rep(ctx, ())
-        return rep.evaluate_word(uq_word).get(0, 0)
-    N = ctx.N
-    sign = 0
-    for i in range(len(letters)):
-        for j in range(i + 1, len(letters)):
-            sign += letter_parity(ctx, letters[j]) * ctx.parity(letters[i].row)
-    row = 0
-    col = 0
-    for l in letters:
-        row = row * N + (l.row - 1)
-        col = col * N + (l.col - 1)
-    rep = profile_rep(ctx, tuple(l.barred for l in letters))
+    rep, row, col, negate = word_layout(ctx, tuple(letters))
     val = rep.evaluate_word(uq_word).get(row, col)
-    return -val if sign % 2 else val
+    return -val if negate else val
 
 
 def evaluate(ctx, element, x):
@@ -149,16 +130,14 @@ def counit(element):
     return evaluate(element.ctx, element, ())
 
 
-def functional_zero(ctx, element, degree):
-    """Does the element vanish against every probe word up to degree?"""
+def functional_witness(ctx, f, degree):
+    """The first probe word up to degree on which the functional f does
+    not vanish, or None when it vanishes on all of them; two elements
+    agree as functionals when their difference has no witness."""
     for x in probe_monomials(ctx, degree):
-        if evaluate(ctx, element, x):
-            return False
-    return True
-
-
-def functional_equal(ctx, f, g, degree):
-    return functional_zero(ctx, f - g, degree)
+        if evaluate(ctx, f, x):
+            return x
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +282,8 @@ def star_coproduct(element, theta=1):
 
 
 # ---------------------------------------------------------------------------
-# Certificates and matrix coefficients of constructed irreducibles.
+# Matrix coefficients of constructed irreducibles.
 # ---------------------------------------------------------------------------
-
-
-def functional_witness(ctx, f, g, degree):
-    """First probe word on which two coordinate elements disagree, or
-    None when they agree up to the probe degree."""
-    diff = f - g
-    for x in probe_monomials(ctx, degree):
-        if evaluate(ctx, diff, x):
-            return x
-    return None
 
 
 def matrix_coefficients(ctx, profile, summands, which):
@@ -358,19 +327,14 @@ def matrix_coefficients(ctx, profile, summands, which):
                 if not di:
                     continue
                 rid = tensor_unindex(r, dims) if profile else ()
-                pr = [ctx.parity(x + 1) for x in rid]
                 for s_flat, cs in vj.items():
                     sid = (tensor_unindex(s_flat, dims) if profile else ())
                     word = tuple(
                         CoordLetter(bar, a + 1, b + 1)
                         for bar, a, b in zip(profile, rid, sid))
-                    sign = 0
-                    pw = [letter_parity(ctx, l) for l in word]
-                    for u in range(len(word)):
-                        for v in range(u + 1, len(word)):
-                            sign += pw[v] * pr[u]
                     coeff = di * cs
-                    add_term(terms, word, -coeff if sign % 2 else coeff)
+                    negate = word_layout(ctx, word)[3]
+                    add_term(terms, word, -coeff if negate else coeff)
             out_row.append(GqElement(ctx, terms))
         out.append(out_row)
     return out

@@ -30,7 +30,7 @@ from .coords import (
     coproduct as coords_coproduct,
     coord_word_parity,
     evaluate,
-    functional_zero,
+    functional_witness,
 )
 from .reps import Representation, check_relations, decompose
 from .superspace import (
@@ -183,7 +183,7 @@ def equivariance_defects(ctx, k, barred, degree=2):
             f = to_coordinate_element(ctx, SuperspaceElement.from_word(ctx, w))
             moved = right_translation(ctx, g, f)
             diff = moved - f.scale(phi)
-            if not functional_zero(ctx, diff, degree):
+            if functional_witness(ctx, diff, degree) is not None:
                 failures.append((g, w))
     return failures
 

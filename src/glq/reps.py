@@ -14,7 +14,9 @@ Provided constructions:
         M-bar(g)[r, c] = (-1)^{|g| p(c)} M(S(g))[c, r];
   * graded tensor products via the coproduct and Koszul matrix tensor;
   * the trivial representation; submodule representations on an explicit
-    basis.
+    basis;
+  * `profile_rep`, the one cache of the tensor products of vector and
+    dual legs, each built once per size and leg profile.
 
 Decomposition finds all joint highest-weight vectors (kernels of the
 raising operators, one weight block at a time), generates each
@@ -186,6 +188,31 @@ def tensor_power(rep, k):
     for _ in range(k - 1):
         out = tensor_rep(out, rep)
     return out
+
+
+_profile_reps = {}
+
+
+def profile_rep(ctx, profile):
+    """The module with one vector leg per False and one dual leg per True
+    in `profile`, built once per (ctx, profile): no legs is the trivial
+    module, and a longer profile is the tensor product of the module of
+    all but its last leg with the module of its last leg."""
+    profile = tuple(profile)
+    key = (ctx, profile)
+    rep = _profile_reps.get(key)
+    if rep is None:
+        if not profile:
+            rep = trivial_rep(ctx)
+        elif profile == (False,):
+            rep = vector_rep(ctx)
+        elif profile == (True,):
+            rep = dual_rep(profile_rep(ctx, (False,)))
+        else:
+            rep = tensor_rep(profile_rep(ctx, profile[:-1]),
+                             profile_rep(ctx, profile[-1:]))
+        _profile_reps[key] = rep
+    return rep
 
 
 def _unit_pivots(basis):
@@ -436,10 +463,9 @@ _dual_power_cache = {}
 
 
 def _vector_power_summands(ctx, k):
-    key = (ctx.m, ctx.n, k)
+    key = (ctx, k)
     if key not in _dual_power_cache:
-        rep = tensor_power(vector_rep(ctx), k)
-        _dual_power_cache[key] = decompose(rep)
+        _dual_power_cache[key] = decompose(profile_rep(ctx, (False,) * k))
     return _dual_power_cache[key]
 
 

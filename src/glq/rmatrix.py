@@ -34,7 +34,7 @@ from __future__ import annotations
 from .coeff import ONE, Q, QINV, add_term, q_int
 from .coords import CoordLetter, evaluate_word, letter_parity
 from .graded import GradedMap, graded_flip
-from .reps import dual_rep, eval_tensor_pair, vector_rep
+from .reps import eval_tensor_pair, profile_rep
 from .uq import (
     UqExpression,
     all_generators,
@@ -80,7 +80,7 @@ def r_element(ctx, kind):
 def r_matrix(ctx, kind):
     """The operator form of r_element(ctx, kind): each coefficient times
     the Koszul tensor e_ij (x) e_kl of matrix units on V (x) V."""
-    V = vector_rep(ctx).space
+    V = profile_rep(ctx, (False,)).space
     out = GradedMap.zero(V.tensor(V), V.tensor(V))
     for (i, j, k, l), c in r_element(ctx, kind).items():
         eij = GradedMap(V, V, {(i - 1, j - 1): c})
@@ -190,7 +190,9 @@ def _eval_coordinate_leg(ctx, element, x_word):
 
 
 def rtt_exchange_holds(ctx, kind, probe_words):
-    """R T_1 T_2 = T_2 T_1 R against every probe word.
+    """R T_1 T_2 = T_2 T_1 R against every probe word: the difference of
+    the two sides is built once, and its pairing with each probe must
+    vanish.
 
     kind selects the pair of legs: 'vv' (both plain), 'dd' (both
     barred), 'dv' (barred then plain), each with its own R element.
@@ -198,13 +200,11 @@ def rtt_exchange_holds(ctx, kind, probe_words):
     R = _with_empty_word(r_element(ctx, kind))
     t1 = generating_element(ctx, 1, kind in ("dd", "dv"))
     t2 = generating_element(ctx, 2, kind == "dd")
-    lhs = triple_product(ctx, triple_product(ctx, R, t1), t2)
+    diff = triple_product(ctx, triple_product(ctx, R, t1), t2)
     rhs = triple_product(ctx, triple_product(ctx, t2, t1), R)
-    for x in probe_words:
-        if (_eval_coordinate_leg(ctx, lhs, x)
-                != _eval_coordinate_leg(ctx, rhs, x)):
-            return False
-    return True
+    for key, c in rhs.items():
+        add_term(diff, key, -c)
+    return not any(_eval_coordinate_leg(ctx, diff, x) for x in probe_words)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +229,9 @@ def build_r_matrix(ctx, kind):
     """The R-matrix of the requested kind together with the two
     module factors it intertwines: (R, left factor, right factor)."""
     kind = resolve_kind(kind)
-    R = r_matrix(ctx, kind)
-    pi = vector_rep(ctx)
-    if kind == "vv":
-        return R, pi, pi
-    pibar = dual_rep(pi)
-    return R, pibar, pibar if kind == "dd" else pi
+    left = profile_rep(ctx, (kind != "vv",))
+    right = profile_rep(ctx, (kind == "dd",))
+    return r_matrix(ctx, kind), left, right
 
 
 def check_intertwiner(ctx, kind):

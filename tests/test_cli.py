@@ -313,6 +313,9 @@ BAD_INPUTS = [
     ["coords", "--check", "peterweyl", "--probe-degree", "3"],
     ["coords", "--m", "2", "--n", "1", "--check", "star",
      "--probe-degree", "7"],
+    ["verify", "--probe-degree", "3"],
+    ["verify", "--m", "2", "--n", "1", "--probe-degree", "7"],
+    ["coords", "--check", "antipode", "--probe-degree", "3"],
     ["induce", "--k", "-1", "--side", "bar"],
     ["induce", "--m", "1", "--n", "0", "--k", "2", "--side", "unbar"],
     ["induce", "--m", "1", "--n", "0", "--k", "1", "--side", "bar"],

@@ -17,8 +17,7 @@ from glq.coords import (
     counit,
     evaluate,
     evaluate_word,
-    functional_equal,
-    functional_zero,
+    functional_witness,
     pair_coproduct,
     star_coords,
     star_coproduct,
@@ -98,10 +97,31 @@ def test_pairing_respects_products_of_arguments(ctx):
                 assert lhs == rhs
 
 
+@pytest.mark.parametrize("size", [(2, 1), (1, 2)])
+def test_word_layout_matches_pairwise_sign_and_row_major_index(size):
+    ctx = GradingContext(*size)
+    N = ctx.N
+    par = ctx.parity
+    letters = [make(a, b) for make in (t_, tbar_)
+               for a in range(1, N + 1) for b in range(1, N + 1)]
+    for length in range(4):  # length 0 is the empty word
+        for word in itertools.product(letters, repeat=length):
+            sign = sum((par(word[j].row) + par(word[j].col))
+                       * par(word[i].row)
+                       for i in range(length) for j in range(i + 1, length))
+            row = sum((l.row - 1) * N ** (length - 1 - i)
+                      for i, l in enumerate(word))
+            col = sum((l.col - 1) * N ** (length - 1 - i)
+                      for i, l in enumerate(word))
+            rep = reps.profile_rep(ctx, tuple(l.barred for l in word))
+            assert coords.word_layout(ctx, word) == (
+                rep, row, col, sign % 2 == 1), word
+
+
 def test_functional_zero_detects_nonzero(ctx):
     f = GqElement.from_letter(ctx, t_(1, 1))
-    assert not functional_zero(ctx, f, 1)
-    assert functional_zero(ctx, f - f, 2)
+    assert functional_witness(ctx, f, 1) is not None
+    assert functional_witness(ctx, f - f, 2) is None
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +162,8 @@ def test_antipode_squared_scales_by_weight_ratio(ctx):
             f = GqElement.from_letter(ctx, t_(a, b))
             s2 = antipode_coords(antipode_coords(f))
             e = ctx.two_rho_eps(a) - ctx.two_rho_eps(b)
-            assert functional_equal(ctx, s2, f.scale(q_int(e)), deg)
+            diff = s2 - f.scale(q_int(e))
+            assert functional_witness(ctx, diff, deg) is None
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +216,13 @@ class TestWitness:
     def test_no_witness_for_equal(self):
         ctx = GradingContext(1, 1)
         f = GqElement.from_word(ctx, (t_(1, 1),))
-        assert coords.functional_witness(ctx, f, f, 3) is None
+        assert coords.functional_witness(ctx, f - f, 3) is None
 
     def test_witness_is_first_disagreeing_probe(self):
         ctx = GradingContext(1, 1)
         f = GqElement.from_word(ctx, (t_(1, 1),))
         g = GqElement.from_word(ctx, (t_(2, 2),))
-        w = coords.functional_witness(ctx, f, g, 2)
+        w = coords.functional_witness(ctx, f - g, 2)
         assert w == (("K", 1),)
 
 

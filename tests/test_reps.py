@@ -20,6 +20,7 @@ from glq.reps import (
     in_second_family,
     is_adjoint_pair,
     partition_weight,
+    profile_rep,
     submodule_rep,
     tensor_power,
     tensor_rep,
@@ -87,6 +88,32 @@ def test_tensor_rep_weights_add(ctx):
             wt = sq.weights[i * N + j]
             assert wt == tuple(pi.weights[i][a] + pi.weights[j][a]
                                for a in range(N))
+
+
+def _same_module(rep, fresh):
+    return (rep.space == fresh.space and rep.weights == fresh.weights
+            and rep.images == fresh.images)
+
+
+def test_profile_rep_is_built_once_per_context_and_profile():
+    ctx = GradingContext(2, 1)
+    for profile in [(), (False,), (True,), (False, True, True)]:
+        rep = profile_rep(ctx, profile)
+        assert profile_rep(GradingContext(2, 1), profile) is rep
+        assert profile_rep(GradingContext(1, 2), profile) is not rep
+    assert profile_rep(ctx, [True, False]) is profile_rep(ctx, (True, False))
+
+
+@pytest.mark.parametrize("size", [(1, 1), (2, 1), (1, 2)])
+def test_profile_rep_matches_fresh_builds(size):
+    ctx = GradingContext(*size)
+    V = vector_rep(ctx)
+    assert _same_module(profile_rep(ctx, ()), trivial_rep(ctx))
+    assert _same_module(profile_rep(ctx, (False,)), V)
+    assert _same_module(profile_rep(ctx, (True,)), dual_rep(V))
+    assert _same_module(profile_rep(ctx, (False,) * 3), tensor_power(V, 3))
+    assert _same_module(profile_rep(ctx, (False, True)),
+                        tensor_rep(V, dual_rep(V)))
 
 
 # ---------------------------------------------------------------------------

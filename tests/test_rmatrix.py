@@ -4,6 +4,7 @@ coordinate generating matrices."""
 
 import pytest
 
+import glq.rmatrix as rmatrix
 from glq.coeff import ONE, Q, QINV, q_int
 from glq.graded import GradingContext, GradedMap, GradedSpace, invert
 from glq.reps import dual_rep, vector_rep
@@ -203,6 +204,21 @@ def test_rtt_exchange_detects_a_wrong_sign():
         _eval_coordinate_leg(ctx, lhs, x) != _eval_coordinate_leg(ctx, rhs, x)
         for x in probes)
     assert broken
+
+
+@pytest.mark.parametrize("kind", ["vv", "dd", "dv"])
+def test_rtt_exchange_holds_rejects_a_flipped_coefficient(monkeypatch, kind):
+    true_r_element = rmatrix.r_element
+
+    def flipped(ctx, kind):
+        out = true_r_element(ctx, kind)
+        key = min(k for k in out if k[0] != k[1])
+        out[key] = -out[key]
+        return out
+
+    monkeypatch.setattr(rmatrix, "r_element", flipped)
+    ctx = GradingContext(2, 1)
+    assert not rtt_exchange_holds(ctx, kind, probe_monomials(ctx, 2))
 
 
 class TestKindWrappers:

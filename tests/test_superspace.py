@@ -11,7 +11,7 @@ import pytest
 
 from glq.coeff import ONE, q_int
 from glq.graded import GradingContext, rank
-from glq.coords import GqElement, evaluate, functional_zero
+from glq.coords import GqElement, evaluate, functional_witness
 from glq.superspace import (
     SuperspaceElement,
     apply_rule,
@@ -67,7 +67,7 @@ def test_every_rule_is_functionally_sound(ctx):
                 lhs = SuperspaceElement.from_word(ctx, word)
                 rhs = SuperspaceElement(ctx, apply_rule(ctx, word, i, rule))
                 diff = to_coordinate_element(ctx, lhs - rhs)
-                assert functional_zero(ctx, diff, deg), (word, rule)
+                assert functional_witness(ctx, diff, deg) is None, (word, rule)
 
 
 def test_rules_sound_against_root_vector_probes():
@@ -97,7 +97,7 @@ def test_normal_form_is_functionally_sound(ctx):
         e = SuperspaceElement.from_word(ctx, word)
         nf, _ = normal_form(ctx, e)
         diff = to_coordinate_element(ctx, e - nf)
-        assert functional_zero(ctx, diff, deg), word
+        assert functional_witness(ctx, diff, deg) is None, word
 
 
 # ---------------------------------------------------------------------------
