@@ -71,6 +71,12 @@ def _default_probe_degree(m, n):
     return 4 if (m, n) == (1, 1) else 3
 
 
+def _format_word(word):
+    """A generator word in the parser's notation, "1" when empty."""
+    return "*".join("%s[%s]" % (g[0], ",".join(str(i) for i in g[1:]))
+                    for g in word) or "1"
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -219,15 +225,26 @@ def cmd_rmatrix(args):
                                            skipped=True)])
         return _suite("braid", [_check("braid-relation", result)])
 
+    def rtt_suite():
+        ok = rmatrix_mod.check_rtt(ctx, kind, degree)
+        extra = {}
+        if not ok:
+            # Only a failing run pays for the second pass that names the
+            # failure, so a passing report is unchanged.
+            probe, entry, residual = rmatrix_mod.rtt_witness(ctx, kind,
+                                                             degree)
+            extra["witness"] = {"probe": _format_word(probe),
+                                "entry": list(entry),
+                                "residual": str(residual)}
+        return _suite("rtt", [_check("exchange-identity", ok,
+                                     degree=degree, **extra)])
+
     suites = [
         _suite("intertwiner", [
             _check("coproduct-intertwiner",
                    rmatrix_mod.check_intertwiner(ctx, kind))]),
         braid_suite(),
-        _suite("rtt", [
-            _check("exchange-identity",
-                   rmatrix_mod.check_rtt(ctx, kind, degree),
-                   degree=degree)]),
+        rtt_suite(),
     ]
     return {"parameters": {"m": args.m, "n": args.n, "kind": kind,
                            "probe_degree": degree},
@@ -313,10 +330,13 @@ def _coords_peterweyl_suite(ctx):
                                             summands, which)
         funcs += [mc[i][j] for i in range(s.dim) for j in range(s.dim)]
         expected += s.dim * s.dim
-    probes = pbw_probe_expressions(ctx, 2)
-    vecs = [{pi: v for pi, v in
-             enumerate(coords_mod.evaluate(ctx, f, x) for x in probes) if v}
-            for f in funcs]
+    table = coords_mod.pairing_table(
+        ctx, ((fi, w, c) for fi, f in enumerate(funcs)
+              for w, c in f.terms.items()))
+    vecs = [{} for _ in funcs]
+    for pi, x in enumerate(pbw_probe_expressions(ctx, 2)):
+        for fi, v in coords_mod.pair_table(table, x).items():
+            vecs[fi][pi] = v
     measured = rank(vecs)
     checks = [_check("matrix-coefficients-independent",
                      measured == expected,

@@ -14,6 +14,12 @@ barred one, and multi-indices are flattened row-major.  All structural
 identities of the coordinate algebra are *functional*: two elements are
 equal when they agree against every probe word up to a chosen degree.
 
+`word_layout` states where a word pairs (profile module, entry, sign).
+Many functionals are paired with one probe as table reads:
+`pairing_table` groups keyed coordinate words by module and entry once,
+and `pair_table` walks only the nonzero entries of the probe's image in
+each module.
+
 Hopf structure on letters (same shape for barred letters):
 
     Delta(t_{ab}) = sum_c (-1)^{(|a|+|c|)(|c|+|b|)} t_{ac} (x) t_{cb}
@@ -110,6 +116,35 @@ def evaluate_word(ctx, letters, uq_word):
     rep, row, col, negate = word_layout(ctx, tuple(letters))
     val = rep.evaluate_word(uq_word).get(row, col)
     return -val if negate else val
+
+
+def pairing_table(ctx, terms):
+    """Group (key, coordinate word, coefficient) triples by where their
+    words pair: {profile module: {(row, col): {key: signed coefficient}}},
+    the Koszul sign of each word folded into its coefficient.  Terms that
+    share a key, a module and an entry are added up."""
+    table = {}
+    for key, word, c in terms:
+        rep, row, col, negate = word_layout(ctx, tuple(word))
+        add_term(table.setdefault(rep, {}).setdefault((row, col), {}),
+                 key, -c if negate else c)
+    return table
+
+
+def pair_table(table, x):
+    """Pair every key of a pairing table with a generator word or a
+    UqExpression x: {key: value}, zeros omitted.  Only the nonzero
+    entries of x's image in each profile module are read."""
+    out = {}
+    for rep, cells in table.items():
+        image = (rep.evaluate_expr(x) if isinstance(x, UqExpression)
+                 else rep.evaluate_word(x))
+        for rc, v in image.entries.items():
+            keyed = cells.get(rc)
+            if keyed:
+                for key, c in keyed.items():
+                    add_term(out, key, c * v)
+    return out
 
 
 def evaluate(ctx, element, x):

@@ -184,6 +184,10 @@ def tensor_rep(r1, r2):
 
 
 def tensor_power(rep, k):
+    """rep (x) ... (x) rep with k factors, k >= 1; the trivial module is
+    profile_rep(ctx, ())."""
+    if k < 1:
+        raise ValueError("tensor power needs k >= 1, got %d" % k)
     out = rep
     for _ in range(k - 1):
         out = tensor_rep(out, rep)

@@ -32,7 +32,7 @@ R T_1 T_2 = T_2 T_1 R then holds for all three leg pairings.
 from __future__ import annotations
 
 from .coeff import ONE, Q, QINV, add_term, q_int
-from .coords import CoordLetter, evaluate_word, letter_parity
+from .coords import CoordLetter, letter_parity, pair_table, pairing_table
 from .graded import GradedMap, graded_flip
 from .reps import eval_tensor_pair, profile_rep
 from .uq import (
@@ -180,19 +180,12 @@ def _with_empty_word(element):
     return {(i, j, k, l, ()): c for (i, j, k, l), c in element.items()}
 
 
-def _eval_coordinate_leg(ctx, element, x_word):
-    out = {}
-    for (i, j, k, l, w), c in element.items():
-        v = evaluate_word(ctx, w, x_word)
-        if v:
-            add_term(out, (i, j, k, l), c * v)
-    return out
-
-
-def rtt_exchange_holds(ctx, kind, probe_words):
-    """R T_1 T_2 = T_2 T_1 R against every probe word: the difference of
-    the two sides is built once, and its pairing with each probe must
-    vanish.
+def rtt_exchange_witness(ctx, kind, probe_words):
+    """R T_1 T_2 = T_2 T_1 R against every probe word.  The difference of
+    the two sides is built once and grouped by where its coordinate words
+    pair; each probe then reads it off the nonzero entries of its image.
+    Returns (probe word, (i, j, k, l), residual) for the first probe and
+    the first entry on which the difference does not vanish, or None.
 
     kind selects the pair of legs: 'vv' (both plain), 'dd' (both
     barred), 'dv' (barred then plain), each with its own R element.
@@ -204,7 +197,14 @@ def rtt_exchange_holds(ctx, kind, probe_words):
     rhs = triple_product(ctx, triple_product(ctx, t2, t1), R)
     for key, c in rhs.items():
         add_term(diff, key, -c)
-    return not any(_eval_coordinate_leg(ctx, diff, x) for x in probe_words)
+    table = pairing_table(ctx, ((key[:4], key[4], c)
+                                for key, c in diff.items()))
+    for x in probe_words:
+        residuals = pair_table(table, x)
+        if residuals:
+            entry = min(residuals)
+            return x, entry, residuals[entry]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -255,5 +255,11 @@ def check_braid(ctx, kind):
 def check_rtt(ctx, kind, probe_degree):
     """Does the exchange identity hold on every coordinate probe word up
     to the given degree?"""
-    return rtt_exchange_holds(ctx, resolve_kind(kind),
-                              probe_monomials(ctx, probe_degree))
+    return rtt_witness(ctx, kind, probe_degree) is None
+
+
+def rtt_witness(ctx, kind, probe_degree):
+    """The first failure of the exchange identity on the coordinate probe
+    words up to the given degree, as in `rtt_exchange_witness`, or None."""
+    return rtt_exchange_witness(ctx, resolve_kind(kind),
+                                probe_monomials(ctx, probe_degree))

@@ -150,6 +150,19 @@ SMOKE_COMMANDS = [
 ]
 
 
+FRONTIER_COMMANDS = [
+    ["rmatrix", "--m", "3", "--n", "2", "--kind", "pp"],
+    ["rmatrix", "--m", "3", "--n", "2", "--kind", "bb"],
+    ["rmatrix", "--m", "3", "--n", "2", "--kind", "mixed"],
+    ["verify", "--m", "3", "--n", "3"],
+]
+
+
+def _check_names(report):
+    return [(s["name"], [c["name"] for c in s["checks"]])
+            for s in report["suites"]]
+
+
 class TestReports:
     @pytest.mark.parametrize("argv", SMOKE_COMMANDS,
                              ids=lambda a: "-".join(a[:3]))
@@ -162,6 +175,19 @@ class TestReports:
         assert report["suites"]
         for suite in report["suites"]:
             assert suite["ok"] is True
+
+    @pytest.mark.parametrize("argv", FRONTIER_COMMANDS,
+                             ids=lambda a: "-".join(a[:1] + a[2:5:2] + a[6:]))
+    def test_frontier_sizes_pass(self, capsys, argv):
+        # The frontier run has the same suites and checks as the desk
+        # size (1|1), and every one of them passes.
+        code, _, report = run_cli(capsys, argv)
+        _, _, desk = run_cli(capsys, [argv[0]] + argv[5:])
+        assert code == 0 and report["ok"] is True
+        assert _check_names(report) == _check_names(desk)
+        for suite in report["suites"]:
+            assert suite["ok"] is True
+            assert all(c["ok"] is True for c in suite["checks"])
 
     def test_output_is_byte_deterministic(self, capsys):
         argv = ["verify", "--m", "1", "--n", "1"]

@@ -5,10 +5,11 @@ antipode, and star structure on coordinate words."""
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 import glq.coords as coords
 import glq.reps as reps
-from glq.coeff import ONE, ZERO, q_int
+from glq.coeff import ONE, ZERO, RatFunc, add_term, q_int
 from glq.graded import GradingContext, rank
 from glq.coords import (
     GqElement,
@@ -116,6 +117,50 @@ def test_word_layout_matches_pairwise_sign_and_row_major_index(size):
             rep = reps.profile_rep(ctx, tuple(l.barred for l in word))
             assert coords.word_layout(ctx, word) == (
                 rep, row, col, sign % 2 == 1), word
+
+
+def _keyed_terms(ctx):
+    """(key, coordinate word, coefficient) triples: a few keys, so that
+    terms share them, and words of length 0..3 over plain and barred
+    letters, so that plain, barred and mixed profiles all occur."""
+    N = ctx.N
+    letters = st.builds(coords.CoordLetter, st.booleans(),
+                        st.integers(1, N), st.integers(1, N))
+    coeffs = st.builds(lambda c, e: RatFunc.from_int(c) * q_int(e),
+                       st.integers(-3, 3).filter(bool), st.integers(-2, 2))
+    return st.lists(st.tuples(st.integers(0, 3),
+                              st.lists(letters, max_size=3).map(tuple),
+                              coeffs),
+                    min_size=1, max_size=8)
+
+
+def _pair_term_by_term(ctx, terms, x):
+    out = {}
+    for key, w, c in terms:
+        for xw, xc in x.terms.items():
+            v = evaluate_word(ctx, w, xw)
+            if v:
+                add_term(out, key, c * v * xc)
+    return out
+
+
+@pytest.mark.parametrize("size", [(2, 1), (1, 2)])
+def test_pair_table_matches_pairing_term_by_term(size):
+    ctx = GradingContext(*size)
+    words = probe_monomials(ctx, 2)
+    expressions = pbw_probe_expressions(ctx, 2)
+
+    @given(_keyed_terms(ctx))
+    def check(terms):
+        table = coords.pairing_table(ctx, terms)
+        for word in words:
+            assert coords.pair_table(table, word) == _pair_term_by_term(
+                ctx, terms, UqExpression.from_word(ctx, word)), word
+        for x in expressions:
+            assert coords.pair_table(table, x) == _pair_term_by_term(
+                ctx, terms, x), x
+
+    check()
 
 
 def test_functional_zero_detects_nonzero(ctx):

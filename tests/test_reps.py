@@ -116,6 +116,18 @@ def test_profile_rep_matches_fresh_builds(size):
                         tensor_rep(V, dual_rep(V)))
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_tensor_power_rejects_fewer_than_one_factor(k):
+    V = vector_rep(GradingContext(1, 1))
+    with pytest.raises(ValueError):
+        tensor_power(V, k)
+
+
+def test_tensor_power_of_one_factor_is_the_module():
+    V = vector_rep(GradingContext(1, 1))
+    assert tensor_power(V, 1) is V
+
+
 # ---------------------------------------------------------------------------
 # Decomposition of tensor powers: frozen highest/lowest weights and dims.
 # ---------------------------------------------------------------------------

@@ -2,11 +2,16 @@
 classical limit, and element-level exchange relations against the
 coordinate generating matrices."""
 
+import json
+
 import pytest
 
 import glq.rmatrix as rmatrix
-from glq.coeff import ONE, Q, QINV, q_int
+from glq.cli import main
+from glq.coeff import ONE, Q, QINV, add_term, q_int
+from glq.coords import evaluate_word
 from glq.graded import GradingContext, GradedMap, GradedSpace, invert
+from glq.parser import parse_uq
 from glq.reps import dual_rep, vector_rep
 from glq.rmatrix import (
     braid_from_r,
@@ -16,7 +21,7 @@ from glq.rmatrix import (
     intertwines,
     r_element,
     r_matrix,
-    rtt_exchange_holds,
+    rtt_exchange_witness,
     triple_product,
     _with_empty_word,
     build_r_matrix,
@@ -183,31 +188,44 @@ def test_triple_product_is_associative():
 def test_rtt_exchange(ctx, kind):
     degree = 3 if (ctx.m, ctx.n) == (1, 1) else 2
     probes = probe_monomials(ctx, degree)
-    assert rtt_exchange_holds(ctx, kind, probes)
+    assert rtt_exchange_witness(ctx, kind, probes) is None
+
+
+def _pair_term_by_term(ctx, element, x_word):
+    """The oracle for the table reads: pair every (i, j, k, l, word) term
+    of an element with the probe word on its own."""
+    out = {}
+    for (i, j, k, l, w), c in element.items():
+        v = evaluate_word(ctx, w, x_word)
+        if v:
+            add_term(out, (i, j, k, l), c * v)
+    return out
+
+
+def _exchange_sides(ctx, kind, r):
+    R = _with_empty_word(r)
+    t1 = generating_element(ctx, 1, kind in ("dd", "dv"))
+    t2 = generating_element(ctx, 2, kind == "dd")
+    lhs = triple_product(ctx, triple_product(ctx, R, t1), t2)
+    rhs = triple_product(ctx, triple_product(ctx, t2, t1), R)
+    return lhs, rhs
 
 
 def test_rtt_exchange_detects_a_wrong_sign():
     """Flipping one off-diagonal coefficient must break the exchange
     relation — guards the test itself against vacuous passes."""
-    from glq.rmatrix import _eval_coordinate_leg
-
     ctx = GradingContext(1, 1)
     bad = r_element(ctx, "vv")
     bad[(1, 2, 2, 1)] = -bad[(1, 2, 2, 1)]
-    R = _with_empty_word(bad)
-    t1 = generating_element(ctx, 1, False)
-    t2 = generating_element(ctx, 2, False)
-    lhs = triple_product(ctx, triple_product(ctx, R, t1), t2)
-    rhs = triple_product(ctx, triple_product(ctx, t2, t1), R)
+    lhs, rhs = _exchange_sides(ctx, "vv", bad)
     probes = probe_monomials(ctx, 2)
     broken = any(
-        _eval_coordinate_leg(ctx, lhs, x) != _eval_coordinate_leg(ctx, rhs, x)
+        _pair_term_by_term(ctx, lhs, x) != _pair_term_by_term(ctx, rhs, x)
         for x in probes)
     assert broken
 
 
-@pytest.mark.parametrize("kind", ["vv", "dd", "dv"])
-def test_rtt_exchange_holds_rejects_a_flipped_coefficient(monkeypatch, kind):
+def _flip_first_off_diagonal(monkeypatch):
     true_r_element = rmatrix.r_element
 
     def flipped(ctx, kind):
@@ -217,8 +235,51 @@ def test_rtt_exchange_holds_rejects_a_flipped_coefficient(monkeypatch, kind):
         return out
 
     monkeypatch.setattr(rmatrix, "r_element", flipped)
+
+
+@pytest.mark.parametrize("kind", ["vv", "dd", "dv"])
+def test_rtt_exchange_holds_rejects_a_flipped_coefficient(monkeypatch, kind):
+    _flip_first_off_diagonal(monkeypatch)
     ctx = GradingContext(2, 1)
-    assert not rtt_exchange_holds(ctx, kind, probe_monomials(ctx, 2))
+    assert rtt_exchange_witness(ctx, kind, probe_monomials(ctx, 2)) \
+        is not None
+
+
+@pytest.mark.parametrize("kind", ["pp", "bb", "mixed"])
+def test_failed_exchange_report_names_a_witness(capsys, monkeypatch, kind):
+    """The report of a broken R element names a probe, an entry and a
+    residual, and pairing that probe term by term gives the same
+    residual at that entry."""
+    _flip_first_off_diagonal(monkeypatch)
+    code = main(["rmatrix", "--m", "2", "--n", "1", "--kind", kind,
+                 "--probe-degree", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    (rtt,) = [s for s in report["suites"] if s["name"] == "rtt"]
+    (check,) = rtt["checks"]
+    assert check["ok"] is False
+    witness = check["witness"]
+    ctx = GradingContext(2, 1)
+    (probe,) = parse_uq(ctx, witness["probe"]).terms
+    kind = resolve_kind(kind)
+    lhs, rhs = _exchange_sides(ctx, kind, rmatrix.r_element(ctx, kind))
+    residuals = _pair_term_by_term(ctx, lhs, probe)
+    for key, c in _pair_term_by_term(ctx, rhs, probe).items():
+        add_term(residuals, key, -c)
+    entry = tuple(witness["entry"])
+    assert entry == min(residuals)
+    assert str(residuals[entry]) == witness["residual"]
+    probes = probe_monomials(ctx, 2)
+    assert all(_pair_term_by_term(ctx, lhs, x) == _pair_term_by_term(
+        ctx, rhs, x) for x in probes[:probes.index(probe)])
+
+
+def test_passing_report_has_no_witness(capsys):
+    main(["rmatrix", "--m", "2", "--n", "1", "--kind", "mixed"])
+    report = json.loads(capsys.readouterr().out)
+    (rtt,) = [s for s in report["suites"] if s["name"] == "rtt"]
+    assert rtt["checks"] == [{"degree": 3, "name": "exchange-identity",
+                              "ok": True}]
 
 
 class TestKindWrappers:
