@@ -77,6 +77,15 @@ def _format_word(word):
                     for g in word) or "1"
 
 
+def _probe_witness(word, diff):
+    """The witness of a probe whose two sides differ by the nonzero map
+    diff: the probe word, the smallest (row, col) entry of diff and its
+    value there."""
+    entry = min(diff.entries)
+    return {"probe": _format_word(word), "entry": list(entry),
+            "residual": str(diff.entries[entry])}
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -112,16 +121,18 @@ def _suite_hopf(ctx, probe_degree):
     checks.append(_check("counit-axiom", counit_ax))
     rep = reps_mod.profile_rep(ctx, (False,))
     degree = min(probe_degree, 2)
-    axiom = True
+    extra = {}
     for word in probe_monomials(ctx, degree):
         x = UqExpression.from_word(ctx, word)
         collapsed = coproduct(x).antipode_leg(0).multiply_legs()
         lhs = rep.evaluate_expr(collapsed)
         rhs = GradedMap.identity(rep.space).scale(counit(x))
-        if not (lhs - rhs).is_zero():
-            axiom = False
+        diff = lhs - rhs
+        if not diff.is_zero():
+            extra["witness"] = _probe_witness(word, diff)
             break
-    checks.append(_check("antipode-axiom-vector", axiom, degree=degree))
+    checks.append(_check("antipode-axiom-vector", not extra, degree=degree,
+                         **extra))
     return _suite("hopf", checks)
 
 
@@ -131,15 +142,16 @@ def _suite_star(ctx, probe_degree, q0):
     V = reps_mod.profile_rep(ctx, (False,))
     D = reps_mod.profile_rep(ctx, (True,))
     for theta in (1, 2):
-        involutive = True
+        extra = {}
         for word in probe_monomials(ctx, degree):
             x = UqExpression.from_word(ctx, word)
-            xx = star(star(x, theta), theta)
-            if V.evaluate_expr(xx) != V.evaluate_expr(x):
-                involutive = False
+            lhs = V.evaluate_expr(star(star(x, theta), theta))
+            rhs = V.evaluate_expr(x)
+            if lhs != rhs:
+                extra["witness"] = _probe_witness(word, lhs - rhs)
                 break
-        checks.append(_check("star-involutive-type-%d" % theta, involutive,
-                             degree=degree))
+        checks.append(_check("star-involutive-type-%d" % theta, not extra,
+                             degree=degree, **extra))
     for label, rep, gram in (("vector", V, reps_mod.vector_gram(ctx)),
                              ("dual", D, reps_mod.dual_gram(ctx))):
         report = reps_mod.unitarity_check(rep, gram, q0)
@@ -157,16 +169,16 @@ def _suite_k2rho(ctx, probe_degree):
         rep = reps_mod.profile_rep(ctx, profile)
         k = rep.evaluate_expr(k2rho(ctx))
         kinv = rep.evaluate_expr(k2rho(ctx, inverse=True))
-        ok = True
+        extra = {}
         for word in probe_monomials(ctx, degree):
             x = UqExpression.from_word(ctx, word)
             lhs = rep.evaluate_expr(antipode(antipode(x)))
             rhs = k @ rep.evaluate_expr(x) @ kinv
             if lhs != rhs:
-                ok = False
+                extra["witness"] = _probe_witness(word, lhs - rhs)
                 break
-        checks.append(_check("antipode-squared-%s" % label, ok,
-                             degree=degree))
+        checks.append(_check("antipode-squared-%s" % label, not extra,
+                             degree=degree, **extra))
     return _suite("k2rho", checks)
 
 

@@ -1,8 +1,12 @@
 """Exact arithmetic over the field Q(q) of rational functions in one variable.
 
 Elements are manipulated as ratios of Laurent polynomials in q with rational
-coefficients.  Every value is kept in a canonical reduced form so that
-structural equality coincides with mathematical equality:
+coefficients.  A coefficient is stored as an ``int`` when it is integral and
+as a ``Fraction`` only when its denominator is greater than 1, so integer
+arithmetic, the common case, never builds a ``Fraction``; every division
+goes through ``Fraction`` and is exact.  Every value is kept in a canonical
+reduced form so that structural equality coincides with mathematical
+equality:
 
   * the denominator is an ordinary polynomial in q (lowest exponent 0) with
     a nonzero constant term, and it is monic;
@@ -21,33 +25,56 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _canon(c):
+    """The one stored form of an exact rational: an int when it is
+    integral, a Fraction otherwise.  Equal values compare, hash and print
+    alike in both forms."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a, b):
+    """The exact quotient a / b in stored form; never a float."""
+    return _canon(Fraction(a) / b)
+
+
+def _settle(d):
+    """Put the values of d that a Fraction produced into stored form."""
+    for e, c in d.items():
+        if type(c) is not int and c.denominator == 1:
+            d[e] = c.numerator
+    return d
 
 
 class LaurentPoly:
-    """A Laurent polynomial sum_e c_e q^e with Fraction coefficients."""
+    """A Laurent polynomial sum_e c_e q^e with exact rational coefficients:
+    an int when integral, a Fraction otherwise."""
 
     __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs=None):
-        # coeffs: dict exponent -> nonzero Fraction.  Trusted by internal
+        # coeffs: dict exponent -> nonzero coefficient in stored form (an
+        # int when integral, a Fraction otherwise).  Trusted by internal
         # callers; use the constructors below from outside.
         self.coeffs = coeffs or {}
         self._hash = None
 
     @staticmethod
     def from_dict(d):
-        return LaurentPoly({e: Fraction(c) for e, c in d.items() if c})
+        return LaurentPoly({e: _canon(c) for e, c in d.items() if c})
 
     @staticmethod
     def from_int(n):
-        n = Fraction(n)
+        n = _canon(n)
         return LaurentPoly({0: n} if n else {})
 
     @staticmethod
     def q_power(e, coeff=1):
-        coeff = Fraction(coeff)
+        coeff = _canon(coeff)
         return LaurentPoly({e: coeff} if coeff else {})
 
     def __bool__(self):
@@ -74,10 +101,12 @@ class LaurentPoly:
                 out[e] = c
             else:
                 s += c
-                if s:
+                if not s:
+                    del out[e]
+                elif type(s) is int:
                     out[e] = s
                 else:
-                    del out[e]
+                    out[e] = _canon(s)
         return LaurentPoly(out)
 
     def __sub__(self, other):
@@ -92,7 +121,8 @@ class LaurentPoly:
         if len(b) == 1:
             # A product of nonzero coefficients cannot cancel.
             (e2, c2), = b.items()
-            return LaurentPoly({e1 + e2: c1 * c2 for e1, c1 in a.items()})
+            return LaurentPoly(_settle({e1 + e2: c1 * c2
+                                        for e1, c1 in a.items()}))
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -106,13 +136,13 @@ class LaurentPoly:
                         out[e] = s
                     else:
                         del out[e]
-        return LaurentPoly(out)
+        return LaurentPoly(_settle(out))
 
     def scale(self, r):
-        r = Fraction(r)
+        r = _canon(r)
         if not r:
             return LaurentPoly()
-        return LaurentPoly({e: c * r for e, c in self.coeffs.items()})
+        return LaurentPoly(_settle({e: c * r for e, c in self.coeffs.items()}))
 
     def shift(self, k):
         """Multiply by q^k."""
@@ -135,7 +165,7 @@ class LaurentPoly:
     def evaluate(self, q0):
         """Exact value at q = q0 (a nonzero Fraction)."""
         q0 = Fraction(q0)
-        total = _ZERO
+        total = Fraction(0)
         for e, c in self.coeffs.items():
             total += c * q0 ** e
         return total
@@ -168,7 +198,7 @@ class LaurentPoly:
 def _to_list(p):
     """Coefficient list of a Laurent polynomial with min_exp == 0."""
     n = p.max_exp
-    out = [_ZERO] * (n + 1)
+    out = [0] * (n + 1)
     for e, c in p.coeffs.items():
         out[e] = c
     return out
@@ -182,15 +212,15 @@ def _list_divmod(num, den):
     num = list(num)
     dn = len(den) - 1
     lead = den[dn]
-    quot = [_ZERO] * max(len(num) - dn, 0)
+    quot = [0] * max(len(num) - dn, 0)
     for i in range(len(num) - 1, dn - 1, -1):
         c = num[i]
         if not c:
             continue
-        f = c / lead
+        f = _div(c, lead)
         quot[i - dn] = f
         for j, d in enumerate(den):
-            num[i - dn + j] -= f * d
+            num[i - dn + j] = _canon(num[i - dn + j] - f * d)
     while num and not num[-1]:
         num.pop()
     return quot, num
@@ -205,13 +235,13 @@ def _list_gcd(a, b):
         a, b = b, r
     lead = a[-1]
     if lead != 1:
-        a = [c / lead for c in a]
+        a = [_div(c, lead) for c in a]
     return a
 
 
 # The canonical denominator of every polynomial.  LaurentPoly values are
 # never mutated, so one instance is shared.
-_POLY_ONE = LaurentPoly({0: _ONE})
+_POLY_ONE = LaurentPoly({0: 1})
 
 
 class RatFunc:
@@ -238,7 +268,7 @@ class RatFunc:
             if c == 1:
                 self.num = num.shift(-e)
             else:
-                self.num = LaurentPoly({k - e: v / c
+                self.num = LaurentPoly({k - e: _div(v, c)
                                         for k, v in num.coeffs.items()})
             self.den = _POLY_ONE
             return
@@ -254,8 +284,8 @@ class RatFunc:
                 dl, _ = _list_divmod(dl, g)
         lead = dl[-1]
         if lead != 1:
-            nl = [c / lead for c in nl]
-            dl = [c / lead for c in dl]
+            nl = [_div(c, lead) for c in nl]
+            dl = [_div(c, lead) for c in dl]
         self.num = _from_list(nl).shift(net)
         self.den = _from_list(dl)
 

@@ -118,8 +118,12 @@ def _raw_mul(a, b):
 
 
 def _assert_exact(x):
+    """Every coefficient has its one stored form: an int (never a bool)
+    when it is integral, a Fraction with denominator > 1 otherwise, and
+    never a float or an integral Fraction."""
     for c in list(x.num.coeffs.values()) + list(x.den.coeffs.values()):
-        assert type(c) is Fraction
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), \
+            repr(c)
 
 
 @given(_raw_polys, _units, _non_units)
@@ -173,3 +177,44 @@ def test_fast_path_results_share_no_coefficients(a, b, unit, other):
     assert y.num.coeffs == LaurentPoly.from_dict(b).coeffs
     assert [(dict(r.num.coeffs), dict(r.den.coeffs))
             for r in results] == snapshot
+
+
+# -- stored form ----------------------------------------------------------
+#
+# Each exact value has one stored form, so an integral coefficient that a
+# Fraction produced (a sum of halves, a division, a rational scale) must
+# come back as an int, and no division may leave a float behind.
+
+@given(ratfuncs, ratfuncs, _nonzero_coeffs, _units, _raw_polys, _non_units,
+       points)
+def test_every_coefficient_has_one_stored_form(a, b, r, unit, num, p, pts):
+    e, c = unit
+    results = [a + b, a - b, a * b, -a, a.scale(r), a.scale(2),
+               RatFunc(LaurentPoly.from_dict(num), LaurentPoly.from_dict(p)),
+               RatFunc(LaurentPoly.from_dict(num), LaurentPoly.q_power(e, c)),
+               RatFunc.q_power(e, c), RatFunc.from_poly(a.num.scale(r))]
+    if b:
+        results += [a / b, b.inverse()]
+    for x in results:
+        _assert_exact(x)
+        for pt in pts:
+            value = _values(pt, x)
+            if value is not None:
+                assert type(value[0]) is Fraction
+
+
+def test_integral_values_are_stored_as_int():
+    half = Fraction(1, 2)
+    x = RatFunc.q_power(1, half) + RatFunc.q_power(1, half)
+    assert x.num.coeffs == {1: 1} and type(x.num.coeffs[1]) is int
+    poly = LaurentPoly.from_dict({0: True, 1: Fraction(4, 2), 2: half})
+    assert [type(poly.coeffs[k]) for k in range(3)] == [int, int, Fraction]
+    assert type(RatFunc.from_int(Fraction(6, 3)).num.coeffs[0]) is int
+    # A monic step divides every coefficient by an integer lead.
+    y = RatFunc(LaurentPoly.from_dict({0: 2, 1: 4}),
+                LaurentPoly.from_dict({0: 3, 1: 2}))
+    assert y.den.coeffs == {0: Fraction(3, 2), 1: 1}
+    assert y.num.coeffs == {0: 1, 1: 2}
+    _assert_exact(y)
+    assert type(RatFunc.from_int(0).evaluate(2)) is Fraction
+    assert type(LaurentPoly.from_int(3).evaluate(1)) is Fraction

@@ -1,0 +1,166 @@
+"""Mutation gate: seeded defects that the CLI reports must catch.
+
+Each row of MUTANTS plants one defect with monkeypatch at (2|1), runs
+one `glq` report in-process and asserts that the report exits 1 with
+every named check at ``"ok": false``.  A check that no planted defect can
+turn false would be a check that earns nothing (DeMillo, Lipton and
+Sayward, "Hints on test data selection", 1978).
+
+The module caches (`reps.profile_rep`, the dual-power decompositions and
+the `coords` word layouts) are swapped for empty dicts before each report,
+so a mutant's report builds its own modules and none of them outlives the
+test.
+"""
+
+import json
+
+import pytest
+
+from glq import coords, graded, reps, rmatrix, uq
+from glq.cli import main
+from glq.coeff import ONE
+from glq.graded import GradedMap, GradingContext
+from glq.uq import probe_monomials
+
+from test_rmatrix import _flip_first_off_diagonal
+
+VERIFY = ["verify", "--m", "2", "--n", "1"]
+RMATRIX = ["rmatrix", "--m", "2", "--n", "1", "--kind", "pp",
+           "--probe-degree", "2"]
+E12 = uq.gen_E(1, 2)
+
+
+def _flip_antipode_sign_of_e12(monkeypatch):
+    true_gen = uq._antipode_gen
+
+    def flipped(g):
+        word, c = true_gen(g)
+        return (word, -c) if g == E12 else (word, c)
+
+    monkeypatch.setattr(uq, "_antipode_gen", flipped)
+
+
+def _drop_theta2_star_sign(monkeypatch):
+    true_gen = uq._star_gen
+
+    def unsigned(ctx, g, theta):
+        word, _ = true_gen(ctx, g, theta)
+        return word, 0
+
+    monkeypatch.setattr(uq, "_star_gen", unsigned)
+
+
+def _drop_koszul_sign_of_flip(monkeypatch):
+    true_flip = graded.graded_flip
+
+    def unsigned(space1, space2):
+        f = true_flip(space1, space2)
+        return GradedMap(f.domain, f.codomain, {rc: ONE for rc in f.entries})
+
+    # rmatrix holds its own binding of the name.
+    monkeypatch.setattr(graded, "graded_flip", unsigned)
+    monkeypatch.setattr(rmatrix, "graded_flip", unsigned)
+
+
+MUTANTS = {
+    "r-element-off-diagonal-flipped": (
+        _flip_first_off_diagonal, RMATRIX,
+        {"coproduct-intertwiner", "braid-relation", "exchange-identity"}),
+    "antipode-sign-of-e12-flipped": (
+        _flip_antipode_sign_of_e12, VERIFY,
+        {"defining-relations-dual", "antipode-axiom-vector",
+         "unitary-dual"}),
+    # Weak spot: only unitary-dual sees this sign.  star-involutive-type-2
+    # applies the sign twice, and it squares away.
+    "star-theta2-sign-dropped": (
+        _drop_theta2_star_sign, VERIFY, {"unitary-dual"}),
+    # Weak spot: only braid-relation sees this sign.  The intertwiner and
+    # the exchange identity never build the flip.
+    "graded-flip-koszul-sign-dropped": (
+        _drop_koszul_sign_of_flip, RMATRIX, {"braid-relation"}),
+}
+
+
+def _report(capsys, monkeypatch, argv):
+    monkeypatch.setattr(reps, "_profile_reps", {})
+    monkeypatch.setattr(reps, "_dual_power_cache", {})
+    monkeypatch.setattr(coords, "_layouts", {})
+    code = main(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _checks(report):
+    return {c["name"]: c for s in report["suites"] for c in s["checks"]}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutant_is_caught(capsys, monkeypatch, name):
+    plant, argv, must_fail = MUTANTS[name]
+    code, report = _report(capsys, monkeypatch, argv)
+    assert code == 0
+    assert all(c["ok"] for c in _checks(report).values())
+    plant(monkeypatch)
+    code, report = _report(capsys, monkeypatch, argv)
+    checks = _checks(report)
+    assert code == 1
+    assert report["ok"] is False
+    assert {n for n in must_fail if checks[n]["ok"] is False} == must_fail
+
+
+def test_antipode_mutant_names_its_witness(capsys, monkeypatch):
+    """S(E_12) with the wrong sign.  The antipode axiom for E_12 is
+    S(E_12) X + E_12 = 0, where E_12 is the term of 1 (x) E_12 in the
+    coproduct; flipping the sign of S(E_12) leaves 2 E_12, which is 2 at
+    (0, 1) in the vector module.  Every probe before E_12 is a Cartan
+    word, which the mutant does not touch."""
+    _flip_antipode_sign_of_e12(monkeypatch)
+    _, report = _report(capsys, monkeypatch, VERIFY)
+    check = _checks(report)["antipode-axiom-vector"]
+    assert check["witness"] == {"probe": "E[1,2]", "entry": [0, 1],
+                                "residual": "2"}
+    probes = probe_monomials(GradingContext(2, 1), 2)
+    assert all(g[0] != "E" for w in probes[:probes.index((E12,))]
+               for g in w)
+
+
+def _sign_on_e12_only(monkeypatch):
+    true_gen = uq._star_gen
+
+    def signed(ctx, g, theta):
+        word, sign = true_gen(ctx, g, theta)
+        return word, sign + (g == E12)
+
+    monkeypatch.setattr(uq, "_star_gen", signed)
+
+
+def _antipode_of_e12_without_cartan(monkeypatch):
+    true_gen = uq._antipode_gen
+
+    def bare(g):
+        word, c = true_gen(g)
+        return ((g,), c) if g == E12 else (word, c)
+
+    monkeypatch.setattr(uq, "_antipode_gen", bare)
+
+
+@pytest.mark.parametrize("plant, name", [
+    (_sign_on_e12_only, "star-involutive-type-1"),
+    (_sign_on_e12_only, "star-involutive-type-2"),
+    (_antipode_of_e12_without_cartan, "antipode-squared-vector"),
+    (_antipode_of_e12_without_cartan, "antipode-squared-dual"),
+])
+def test_failed_probe_loop_names_a_witness(capsys, monkeypatch, plant, name):
+    plant(monkeypatch)
+    _, report = _report(capsys, monkeypatch, VERIFY)
+    check = _checks(report)[name]
+    assert check["ok"] is False
+    witness = check["witness"]
+    assert set(witness) == {"probe", "entry", "residual"}
+    assert witness["probe"] == "E[1,2]"
+    assert len(witness["entry"]) == 2
+    assert witness["residual"] != "0"
+
+
+def test_passing_probe_loops_carry_no_witness(capsys, monkeypatch):
+    _, report = _report(capsys, monkeypatch, VERIFY)
+    assert not any("witness" in c for c in _checks(report).values())
