@@ -30,7 +30,7 @@ import traceback
 from fractions import Fraction
 from math import comb
 
-from .coeff import q_int
+from .coeff import ONE, q_int
 from .graded import GradedMap, GradingContext, rank
 from . import coords as coords_mod
 from . import induction as induction_mod
@@ -276,29 +276,27 @@ def _coords_antipode_suite(ctx, probe_degree):
                 for b in range(1, N + 1)]
     words = [(l,) for l in letters]
     words += [(t_(1, N), t_(N, 1)), (tbar_(1, 1), t_(1, N))]
-    dual_ok = True
-    for w in words:
-        f = GqElement.from_word(ctx, w)
-        sf = coords_mod.antipode_coords(f)
-        for x in probes:
-            a = coords_mod.evaluate(ctx, sf, x)
-            b = coords_mod.evaluate(
-                ctx, f, antipode(UqExpression.from_word(ctx, x)))
-            if a != b:
-                dual_ok = False
-                break
-        if not dual_ok:
-            break
-    squared_ok = True
+    # <S f_i, x> against <f_i, S x>, every f_i keyed in one table.
+    plain = coords_mod.pairing_table(
+        ctx, ((i, w, ONE) for i, w in enumerate(words)))
+    twisted = coords_mod.pairing_table(
+        ctx, ((i,) + coords_mod.antipode_word_coords(ctx, w)
+              for i, w in enumerate(words)))
+    dual_ok = all(
+        coords_mod.pair_table(twisted, x) == coords_mod.pair_table(
+            plain, antipode(UqExpression.from_word(ctx, x)))
+        for x in probes)
+    # S^2 t_ab - q^{(2rho, eps_a - eps_b)} t_ab, keyed by (a, b).
+    diffs = []
     for a in range(1, N + 1):
         for b in range(1, N + 1):
             f = GqElement.from_letter(ctx, t_(a, b))
             s2 = coords_mod.antipode_coords(coords_mod.antipode_coords(f))
             e = ctx.two_rho_eps(a) - ctx.two_rho_eps(b)
-            diff = s2 - f.scale(q_int(e))
-            if coords_mod.functional_witness(
-                    ctx, diff, min(probe_degree, 2)) is not None:
-                squared_ok = False
+            diffs += [((a, b), w, c)
+                      for w, c in (s2 - f.scale(q_int(e))).terms.items()]
+    squared = coords_mod.pairing_table(ctx, diffs)
+    squared_ok = not any(coords_mod.pair_table(squared, x) for x in probes)
     checks = [_check("antipode-dual-to-enveloping", dual_ok),
               _check("antipode-squared-weight-ratio", squared_ok)]
     return _suite("antipode", checks)

@@ -15,10 +15,11 @@ identities of the coordinate algebra are *functional*: two elements are
 equal when they agree against every probe word up to a chosen degree.
 
 `word_layout` states where a word pairs (profile module, entry, sign).
-Many functionals are paired with one probe as table reads:
-`pairing_table` groups keyed coordinate words by module and entry once,
-and `pair_table` walks only the nonzero entries of the probe's image in
-each module.
+Every pairing is a table read: `pairing_table` groups keyed coordinate
+words by module and entry once, and `pair_table` walks only the nonzero
+entries of the probe's image in each module.  One functional is a table
+with one key (`evaluate`); many functionals, or the legs of a coproduct,
+are one table keyed by functional or by leg.
 
 Hopf structure on letters (same shape for barred letters):
 
@@ -111,13 +112,6 @@ def word_layout(ctx, word):
     return layout
 
 
-def evaluate_word(ctx, letters, uq_word):
-    """The canonical pairing of a coordinate word with a generator word."""
-    rep, row, col, negate = word_layout(ctx, tuple(letters))
-    val = rep.evaluate_word(uq_word).get(row, col)
-    return -val if negate else val
-
-
 def pairing_table(ctx, terms):
     """Group (key, coordinate word, coefficient) triples by where their
     words pair: {profile module: {(row, col): {key: signed coefficient}}},
@@ -147,17 +141,15 @@ def pair_table(table, x):
     return out
 
 
+def _functional_table(ctx, element):
+    """The pairing table of one GqElement, under the single key None."""
+    return pairing_table(ctx, ((None, w, c) for w, c in element.terms.items()))
+
+
 def evaluate(ctx, element, x):
-    """Pair a GqElement with a UqExpression (or a single word)."""
-    if not isinstance(x, UqExpression):
-        x = UqExpression.from_word(ctx, x)
-    total = ZERO
-    for w, c in element.terms.items():
-        for xw, xc in x.terms.items():
-            v = evaluate_word(ctx, w, xw)
-            if v:
-                total = total + c * xc * v
-    return total
+    """Pair a GqElement with a UqExpression (or a single word): a one-key
+    table read."""
+    return pair_table(_functional_table(ctx, element), x).get(None, ZERO)
 
 
 def counit(element):
@@ -169,8 +161,9 @@ def functional_witness(ctx, f, degree):
     """The first probe word up to degree on which the functional f does
     not vanish, or None when it vanishes on all of them; two elements
     agree as functionals when their difference has no witness."""
+    table = _functional_table(ctx, f)
     for x in probe_monomials(ctx, degree):
-        if evaluate(ctx, f, x):
+        if pair_table(table, x):
             return x
     return None
 
@@ -224,10 +217,10 @@ def pair_coproduct(ctx, dfn, x, y):
     total = ZERO
     for (wl, wr), c in dfn.items():
         sgn = coord_word_parity(ctx, wr) * px
-        v1 = evaluate_word(ctx, wl, x)
+        v1 = evaluate(ctx, GqElement.from_word(ctx, wl), x)
         if not v1:
             continue
-        v2 = evaluate_word(ctx, wr, y)
+        v2 = evaluate(ctx, GqElement.from_word(ctx, wr), y)
         if not v2:
             continue
         term = c * v1 * v2
@@ -253,12 +246,8 @@ def antipode_letter(ctx, letter):
 
 def antipode_word_coords(ctx, letters):
     """S(w_1 ... w_l) = Koszul sign times S(w_l) ... S(w_1)."""
-    pars = [letter_parity(ctx, w) for w in letters]
-    sgn = 0
-    for i in range(len(letters)):
-        for j in range(i + 1, len(letters)):
-            sgn += pars[i] * pars[j]
-    coeff = ONE if sgn % 2 == 0 else -ONE
+    odd = sum(letter_parity(ctx, w) for w in letters)
+    coeff = sign_pow(odd * (odd - 1) // 2)  # sum_{i<j} p_i p_j
     out = []
     for letter in reversed(letters):
         nl, c = antipode_letter(ctx, letter)

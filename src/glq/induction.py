@@ -29,8 +29,9 @@ from .coords import (
     GqElement,
     coproduct as coords_coproduct,
     coord_word_parity,
-    evaluate,
     functional_witness,
+    pair_table,
+    pairing_table,
 )
 from .reps import Representation, check_relations, decompose
 from .superspace import (
@@ -62,31 +63,20 @@ def left_translation(ctx, x, element):
     """x . f = sum <f_(1), S^-1(x)> f_(2) on a coordinate element,
     landing back in coordinate words."""
     x = _as_expression(ctx, x)
-    six = s_inverse(x)
-    out = {}
-    for (wl, wr), c in coords_coproduct(element).items():
-        v = evaluate(ctx, GqElement.from_word(ctx, wl), six)
-        if v:
-            add_term(out, wr, c * v)
-    return GqElement(ctx, out)
+    table = pairing_table(ctx, ((wr, wl, c) for (wl, wr), c
+                                in coords_coproduct(element).items()))
+    return GqElement(ctx, pair_table(table, s_inverse(x)))
 
 
 def right_translation(ctx, x, element):
     """x o f = sum f_(1) (-1)^{|x|(|f| + |x|)} <f_(2), x>."""
     x = _as_expression(ctx, x)
-    px = x.parity() if x.is_homogeneous() else None
-    out = {}
-    for (wl, wr), c in coords_coproduct(element).items():
-        v = evaluate(ctx, GqElement.from_word(ctx, wr), x)
-        if not v:
-            continue
-        if px:
-            pf = (coord_word_parity(ctx, wl)
-                  + coord_word_parity(ctx, wr)) % 2
-            if (px * (pf + px)) % 2:
-                v = -v
-        add_term(out, wl, c * v)
-    return GqElement(ctx, out)
+    # The sign is -1 exactly when x is odd and the term of f is even.
+    odd = x.is_homogeneous() and x.parity()
+    table = pairing_table(ctx, (
+        (wl, wr, -c if odd and not coord_word_parity(ctx, wl + wr) else c)
+        for (wl, wr), c in coords_coproduct(element).items()))
+    return GqElement(ctx, pair_table(table, x))
 
 
 def _superspace_from_coords(ctx, element):

@@ -36,6 +36,8 @@ from .coords import (
     coord_word_parity,
     coproduct as coords_coproduct,
     evaluate,
+    pair_table,
+    pairing_table,
 )
 from .graded import nullspace
 from .uq import pbw_probe_expressions
@@ -408,16 +410,12 @@ def cp_basis(ctx, d, probe_degree=None):
     for pw in plain_monomials(ctx, d):
         for bw in barred_monomials(ctx, d):
             words.append(pw + bw)
-    probes = pbw_probe_expressions(ctx, probe_degree)
-    columns = []
-    for w in words:
-        f = to_coordinate_element(ctx, SuperspaceElement.from_word(ctx, w))
-        columns.append([evaluate(ctx, f, x) for x in probes])
-    rows = []
-    for pi in range(len(probes)):
-        row = {ci: col[pi] for ci, col in enumerate(columns) if col[pi]}
-        if row:
-            rows.append(row)
+    table = pairing_table(ctx, (
+        (ci, cw, c) for ci, w in enumerate(words)
+        for cw, c in to_coordinate_element(
+            ctx, SuperspaceElement.from_word(ctx, w)).terms.items()))
+    rows = [pair_table(table, x)
+            for x in pbw_probe_expressions(ctx, probe_degree)]
     deps = nullspace(rows, len(words))
     return words, len(words) - len(deps), deps
 

@@ -169,13 +169,9 @@ def counit(expr):
 
 def antipode_word(ctx, word):
     """S on a word: reversed generator antipodes times the Koszul sign."""
-    sign = 0
-    pars = [gen_parity(ctx, g) for g in word]
-    for i in range(len(word)):
-        for j in range(i + 1, len(word)):
-            sign += pars[i] * pars[j]
+    odd = sum(gen_parity(ctx, g) for g in word)
     out_word = ()
-    coeff = ONE if sign % 2 == 0 else -ONE
+    coeff = sign_pow(odd * (odd - 1) // 2)  # sum_{i<j} p_i p_j
     for g in reversed(word):
         w, c = _antipode_gen(g)
         out_word = out_word + w

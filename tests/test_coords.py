@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import glq.coords as coords
 import glq.reps as reps
-from glq.coeff import ONE, ZERO, RatFunc, add_term, q_int
+from glq.coeff import ONE, ZERO, RatFunc, add_term, q_int, sign_pow
 from glq.graded import GradingContext, rank
 from glq.coords import (
     GqElement,
@@ -17,7 +17,6 @@ from glq.coords import (
     coproduct,
     counit,
     evaluate,
-    evaluate_word,
     functional_witness,
     pair_coproduct,
     star_coords,
@@ -25,6 +24,7 @@ from glq.coords import (
     t_,
     tbar_,
 )
+from glq.induction import left_translation, right_translation
 from glq.uq import (
     pbw_probe_expressions,
     UqExpression,
@@ -32,6 +32,7 @@ from glq.uq import (
     gen_E,
     gen_K,
     probe_monomials,
+    s_inverse,
 )
 
 SIZES = [(1, 1), (2, 1), (1, 2), (2, 2)]
@@ -56,13 +57,14 @@ def test_pairing_of_single_letters(ctx):
     for a in range(1, N + 1):
         for b in range(1, N + 1):
             # <t_ab, E_cd> = delta_bc delta_ad on simple raising gens
+            f = GqElement.from_letter(ctx, t_(a, b))
             for c in range(1, N):
-                v = evaluate_word(ctx, (t_(a, b),), (gen_E(c, c + 1),))
+                v = evaluate(ctx, f, (gen_E(c, c + 1),))
                 expected = ONE if (b == c + 1 and a == c) else ZERO
                 assert v == expected
             # <t_ab, K_c> = delta_ab q_c^{delta_ac}
             for c in range(1, N + 1):
-                v = evaluate_word(ctx, (t_(a, b),), (gen_K(c),))
+                v = evaluate(ctx, f, (gen_K(c),))
                 if a != b:
                     assert v == ZERO
                 else:
@@ -98,39 +100,60 @@ def test_pairing_respects_products_of_arguments(ctx):
                 assert lhs == rhs
 
 
+def _layout_by_formula(ctx, word):
+    """(row, col, whether the sign negates) of a coordinate word, taken
+    straight from the pairing formula: the sign sum_{i<j} |w_j| |a_i|
+    summed pair by pair, the indices flattened row-major."""
+    N = ctx.N
+    par = ctx.parity
+    length = len(word)
+    sign = sum((par(word[j].row) + par(word[j].col)) * par(word[i].row)
+               for i in range(length) for j in range(i + 1, length))
+    row = sum((l.row - 1) * N ** (length - 1 - i) for i, l in enumerate(word))
+    col = sum((l.col - 1) * N ** (length - 1 - i) for i, l in enumerate(word))
+    return row, col, sign % 2 == 1
+
+
+def _pair_by_formula(ctx, word, xw):
+    """<word, xw> for a coordinate word and a generator word, read off the
+    profile module's matrix at the formula's entry and sign.  It shares
+    no code with `coords`, so it is the oracle for the table reads."""
+    row, col, negate = _layout_by_formula(ctx, word)
+    rep = reps.profile_rep(ctx, tuple(l.barred for l in word))
+    val = rep.evaluate_word(xw).get(row, col)
+    return -val if negate else val
+
+
 @pytest.mark.parametrize("size", [(2, 1), (1, 2)])
 def test_word_layout_matches_pairwise_sign_and_row_major_index(size):
     ctx = GradingContext(*size)
     N = ctx.N
-    par = ctx.parity
     letters = [make(a, b) for make in (t_, tbar_)
                for a in range(1, N + 1) for b in range(1, N + 1)]
     for length in range(4):  # length 0 is the empty word
         for word in itertools.product(letters, repeat=length):
-            sign = sum((par(word[j].row) + par(word[j].col))
-                       * par(word[i].row)
-                       for i in range(length) for j in range(i + 1, length))
-            row = sum((l.row - 1) * N ** (length - 1 - i)
-                      for i, l in enumerate(word))
-            col = sum((l.col - 1) * N ** (length - 1 - i)
-                      for i, l in enumerate(word))
             rep = reps.profile_rep(ctx, tuple(l.barred for l in word))
             assert coords.word_layout(ctx, word) == (
-                rep, row, col, sign % 2 == 1), word
+                rep,) + _layout_by_formula(ctx, word), word
 
 
-def _keyed_terms(ctx):
-    """(key, coordinate word, coefficient) triples: a few keys, so that
-    terms share them, and words of length 0..3 over plain and barred
-    letters, so that plain, barred and mixed profiles all occur."""
+_COEFFS = st.builds(lambda c, e: RatFunc.from_int(c) * q_int(e),
+                    st.integers(-3, 3).filter(bool), st.integers(-2, 2))
+
+
+def _coord_words(ctx):
+    """Words of length 0..3 over plain and barred letters, so that plain,
+    barred and mixed profiles all occur."""
     N = ctx.N
     letters = st.builds(coords.CoordLetter, st.booleans(),
                         st.integers(1, N), st.integers(1, N))
-    coeffs = st.builds(lambda c, e: RatFunc.from_int(c) * q_int(e),
-                       st.integers(-3, 3).filter(bool), st.integers(-2, 2))
-    return st.lists(st.tuples(st.integers(0, 3),
-                              st.lists(letters, max_size=3).map(tuple),
-                              coeffs),
+    return st.lists(letters, max_size=3).map(tuple)
+
+
+def _keyed_terms(ctx):
+    """(key, coordinate word, coefficient) triples, with a few keys so
+    that terms share them."""
+    return st.lists(st.tuples(st.integers(0, 3), _coord_words(ctx), _COEFFS),
                     min_size=1, max_size=8)
 
 
@@ -138,7 +161,7 @@ def _pair_term_by_term(ctx, terms, x):
     out = {}
     for key, w, c in terms:
         for xw, xc in x.terms.items():
-            v = evaluate_word(ctx, w, xw)
+            v = _pair_by_formula(ctx, w, xw)
             if v:
                 add_term(out, key, c * v * xc)
     return out
@@ -159,6 +182,60 @@ def test_pair_table_matches_pairing_term_by_term(size):
         for x in expressions:
             assert coords.pair_table(table, x) == _pair_term_by_term(
                 ctx, terms, x), x
+
+    check()
+
+
+def _evaluate_term_by_term(ctx, f, x):
+    return _pair_term_by_term(
+        ctx, [(None, w, c) for w, c in f.terms.items()], x).get(None, ZERO)
+
+
+def _left_translation_term_by_term(ctx, x, f):
+    """x . f = sum <f_(1), S^-1(x)> f_(2), one coproduct term at a time."""
+    six = s_inverse(x)
+    out = {}
+    for (wl, wr), c in coproduct(f).items():
+        v = _evaluate_term_by_term(ctx, GqElement.from_word(ctx, wl), six)
+        add_term(out, wr, c * v)
+    return out
+
+
+def _right_translation_term_by_term(ctx, x, f):
+    """x o f = sum f_(1) (-1)^{|x|(|f| + |x|)} <f_(2), x>, one coproduct
+    term at a time; no sign when x is not homogeneous."""
+    px = x.parity() if x.is_homogeneous() else 0
+    out = {}
+    for (wl, wr), c in coproduct(f).items():
+        v = _evaluate_term_by_term(ctx, GqElement.from_word(ctx, wr), x)
+        pf = sum(ctx.parity(l.row) + ctx.parity(l.col) for l in wl + wr)
+        add_term(out, wl, sign_pow(px * (pf + px)) * c * v)
+    return out
+
+
+@pytest.mark.parametrize("size", [(2, 1), (1, 2)])
+def test_table_reads_match_term_by_term_pairing(size):
+    """evaluate and the two translations pair through tables; each must
+    equal the sum over its terms, paired one at a time by the formula.
+    The probes include odd, even and inhomogeneous expressions, so the
+    translation signs are exercised."""
+    ctx = GradingContext(*size)
+    elements = st.lists(st.tuples(_coord_words(ctx), _COEFFS),
+                        min_size=1, max_size=3).map(
+        lambda terms: sum((GqElement.from_word(ctx, w, c) for w, c in terms),
+                          GqElement.zero(ctx)))
+    basis = [UqExpression.from_word(ctx, w) for w in probe_monomials(ctx, 2)]
+    basis += pbw_probe_expressions(ctx, 2)
+    expressions = st.lists(st.sampled_from(basis), min_size=1,
+                           max_size=2).map(lambda xs: sum(xs[1:], xs[0]))
+
+    @given(elements, expressions)
+    def check(f, x):
+        assert evaluate(ctx, f, x) == _evaluate_term_by_term(ctx, f, x)
+        assert left_translation(ctx, x, f).terms == \
+            _left_translation_term_by_term(ctx, x, f)
+        assert right_translation(ctx, x, f).terms == \
+            _right_translation_term_by_term(ctx, x, f)
 
     check()
 

@@ -9,7 +9,6 @@ import pytest
 import glq.rmatrix as rmatrix
 from glq.cli import main
 from glq.coeff import ONE, Q, QINV, add_term, q_int
-from glq.coords import evaluate_word
 from glq.graded import GradingContext, GradedMap, GradedSpace, invert
 from glq.parser import parse_uq
 from glq.reps import dual_rep, vector_rep
@@ -31,6 +30,8 @@ from glq.rmatrix import (
     resolve_kind,
 )
 from glq.uq import probe_monomials
+
+from test_coords import _pair_by_formula
 
 SIZES = [(1, 1), (2, 1), (1, 2), (2, 2)]
 
@@ -196,7 +197,7 @@ def _pair_term_by_term(ctx, element, x_word):
     of an element with the probe word on its own."""
     out = {}
     for (i, j, k, l, w), c in element.items():
-        v = evaluate_word(ctx, w, x_word)
+        v = _pair_by_formula(ctx, w, x_word)
         if v:
             add_term(out, (i, j, k, l), c * v)
     return out
