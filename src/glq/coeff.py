@@ -13,9 +13,14 @@ equality:
   * numerator and denominator share no polynomial factor;
   * all unit factors (rational scalars and powers of q) live in the numerator.
 
-A one-term canonical denominator is therefore 1, so polynomial arithmetic
-never reaches the gcd: construction over a unit divides it out, and sums
-and products of polynomials are built already reduced.
+A one-term canonical denominator is therefore 1, and every polynomial
+carries the one shared denominator ``_POLY_ONE``.  A polynomial value is a
+single ``RatFunc`` holding its coefficient dict (the sparse representation
+of Johnson, "Sparse polynomial arithmetic", 1974): sums, products and
+negation of polynomials test ``den is _POLY_ONE`` and build the result
+dict directly, so they never reach the gcd or the general constructor.
+Values are never mutated, so ``q_int(e)`` hands out one shared instance
+per exponent and ``add_term`` stores a coefficient as it is.
 
 Specialisation substitutes an exact rational number for q, so no floating
 point enters anywhere.
@@ -48,6 +53,100 @@ def _settle(d):
         if type(c) is not int and c.denominator == 1:
             d[e] = c.numerator
     return d
+
+
+# -- coefficient dicts: exponent -> nonzero coefficient in stored form ------
+#
+# The arithmetic below is shared by LaurentPoly and by the polynomial case
+# of RatFunc.  Each returns a new dict and never changes its arguments.
+
+def _add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = c
+        else:
+            s += c
+            if not s:
+                del out[e]
+            elif type(s) is int:
+                out[e] = s
+            else:
+                out[e] = _canon(s)
+    return out
+
+
+def _mul(a, b):
+    # A product of nonzero coefficients cannot cancel, so a product with
+    # a monomial needs no zero test.  Monomial times monomial comes first:
+    # it is most of the products glq makes.
+    if len(a) == 1 and len(b) == 1:
+        [(e1, c1)] = a.items()
+        [(e2, c2)] = b.items()
+        c = c1 * c2
+        if type(c) is int:
+            return {e1 + e2: c}
+        return {e1 + e2: c.numerator if c.denominator == 1 else c}
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        [(e2, c2)] = b.items()
+        return _settle({e1 + e2: c1 * c2 for e1, c1 in a.items()})
+    out = {}
+    if not b:
+        return out
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            s = out.get(e)
+            if s is None:
+                out[e] = c1 * c2
+            else:
+                s += c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return _settle(out)
+
+
+def _scale(a, r):
+    """a times the nonzero stored rational r."""
+    return _settle({e: c * r for e, c in a.items()})
+
+
+def _evaluate(a, q0):
+    """Exact value at q = q0 (a nonzero Fraction)."""
+    total = Fraction(0)
+    for e, c in a.items():
+        total += c * q0 ** e
+    return total
+
+
+def _format(a):
+    if not a:
+        return "0"
+    parts = []
+    for e in sorted(a, reverse=True):
+        c = a[e]
+        if e == 0:
+            term = str(c)
+        else:
+            base = "q" if e == 1 else "q^%d" % e
+            if c == 1:
+                term = base
+            elif c == -1:
+                term = "-" + base
+            else:
+                term = "%s*%s" % (c, base)
+        parts.append(term)
+    out = parts[0]
+    for term in parts[1:]:
+        out += " - " + term[1:] if term.startswith("-") else " + " + term
+    return out
 
 
 class LaurentPoly:
@@ -94,55 +193,17 @@ class LaurentPoly:
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-            else:
-                s += c
-                if not s:
-                    del out[e]
-                elif type(s) is int:
-                    out[e] = s
-                else:
-                    out[e] = _canon(s)
-        return LaurentPoly(out)
+        return LaurentPoly(_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        if not b:
-            return LaurentPoly()
-        if len(b) == 1:
-            # A product of nonzero coefficients cannot cancel.
-            (e2, c2), = b.items()
-            return LaurentPoly(_settle({e1 + e2: c1 * c2
-                                        for e1, c1 in a.items()}))
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                s = out.get(e)
-                if s is None:
-                    out[e] = c1 * c2
-                else:
-                    s += c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return LaurentPoly(_settle(out))
+        return LaurentPoly(_mul(self.coeffs, other.coeffs))
 
     def scale(self, r):
         r = _canon(r)
-        if not r:
-            return LaurentPoly()
-        return LaurentPoly(_settle({e: c * r for e, c in self.coeffs.items()}))
+        return LaurentPoly(_scale(self.coeffs, r) if r else {})
 
     def shift(self, k):
         """Multiply by q^k."""
@@ -156,41 +217,12 @@ class LaurentPoly:
     def max_exp(self):
         return max(self.coeffs) if self.coeffs else 0
 
-    def is_monomial(self):
-        return len(self.coeffs) == 1
-
-    def is_constant(self):
-        return not self.coeffs or set(self.coeffs) == {0}
-
     def evaluate(self, q0):
         """Exact value at q = q0 (a nonzero Fraction)."""
-        q0 = Fraction(q0)
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            total += c * q0 ** e
-        return total
+        return _evaluate(self.coeffs, Fraction(q0))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            if e == 0:
-                term = str(c)
-            else:
-                base = "q" if e == 1 else "q^%d" % e
-                if c == 1:
-                    term = base
-                elif c == -1:
-                    term = "-" + base
-                else:
-                    term = "%s*%s" % (c, base)
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += " - " + term[1:] if term.startswith("-") else " + " + term
-        return out
+        return _format(self.coeffs)
 
     __repr__ = __str__
 
@@ -240,36 +272,48 @@ def _list_gcd(a, b):
 
 
 # The canonical denominator of every polynomial.  LaurentPoly values are
-# never mutated, so one instance is shared.
+# never mutated, so one instance is shared, and a RatFunc is a polynomial
+# exactly when its den is this object.
 _POLY_ONE = LaurentPoly({0: 1})
+
+_new = object.__new__
+
+
+def _make(coeffs, den=_POLY_ONE):
+    """The RatFunc coeffs / den of a numerator dict and a denominator that
+    are already in canonical form; nothing is checked or reduced."""
+    x = _new(RatFunc)
+    x.coeffs = coeffs
+    x.den = den
+    return x
 
 
 class RatFunc:
-    """An element of Q(q) in canonical reduced form."""
+    """An element of Q(q) in canonical reduced form.
 
-    __slots__ = ("num", "den", "_hash")
+    ``coeffs`` is the numerator's dict exponent -> nonzero coefficient and
+    ``den`` the denominator, a LaurentPoly that is ``_POLY_ONE`` exactly
+    when the value is a polynomial.  ``RatFunc(num, den)`` reduces any two
+    Laurent polynomials to this form."""
 
-    def __init__(self, num, den, _reduced=False):
-        if _reduced:
-            self.num = num
-            self.den = den
-            self._hash = None
-            return
+    # _hash is set on first use: most values are never hashed.
+    __slots__ = ("coeffs", "den", "_hash")
+
+    def __init__(self, num, den):
         if not den:
             raise ZeroDivisionError("zero denominator in Q(q)")
-        self._hash = None
         if not num:
-            self.num = LaurentPoly()
+            self.coeffs = {}
             self.den = _POLY_ONE
             return
         if len(den.coeffs) == 1:
             # A unit c*q^e: divide it out; there is nothing to reduce.
             (e, c), = den.coeffs.items()
             if c == 1:
-                self.num = num.shift(-e)
+                self.coeffs = {k - e: v for k, v in num.coeffs.items()}
             else:
-                self.num = LaurentPoly({k - e: _div(v, c)
-                                        for k, v in num.coeffs.items()})
+                self.coeffs = {k - e: _div(v, c)
+                               for k, v in num.coeffs.items()}
             self.den = _POLY_ONE
             return
         shift_n = num.min_exp
@@ -277,70 +321,76 @@ class RatFunc:
         net = shift_n - shift_d
         nl = _to_list(num.shift(-shift_n))
         dl = _to_list(den.shift(-shift_d))
-        if len(dl) > 1:
-            g = _list_gcd(nl, dl)
-            if len(g) > 1:
-                nl, _ = _list_divmod(nl, g)
-                dl, _ = _list_divmod(dl, g)
+        g = _list_gcd(nl, dl)
+        if len(g) > 1:
+            nl, _ = _list_divmod(nl, g)
+            dl, _ = _list_divmod(dl, g)
         lead = dl[-1]
         if lead != 1:
             nl = [_div(c, lead) for c in nl]
             dl = [_div(c, lead) for c in dl]
-        self.num = _from_list(nl).shift(net)
-        self.den = _from_list(dl)
+        self.coeffs = {e + net: c for e, c in enumerate(nl) if c}
+        # A gcd that takes all of den leaves the polynomial denominator.
+        self.den = _POLY_ONE if len(dl) == 1 else _from_list(dl)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_int(n):
-        return RatFunc(LaurentPoly.from_int(n), _POLY_ONE, _reduced=True)
+        n = _canon(n)
+        return _make({0: n} if n else {})
 
     @staticmethod
     def q_power(e, coeff=1):
         """coeff * q^e."""
-        return RatFunc(LaurentPoly.q_power(e, coeff), _POLY_ONE, _reduced=True)
-
-    @staticmethod
-    def from_poly(p):
-        return RatFunc(p, _POLY_ONE, _reduced=True)
+        coeff = _canon(coeff)
+        return _make({e: coeff} if coeff else {})
 
     # -- structure ------------------------------------------------------
 
+    @property
+    def num(self):
+        """The numerator as a LaurentPoly."""
+        return LaurentPoly(self.coeffs)
+
+    def term_count(self):
+        """Terms in numerator and denominator together: a crude size."""
+        return len(self.coeffs) + len(self.den.coeffs)
+
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = RatFunc.from_int(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.coeffs == other.coeffs and (
+            self.den is other.den or self.den == other.den)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
-
-    def is_polynomial(self):
-        return self.den.is_constant()
-
-    def is_monomial(self):
-        return self.den.is_constant() and self.num.is_monomial()
+        try:
+            return self._hash
+        except AttributeError:
+            # The hash of (numerator, den) as two LaurentPolys.
+            self._hash = hash((frozenset(self.coeffs.items()), self.den))
+            return self._hash
 
     # -- arithmetic -----------------------------------------------------
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, _reduced=True)
+        return _make({e: -c for e, c in self.coeffs.items()}, self.den)
 
     def __add__(self, other):
         if isinstance(other, int):
             other = RatFunc.from_int(other)
-        if len(self.den.coeffs) == 1 and len(other.den.coeffs) == 1:
-            return RatFunc(self.num + other.num, _POLY_ONE, _reduced=True)
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        den = self.den
+        if den is _POLY_ONE and other.den is _POLY_ONE:
+            return _make(_add(self.coeffs, other.coeffs))
+        if den == other.den:
+            return RatFunc(LaurentPoly(_add(self.coeffs, other.coeffs)), den)
+        return RatFunc(self.num * other.den + other.num * den,
+                       den * other.den)
 
     __radd__ = __add__
 
@@ -355,8 +405,8 @@ class RatFunc:
     def __mul__(self, other):
         if isinstance(other, int):
             other = RatFunc.from_int(other)
-        if len(self.den.coeffs) == 1 and len(other.den.coeffs) == 1:
-            return RatFunc(self.num * other.num, _POLY_ONE, _reduced=True)
+        if self.den is _POLY_ONE and other.den is _POLY_ONE:
+            return _make(_mul(self.coeffs, other.coeffs))
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -364,18 +414,18 @@ class RatFunc:
     def __truediv__(self, other):
         if isinstance(other, int):
             other = RatFunc.from_int(other)
-        if not other.num:
+        if not other:
             raise ZeroDivisionError("division by zero in Q(q)")
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def inverse(self):
-        if not self.num:
+        if not self:
             raise ZeroDivisionError("inverting zero in Q(q)")
         return RatFunc(self.den, self.num)
 
     def scale(self, r):
-        return RatFunc(self.num.scale(r), self.den, _reduced=True) \
-            if Fraction(r) else ZERO
+        r = _canon(r)
+        return _make(_scale(self.coeffs, r), self.den) if r else ZERO
 
     # -- specialisation --------------------------------------------------
 
@@ -387,7 +437,7 @@ class RatFunc:
         d = self.den.evaluate(q0)
         if d == 0:
             raise ZeroDivisionError("pole at q = %s" % q0)
-        return self.num.evaluate(q0) / d
+        return _evaluate(self.coeffs, q0) / d
 
     def specialize(self, q0):
         """Evaluate at a rational q0 with q0 not in {0, 1}."""
@@ -397,10 +447,10 @@ class RatFunc:
         return self.evaluate(q0)
 
     def __str__(self):
-        if self.den.is_constant():
-            return str(self.num)
-        ns = str(self.num)
-        if len(self.num.coeffs) > 1:
+        ns = _format(self.coeffs)
+        if self.den is _POLY_ONE:
+            return ns
+        if len(self.coeffs) > 1:
             ns = "(%s)" % ns
         return "%s / (%s)" % (ns, self.den)
 
@@ -409,13 +459,22 @@ class RatFunc:
 
 ZERO = RatFunc.from_int(0)
 ONE = RatFunc.from_int(1)
-Q = RatFunc.q_power(1)
-QINV = RatFunc.q_power(-1)
+
+# q^e for every exponent asked for so far: values are never mutated, so
+# each monomial is built once and shared.
+_Q_POWERS = {}
 
 
 def q_int(e):
-    """The monomial q^e."""
-    return RatFunc.q_power(e)
+    """The monomial q^e, one shared instance per exponent."""
+    x = _Q_POWERS.get(e)
+    if x is None:
+        x = _Q_POWERS[e] = _make({e: 1})
+    return x
+
+
+Q = q_int(1)
+QINV = q_int(-1)
 
 
 def sign_pow(k):
@@ -424,12 +483,19 @@ def sign_pow(k):
 
 
 def add_term(terms, key, c):
-    """terms[key] += c in a sparse dict, dropping the key when it cancels."""
-    s = terms.get(key, ZERO) + c
-    if s:
+    """terms[key] += c in a sparse dict of nonzero RatFuncs, dropping the
+    key when it cancels.  On a miss c is stored as it is (values are never
+    mutated), and a zero c stores nothing."""
+    s = terms.get(key)
+    if s is None:
+        if c.coeffs:
+            terms[key] = c
+        return
+    s = s + c
+    if s.coeffs:
         terms[key] = s
     else:
-        terms.pop(key, None)
+        del terms[key]
 
 
 class Combination:

@@ -256,11 +256,6 @@ def graded_flip(space1, space2):
 # ---------------------------------------------------------------------------
 
 
-def _complexity(v):
-    """Crude size measure used to pick pivots that keep fractions small."""
-    return len(v.num.coeffs) + len(v.den.coeffs)
-
-
 def vec_scale(vec, s):
     if not s:
         return {}
@@ -302,7 +297,8 @@ class Echelon:
         res = self.reduce(vec)
         if not res:
             return False
-        piv = min(res, key=lambda i: (_complexity(res[i]), i))
+        # The smallest entry by term count, to keep fractions small.
+        piv = min(res, key=lambda i: (res[i].term_count(), i))
         inv = res[piv].inverse()
         row = vec_scale(res, inv)
         # back-substitute into existing rows to stay fully reduced

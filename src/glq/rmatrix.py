@@ -119,7 +119,7 @@ def classical_limit_is_identity(R):
     d = R.domain.dim
     seen = set()
     for (r, c), v in R.entries.items():
-        val = v.num.evaluate(1) / v.den.evaluate(1)
+        val = v.evaluate(1)
         if r == c:
             if val != 1:
                 return False

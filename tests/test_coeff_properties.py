@@ -10,7 +10,8 @@ from fractions import Fraction
 
 from hypothesis import assume, given, strategies as st
 
-from glq.coeff import LaurentPoly, RatFunc
+from glq.coeff import (LaurentPoly, ONE, RatFunc, ZERO, _POLY_ONE, add_term,
+                       q_int)
 
 _coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 _nonzero_coeffs = _coeffs.filter(bool)
@@ -140,7 +141,7 @@ def test_unit_denominator_matches_the_gcd_path(num, unit, p):
 
 @given(_raw_polys, _raw_polys, _non_units)
 def test_polynomial_sums_and_products_match_raw_numerators(a, b, p):
-    x = RatFunc.from_poly(LaurentPoly.from_dict(a))
+    x = RatFunc(LaurentPoly.from_dict(a), LaurentPoly.from_int(1))
     y = RatFunc(LaurentPoly.from_dict(b), LaurentPoly.from_int(1))
     for got, want in ((x + y, _raw_add(a, b)), (x * y, _raw_mul(a, b)),
                       (x - y, _raw_add(a, {e: -c for e, c in b.items()}))):
@@ -179,6 +180,103 @@ def test_fast_path_results_share_no_coefficients(a, b, unit, other):
             for r in results] == snapshot
 
 
+# Every polynomial carries the one shared denominator _POLY_ONE, so the
+# fast paths test it by identity and build their result directly.  The
+# oracle is the general constructor over a common non-unit factor p: it
+# runs the gcd and the monic step, which must hand back _POLY_ONE too.
+# Values are shared (q_int(e) is one instance per exponent), so no fast
+# path may change an operand.
+
+_monomials = st.builds(lambda e, c: {e: c}, st.integers(-3, 3),
+                       _nonzero_coeffs)
+_poly_operands = st.one_of(_raw_polys, _monomials)
+_SHARED = [ZERO, ONE] + [q_int(e) for e in range(-3, 4)]
+_SHARED_BEFORE = [(str(v), hash(v), dict(v.coeffs)) for v in _SHARED]
+
+
+def _via_gcd(coeffs, p):
+    """coeffs as a value of Q(q), built as (coeffs * p) / p."""
+    return RatFunc(LaurentPoly.from_dict(_raw_mul(coeffs, p)),
+                   LaurentPoly.from_dict(p))
+
+
+@given(_poly_operands, _poly_operands, st.integers(-3, 3),
+       st.integers(-3, 3), _non_units)
+def test_fast_paths_match_the_general_construction(a, b, e, k, p):
+    x = RatFunc(LaurentPoly.from_dict(a), LaurentPoly.from_int(1))
+    y = RatFunc(LaurentPoly.from_dict(b), LaurentPoly.from_int(1))
+    qe = q_int(e)
+    assert qe is q_int(e)
+    neg_b = {f: -c for f, c in b.items() if c}
+    cases = [
+        (x + y, _raw_add(a, b)), (x - y, _raw_add(a, neg_b)),
+        (x * y, _raw_mul(a, b)), (-y, neg_b),
+        (x * qe, _raw_mul(a, {e: 1})), (qe * y, _raw_mul({e: 1}, b)),
+        (qe * qe, {2 * e: 1}), (x + qe, _raw_add(a, {e: 1})),
+        (x * k, _raw_mul(a, {0: k} if k else {})),
+        (k + y, _raw_add({0: k} if k else {}, b)),
+        (x.scale(Fraction(k, 2)), _raw_mul(a, {0: Fraction(k, 2)}
+                                           if k else {})),
+    ]
+    for got, want in cases:
+        slow = _via_gcd(want, p)
+        assert slow.den is _POLY_ONE
+        assert got.den is _POLY_ONE
+        assert got == slow and hash(got) == hash(slow)
+        assert got.coeffs == want
+        _assert_exact(got)
+    assert x.coeffs == LaurentPoly.from_dict(a).coeffs
+    assert y.coeffs == LaurentPoly.from_dict(b).coeffs
+    assert [(str(v), hash(v), dict(v.coeffs))
+            for v in _SHARED] == _SHARED_BEFORE
+
+
+@given(ratfuncs, ratfuncs.filter(bool), _non_units)
+def test_a_gcd_that_takes_the_whole_denominator_gives_poly_one(a, b, p):
+    # a * b / b: every factor of the denominator of a * b that b brought
+    # in cancels; a polynomial a comes back with _POLY_ONE itself.
+    back = a * b / b
+    assert back == a
+    assert (back.den is _POLY_ONE) == (a.den == LaurentPoly.from_int(1))
+    assert (a.den is _POLY_ONE) == (a.den == LaurentPoly.from_int(1))
+
+
+# -- add_term ---------------------------------------------------------------
+#
+# The one sparse accumulation step: a miss stores the coefficient itself,
+# but never a zero; a hit stores the sum, or pops the key when it cancels.
+
+def test_add_term_stores_nothing_for_a_zero_on_a_miss():
+    terms = {"v": ONE}
+    add_term(terms, "w", ZERO)
+    assert terms == {"v": ONE}
+    add_term(terms, "u", q_int(1) - q_int(1))
+    assert terms == {"v": ONE}
+
+
+def test_add_term_stores_the_coefficient_on_a_miss():
+    terms = {"v": ONE}
+    c = q_int(2)
+    add_term(terms, "w", c)
+    assert terms == {"v": ONE, "w": c} and terms["w"] is c
+
+
+def test_add_term_pops_a_key_that_cancels():
+    terms = {"w": q_int(1), "v": ONE}
+    add_term(terms, "w", -q_int(1))
+    assert terms == {"v": ONE}
+    assert q_int(1) == RatFunc.q_power(1)
+
+
+def test_add_term_stores_the_sum_on_a_hit():
+    terms = {"w": q_int(1)}
+    add_term(terms, "w", ONE)
+    assert terms == {"w": q_int(1) + ONE}
+    add_term(terms, "w", ZERO)
+    assert terms == {"w": q_int(1) + ONE}
+    assert str(q_int(1)) == "q" and str(ONE) == "1"
+
+
 # -- stored form ----------------------------------------------------------
 #
 # Each exact value has one stored form, so an integral coefficient that a
@@ -192,7 +290,8 @@ def test_every_coefficient_has_one_stored_form(a, b, r, unit, num, p, pts):
     results = [a + b, a - b, a * b, -a, a.scale(r), a.scale(2),
                RatFunc(LaurentPoly.from_dict(num), LaurentPoly.from_dict(p)),
                RatFunc(LaurentPoly.from_dict(num), LaurentPoly.q_power(e, c)),
-               RatFunc.q_power(e, c), RatFunc.from_poly(a.num.scale(r))]
+               RatFunc.q_power(e, c),
+               RatFunc(a.num.scale(r), LaurentPoly.from_int(1))]
     if b:
         results += [a / b, b.inverse()]
     for x in results:
