@@ -41,6 +41,8 @@ def _assert_canonical(x):
     assert den[max(den)] == 1
     if not x:
         assert x.den == LaurentPoly.from_int(1)
+    # A polynomial carries the one shared denominator, however it was made.
+    assert (x.den is _POLY_ONE) == (den == {0: 1})
 
 
 @given(_laurent, _nonzero_laurent, points)
@@ -231,16 +233,6 @@ def test_fast_paths_match_the_general_construction(a, b, e, k, p):
             for v in _SHARED] == _SHARED_BEFORE
 
 
-@given(ratfuncs, ratfuncs.filter(bool), _non_units)
-def test_a_gcd_that_takes_the_whole_denominator_gives_poly_one(a, b, p):
-    # a * b / b: every factor of the denominator of a * b that b brought
-    # in cancels; a polynomial a comes back with _POLY_ONE itself.
-    back = a * b / b
-    assert back == a
-    assert (back.den is _POLY_ONE) == (a.den == LaurentPoly.from_int(1))
-    assert (a.den is _POLY_ONE) == (a.den == LaurentPoly.from_int(1))
-
-
 # -- add_term ---------------------------------------------------------------
 #
 # The one sparse accumulation step: a miss stores the coefficient itself,
@@ -252,10 +244,6 @@ def test_add_term_stores_nothing_for_a_zero_on_a_miss():
     assert terms == {"v": ONE}
     add_term(terms, "u", q_int(1) - q_int(1))
     assert terms == {"v": ONE}
-
-
-def test_add_term_stores_the_coefficient_on_a_miss():
-    terms = {"v": ONE}
     c = q_int(2)
     add_term(terms, "w", c)
     assert terms == {"v": ONE, "w": c} and terms["w"] is c
@@ -265,7 +253,6 @@ def test_add_term_pops_a_key_that_cancels():
     terms = {"w": q_int(1), "v": ONE}
     add_term(terms, "w", -q_int(1))
     assert terms == {"v": ONE}
-    assert q_int(1) == RatFunc.q_power(1)
 
 
 def test_add_term_stores_the_sum_on_a_hit():
@@ -274,7 +261,6 @@ def test_add_term_stores_the_sum_on_a_hit():
     assert terms == {"w": q_int(1) + ONE}
     add_term(terms, "w", ZERO)
     assert terms == {"w": q_int(1) + ONE}
-    assert str(q_int(1)) == "q" and str(ONE) == "1"
 
 
 # -- stored form ----------------------------------------------------------
