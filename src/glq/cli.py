@@ -77,13 +77,22 @@ def _format_word(word):
                     for g in word) or "1"
 
 
-def _probe_witness(word, diff):
-    """The witness of a probe whose two sides differ by the nonzero map
-    diff: the probe word, the smallest (row, col) entry of diff and its
+def _probe_check(name, ctx, probe_degree, sides):
+    """The check that sides(x) returns two equal maps for every probe
+    monomial x up to the probe degree, capped at 2.  A failed check
+    carries the witness of the first probe on which they differ: the
+    probe word, the smallest (row, col) entry of the difference and its
     value there."""
-    entry = min(diff.entries)
-    return {"probe": _format_word(word), "entry": list(entry),
-            "residual": str(diff.entries[entry])}
+    degree = min(probe_degree, 2)
+    for word in probe_monomials(ctx, degree):
+        lhs, rhs = sides(UqExpression.from_word(ctx, word))
+        if lhs != rhs:
+            diff = lhs - rhs
+            entry = min(diff.entries)
+            return _check(name, False, degree=degree, witness={
+                "probe": _format_word(word), "entry": list(entry),
+                "residual": str(diff.entries[entry])})
+    return _check(name, True, degree=degree)
 
 
 # ---------------------------------------------------------------------------
@@ -120,38 +129,26 @@ def _suite_hopf(ctx, probe_degree):
     checks.append(_check("coassociativity", coassoc))
     checks.append(_check("counit-axiom", counit_ax))
     rep = reps_mod.profile_rep(ctx, (False,))
-    degree = min(probe_degree, 2)
-    extra = {}
-    for word in probe_monomials(ctx, degree):
-        x = UqExpression.from_word(ctx, word)
+
+    def sides(x):
         collapsed = coproduct(x).antipode_leg(0).multiply_legs()
-        lhs = rep.evaluate_expr(collapsed)
-        rhs = GradedMap.identity(rep.space).scale(counit(x))
-        diff = lhs - rhs
-        if not diff.is_zero():
-            extra["witness"] = _probe_witness(word, diff)
-            break
-    checks.append(_check("antipode-axiom-vector", not extra, degree=degree,
-                         **extra))
+        return (rep.evaluate_expr(collapsed),
+                GradedMap.identity(rep.space).scale(counit(x)))
+
+    checks.append(_probe_check("antipode-axiom-vector", ctx, probe_degree,
+                               sides))
     return _suite("hopf", checks)
 
 
 def _suite_star(ctx, probe_degree, q0):
     checks = []
-    degree = min(probe_degree, 2)
     V = reps_mod.profile_rep(ctx, (False,))
     D = reps_mod.profile_rep(ctx, (True,))
     for theta in (1, 2):
-        extra = {}
-        for word in probe_monomials(ctx, degree):
-            x = UqExpression.from_word(ctx, word)
-            lhs = V.evaluate_expr(star(star(x, theta), theta))
-            rhs = V.evaluate_expr(x)
-            if lhs != rhs:
-                extra["witness"] = _probe_witness(word, lhs - rhs)
-                break
-        checks.append(_check("star-involutive-type-%d" % theta, not extra,
-                             degree=degree, **extra))
+        checks.append(_probe_check(
+            "star-involutive-type-%d" % theta, ctx, probe_degree,
+            lambda x: (V.evaluate_expr(star(star(x, theta), theta)),
+                       V.evaluate_expr(x))))
     for label, rep, gram in (("vector", V, reps_mod.vector_gram(ctx)),
                              ("dual", D, reps_mod.dual_gram(ctx))):
         report = reps_mod.unitarity_check(rep, gram, q0)
@@ -163,22 +160,15 @@ def _suite_star(ctx, probe_degree, q0):
 
 
 def _suite_k2rho(ctx, probe_degree):
-    degree = min(probe_degree, 2)
     checks = []
     for label, profile in (("vector", (False,)), ("dual", (True,))):
         rep = reps_mod.profile_rep(ctx, profile)
         k = rep.evaluate_expr(k2rho(ctx))
         kinv = rep.evaluate_expr(k2rho(ctx, inverse=True))
-        extra = {}
-        for word in probe_monomials(ctx, degree):
-            x = UqExpression.from_word(ctx, word)
-            lhs = rep.evaluate_expr(antipode(antipode(x)))
-            rhs = k @ rep.evaluate_expr(x) @ kinv
-            if lhs != rhs:
-                extra["witness"] = _probe_witness(word, lhs - rhs)
-                break
-        checks.append(_check("antipode-squared-%s" % label, not extra,
-                             degree=degree, **extra))
+        checks.append(_probe_check(
+            "antipode-squared-%s" % label, ctx, probe_degree,
+            lambda x: (rep.evaluate_expr(antipode(antipode(x))),
+                       k @ rep.evaluate_expr(x) @ kinv)))
     return _suite("k2rho", checks)
 
 

@@ -1,12 +1,14 @@
 """Exact arithmetic over the field Q(q) of rational functions in one variable.
 
-Elements are manipulated as ratios of Laurent polynomials in q with rational
-coefficients.  A coefficient is stored as an ``int`` when it is integral and
-as a ``Fraction`` only when its denominator is greater than 1, so integer
-arithmetic, the common case, never builds a ``Fraction``; every division
-goes through ``Fraction`` and is exact.  Every value is kept in a canonical
-reduced form so that structural equality coincides with mathematical
-equality:
+An element is one ``RatFunc``: the ratio of two Laurent polynomials in q,
+each a sparse dict exponent -> nonzero rational coefficient (the sparse
+representation of Johnson, "Sparse polynomial arithmetic", 1974).  There
+is no separate polynomial type.  A coefficient is stored as an ``int``
+when it is integral and as a ``Fraction`` only when its denominator is
+greater than 1, so integer arithmetic, the common case, never builds a
+``Fraction``; every division goes through ``Fraction`` and is exact.
+Every value is kept in a canonical reduced form so that structural
+equality coincides with mathematical equality:
 
   * the denominator is an ordinary polynomial in q (lowest exponent 0) with
     a nonzero constant term, and it is monic;
@@ -14,13 +16,12 @@ equality:
   * all unit factors (rational scalars and powers of q) live in the numerator.
 
 A one-term canonical denominator is therefore 1, and every polynomial
-carries the one shared denominator ``_POLY_ONE``.  A polynomial value is a
-single ``RatFunc`` holding its coefficient dict (the sparse representation
-of Johnson, "Sparse polynomial arithmetic", 1974): sums, products and
+carries the one shared denominator dict ``_POLY_ONE``.  Sums, products and
 negation of polynomials test ``den is _POLY_ONE`` and build the result
-dict directly, so they never reach the gcd or the general constructor.
-Values are never mutated, so ``q_int(e)`` hands out one shared instance
-per exponent and ``add_term`` stores a coefficient as it is.
+dict directly, so they never reach the gcd or the general constructor
+``RatFunc(num, den)``, which takes any two dicts.  Values and their dicts
+are never mutated, so ``q_int(e)`` hands out one shared instance per
+exponent and ``add_term`` stores a coefficient as it is.
 
 Specialisation substitutes an exact rational number for q, so no floating
 point enters anywhere.
@@ -57,8 +58,8 @@ def _settle(d):
 
 # -- coefficient dicts: exponent -> nonzero coefficient in stored form ------
 #
-# The arithmetic below is shared by LaurentPoly and by the polynomial case
-# of RatFunc.  Each returns a new dict and never changes its arguments.
+# Numerator and denominator of a RatFunc are such dicts.  Each function
+# below returns a new dict and never changes its arguments.
 
 def _add(a, b):
     if len(a) < len(b):
@@ -149,95 +150,13 @@ def _format(a):
     return out
 
 
-class LaurentPoly:
-    """A Laurent polynomial sum_e c_e q^e with exact rational coefficients:
-    an int when integral, a Fraction otherwise."""
-
-    __slots__ = ("coeffs", "_hash")
-
-    def __init__(self, coeffs=None):
-        # coeffs: dict exponent -> nonzero coefficient in stored form (an
-        # int when integral, a Fraction otherwise).  Trusted by internal
-        # callers; use the constructors below from outside.
-        self.coeffs = coeffs or {}
-        self._hash = None
-
-    @staticmethod
-    def from_dict(d):
-        return LaurentPoly({e: _canon(c) for e, c in d.items() if c})
-
-    @staticmethod
-    def from_int(n):
-        n = _canon(n)
-        return LaurentPoly({0: n} if n else {})
-
-    @staticmethod
-    def q_power(e, coeff=1):
-        coeff = _canon(coeff)
-        return LaurentPoly({e: coeff} if coeff else {})
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.coeffs.items()))
-        return self._hash
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __add__(self, other):
-        return LaurentPoly(_add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return LaurentPoly(_mul(self.coeffs, other.coeffs))
-
-    def scale(self, r):
-        r = _canon(r)
-        return LaurentPoly(_scale(self.coeffs, r) if r else {})
-
-    def shift(self, k):
-        """Multiply by q^k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
-
-    @property
-    def min_exp(self):
-        return min(self.coeffs) if self.coeffs else 0
-
-    @property
-    def max_exp(self):
-        return max(self.coeffs) if self.coeffs else 0
-
-    def evaluate(self, q0):
-        """Exact value at q = q0 (a nonzero Fraction)."""
-        return _evaluate(self.coeffs, Fraction(q0))
-
-    def __str__(self):
-        return _format(self.coeffs)
-
-    __repr__ = __str__
-
-
-def _to_list(p):
-    """Coefficient list of a Laurent polynomial with min_exp == 0."""
-    n = p.max_exp
-    out = [0] * (n + 1)
-    for e, c in p.coeffs.items():
-        out[e] = c
+def _to_list(d, low):
+    """Coefficient list of the dict d divided by q^low, its lowest
+    exponent."""
+    out = [0] * (max(d) - low + 1)
+    for e, c in d.items():
+        out[e - low] = c
     return out
-
-
-def _from_list(lst):
-    return LaurentPoly({e: c for e, c in enumerate(lst) if c})
 
 
 def _list_divmod(num, den):
@@ -271,10 +190,10 @@ def _list_gcd(a, b):
     return a
 
 
-# The canonical denominator of every polynomial.  LaurentPoly values are
-# never mutated, so one instance is shared, and a RatFunc is a polynomial
+# The canonical denominator of every polynomial.  Coefficient dicts are
+# never mutated, so one dict is shared, and a RatFunc is a polynomial
 # exactly when its den is this object.
-_POLY_ONE = LaurentPoly({0: 1})
+_POLY_ONE = {0: 1}
 
 _new = object.__new__
 
@@ -291,36 +210,36 @@ def _make(coeffs, den=_POLY_ONE):
 class RatFunc:
     """An element of Q(q) in canonical reduced form.
 
-    ``coeffs`` is the numerator's dict exponent -> nonzero coefficient and
-    ``den`` the denominator, a LaurentPoly that is ``_POLY_ONE`` exactly
-    when the value is a polynomial.  ``RatFunc(num, den)`` reduces any two
-    Laurent polynomials to this form."""
+    ``coeffs`` and ``den`` are the coefficient dicts of numerator and
+    denominator; ``den`` is ``_POLY_ONE`` exactly when the value is a
+    polynomial.  ``RatFunc(num, den)`` reduces any two dicts exponent ->
+    exact rational to this form."""
 
     # _hash is set on first use: most values are never hashed.
     __slots__ = ("coeffs", "den", "_hash")
 
     def __init__(self, num, den):
+        den = {e: _canon(c) for e, c in den.items() if c}
         if not den:
             raise ZeroDivisionError("zero denominator in Q(q)")
+        num = {e: _canon(c) for e, c in num.items() if c}
         if not num:
-            self.coeffs = {}
+            self.coeffs = num
             self.den = _POLY_ONE
             return
-        if len(den.coeffs) == 1:
+        if len(den) == 1:
             # A unit c*q^e: divide it out; there is nothing to reduce.
-            (e, c), = den.coeffs.items()
+            (e, c), = den.items()
             if c == 1:
-                self.coeffs = {k - e: v for k, v in num.coeffs.items()}
+                self.coeffs = {k - e: v for k, v in num.items()}
             else:
-                self.coeffs = {k - e: _div(v, c)
-                               for k, v in num.coeffs.items()}
+                self.coeffs = {k - e: _div(v, c) for k, v in num.items()}
             self.den = _POLY_ONE
             return
-        shift_n = num.min_exp
-        shift_d = den.min_exp
-        net = shift_n - shift_d
-        nl = _to_list(num.shift(-shift_n))
-        dl = _to_list(den.shift(-shift_d))
+        low_n = min(num)
+        low_d = min(den)
+        nl = _to_list(num, low_n)
+        dl = _to_list(den, low_d)
         g = _list_gcd(nl, dl)
         if len(g) > 1:
             nl, _ = _list_divmod(nl, g)
@@ -329,9 +248,11 @@ class RatFunc:
         if lead != 1:
             nl = [_div(c, lead) for c in nl]
             dl = [_div(c, lead) for c in dl]
+        net = low_n - low_d
         self.coeffs = {e + net: c for e, c in enumerate(nl) if c}
         # A gcd that takes all of den leaves the polynomial denominator.
-        self.den = _POLY_ONE if len(dl) == 1 else _from_list(dl)
+        self.den = (_POLY_ONE if len(dl) == 1
+                    else {e: c for e, c in enumerate(dl) if c})
 
     # -- constructors ---------------------------------------------------
 
@@ -348,14 +269,9 @@ class RatFunc:
 
     # -- structure ------------------------------------------------------
 
-    @property
-    def num(self):
-        """The numerator as a LaurentPoly."""
-        return LaurentPoly(self.coeffs)
-
     def term_count(self):
         """Terms in numerator and denominator together: a crude size."""
-        return len(self.coeffs) + len(self.den.coeffs)
+        return len(self.coeffs) + len(self.den)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -372,8 +288,8 @@ class RatFunc:
         try:
             return self._hash
         except AttributeError:
-            # The hash of (numerator, den) as two LaurentPolys.
-            self._hash = hash((frozenset(self.coeffs.items()), self.den))
+            self._hash = hash((frozenset(self.coeffs.items()),
+                               frozenset(self.den.items())))
             return self._hash
 
     # -- arithmetic -----------------------------------------------------
@@ -388,9 +304,9 @@ class RatFunc:
         if den is _POLY_ONE and other.den is _POLY_ONE:
             return _make(_add(self.coeffs, other.coeffs))
         if den == other.den:
-            return RatFunc(LaurentPoly(_add(self.coeffs, other.coeffs)), den)
-        return RatFunc(self.num * other.den + other.num * den,
-                       den * other.den)
+            return RatFunc(_add(self.coeffs, other.coeffs), den)
+        return RatFunc(_add(_mul(self.coeffs, other.den),
+                            _mul(other.coeffs, den)), _mul(den, other.den))
 
     __radd__ = __add__
 
@@ -407,7 +323,8 @@ class RatFunc:
             other = RatFunc.from_int(other)
         if self.den is _POLY_ONE and other.den is _POLY_ONE:
             return _make(_mul(self.coeffs, other.coeffs))
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return RatFunc(_mul(self.coeffs, other.coeffs),
+                       _mul(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -416,12 +333,13 @@ class RatFunc:
             other = RatFunc.from_int(other)
         if not other:
             raise ZeroDivisionError("division by zero in Q(q)")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return RatFunc(_mul(self.coeffs, other.den),
+                       _mul(self.den, other.coeffs))
 
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverting zero in Q(q)")
-        return RatFunc(self.den, self.num)
+        return RatFunc(self.den, self.coeffs)
 
     def scale(self, r):
         r = _canon(r)
@@ -434,7 +352,7 @@ class RatFunc:
         q0 = Fraction(q0)
         if q0 == 0:
             raise ValueError("q = 0 is outside the domain")
-        d = self.den.evaluate(q0)
+        d = _evaluate(self.den, q0)
         if d == 0:
             raise ZeroDivisionError("pole at q = %s" % q0)
         return _evaluate(self.coeffs, q0) / d
@@ -452,7 +370,7 @@ class RatFunc:
             return ns
         if len(self.coeffs) > 1:
             ns = "(%s)" % ns
-        return "%s / (%s)" % (ns, self.den)
+        return "%s / (%s)" % (ns, _format(self.den))
 
     __repr__ = __str__
 

@@ -562,11 +562,6 @@ def gram_is_positive(gram, q0):
     return True
 
 
-def unitarity_types(rep, gram, q0):
-    """Which star types make (rep, gram) a unitary pair at q0."""
-    return unitarity_check(rep, gram, q0)["unitary_types"]
-
-
 def classify_weight(ctx, weight):
     """Family membership report for an integral label: whether it
     labels a summand of a tensor power of the vector module, whether it

@@ -25,8 +25,8 @@ inverse antipode as S^{-1}(x) = K_{2 rho}^{-1} S(x) K_{2 rho}.
 
 Two star operations are provided (type 1 and type 2), both antilinear
 anti-automorphisms taken WITHOUT a Koszul sign: *(xy) = *(y)*(x).  They
-differ by the sign (-1)^{(theta+1)} on the odd simple pair, and the
-twisted variant x -> (-1)^{|x|} *(x) exchanges the two types.
+differ by the sign (-1)^{(theta+1)} on the odd simple pair, and
+x -> (-1)^{|x|} *(x) exchanges the two types.
 """
 
 from __future__ import annotations
@@ -184,15 +184,14 @@ def antipode(expr):
     return expr.map_words(lambda w: antipode_word(ctx, w))
 
 
-def _star_word_map(ctx, theta, twisted=False):
-    """The star of type theta on words: reversed generator stars, with
-    the extra sign (-1)^{|word|} when twisted."""
+def _star_word_map(ctx, theta):
+    """The star of type theta on words: reversed generator stars."""
     if theta not in (1, 2):
         raise ValueError("star type must be 1 or 2")
 
     def star_word(word):
         sw = ()
-        sign = word_parity(ctx, word) if twisted else 0
+        sign = 0
         for g in reversed(word):
             gw, gs = _star_gen(ctx, g, theta)
             sw = sw + gw
@@ -206,11 +205,6 @@ def star(expr, theta=1):
     """Antilinear anti-automorphism; coefficient conjugation is trivial
     on Q(q) with rational coefficients (q is treated as a real point)."""
     return expr.map_words(_star_word_map(expr.ctx, theta))
-
-
-def star_twisted(expr, theta=1):
-    """x -> (-1)^{|x|} *(x), which exchanges the two star types."""
-    return expr.map_words(_star_word_map(expr.ctx, theta, twisted=True))
 
 
 def k2rho_word(ctx, inverse=False):

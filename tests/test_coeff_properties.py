@@ -2,7 +2,8 @@
 
 The oracle is evaluation at rational points that are not poles: it is a
 ring homomorphism Q(q) -> Q and shares no code with the gcd reduction
-that puts every RatFunc into canonical form."""
+that puts every RatFunc into canonical form.  A raw dict is evaluated by
+the test-local ``_eval``, which shares no code with ``coeff`` either."""
 
 from __future__ import annotations
 
@@ -10,20 +11,29 @@ from fractions import Fraction
 
 from hypothesis import assume, given, strategies as st
 
-from glq.coeff import (LaurentPoly, ONE, RatFunc, ZERO, _POLY_ONE, add_term,
-                       q_int)
+import pytest
+
+from glq.coeff import ONE, RatFunc, ZERO, _POLY_ONE, add_term, q_int
 
 _coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 _nonzero_coeffs = _coeffs.filter(bool)
-_laurent = st.dictionaries(st.integers(-3, 3), _coeffs,
-                           max_size=4).map(LaurentPoly.from_dict)
+_laurent = st.dictionaries(st.integers(-3, 3), _coeffs, max_size=4)
 _nonzero_laurent = st.dictionaries(st.integers(-3, 3), _nonzero_coeffs,
-                                   min_size=1,
-                                   max_size=4).map(LaurentPoly.from_dict)
+                                   min_size=1, max_size=4)
 ratfuncs = st.builds(RatFunc, _laurent, _nonzero_laurent)
 points = st.lists(
     st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool),
     min_size=3, max_size=3, unique=True)
+
+
+def _eval(d, point):
+    """The exact value at point of the raw dict d: exponent -> rational."""
+    return sum(Fraction(c) * point ** e for e, c in d.items())
+
+
+def _nonzero(d):
+    """The raw dict d without its zero coefficients."""
+    return {e: c for e, c in d.items() if c}
 
 
 def _values(point, *xs):
@@ -35,12 +45,12 @@ def _values(point, *xs):
 
 
 def _assert_canonical(x):
-    den = x.den.coeffs
+    den = x.den
     assert min(den) == 0
     assert den[0] != 0
     assert den[max(den)] == 1
     if not x:
-        assert x.den == LaurentPoly.from_int(1)
+        assert x.den == {0: 1}
     # A polynomial carries the one shared denominator, however it was made.
     assert (x.den is _POLY_ONE) == (den == {0: 1})
 
@@ -51,9 +61,9 @@ def test_construction_keeps_the_function(num, den, pts):
     _assert_canonical(x)
     checked = 0
     for p in pts:
-        d = den.evaluate(p)
+        d = _eval(den, p)
         if d:
-            assert x.evaluate(p) == num.evaluate(p) / d
+            assert x.evaluate(p) == _eval(num, p) / d
             checked += 1
     assume(checked)
 
@@ -87,7 +97,7 @@ def test_equal_values_hash_equal(a, b, c):
     back = a * b / b
     assert back == a
     assert hash(back) == hash(a)
-    expanded = RatFunc(a.num * c, a.den * c)
+    expanded = RatFunc(_raw_mul(a.coeffs, c), _raw_mul(a.den, c))
     assert expanded == a
     assert hash(expanded) == hash(a)
 
@@ -124,7 +134,7 @@ def _assert_exact(x):
     """Every coefficient has its one stored form: an int (never a bool)
     when it is integral, a Fraction with denominator > 1 otherwise, and
     never a float or an integral Fraction."""
-    for c in list(x.num.coeffs.values()) + list(x.den.coeffs.values()):
+    for c in list(x.coeffs.values()) + list(x.den.values()):
         assert type(c) is int or (type(c) is Fraction and c.denominator > 1), \
             repr(c)
 
@@ -132,25 +142,23 @@ def _assert_exact(x):
 @given(_raw_polys, _units, _non_units)
 def test_unit_denominator_matches_the_gcd_path(num, unit, p):
     e, c = unit
-    fast = RatFunc(LaurentPoly.from_dict(num), LaurentPoly.q_power(e, c))
-    slow = RatFunc(LaurentPoly.from_dict(_raw_mul(num, p)),
-                   LaurentPoly.from_dict(_raw_mul({e: c}, p)))
+    fast = RatFunc(num, {e: c})
+    slow = RatFunc(_raw_mul(num, p), _raw_mul({e: c}, p))
     assert fast == slow
     assert hash(fast) == hash(slow)
-    assert fast.den == LaurentPoly.from_int(1)
+    assert fast.den == {0: 1}
     _assert_exact(fast)
 
 
 @given(_raw_polys, _raw_polys, _non_units)
 def test_polynomial_sums_and_products_match_raw_numerators(a, b, p):
-    x = RatFunc(LaurentPoly.from_dict(a), LaurentPoly.from_int(1))
-    y = RatFunc(LaurentPoly.from_dict(b), LaurentPoly.from_int(1))
+    x = RatFunc(a, {0: 1})
+    y = RatFunc(b, {0: 1})
     for got, want in ((x + y, _raw_add(a, b)), (x * y, _raw_mul(a, b)),
                       (x - y, _raw_add(a, {e: -c for e, c in b.items()}))):
-        assert got.num.coeffs == want
-        assert got.den.coeffs == {0: 1}
-        assert got == RatFunc(LaurentPoly.from_dict(_raw_mul(want, p)),
-                              LaurentPoly.from_dict(p))
+        assert got.coeffs == want
+        assert got.den == {0: 1}
+        assert got == RatFunc(_raw_mul(want, p), p)
         _assert_exact(got)
     for k in (-2, 0, 3):
         _assert_exact(RatFunc.from_int(k))
@@ -160,26 +168,28 @@ def test_polynomial_sums_and_products_match_raw_numerators(a, b, p):
 @given(_raw_polys, _raw_polys, _units, ratfuncs)
 def test_fast_path_results_share_no_coefficients(a, b, unit, other):
     e, c = unit
-    x = RatFunc(LaurentPoly.from_dict(a), LaurentPoly.from_int(1))
-    y = RatFunc(LaurentPoly.from_dict(b), LaurentPoly.from_int(1))
-    den = LaurentPoly.q_power(e, c)
-    inputs = (x.num, y.num, den)
-    results = [x + y, x * y, y * x, x - y, -x, RatFunc(x.num, den),
-               RatFunc(y.num, LaurentPoly.from_int(1))]
-    snapshot = [(dict(r.num.coeffs), dict(r.den.coeffs)) for r in results]
+    x = RatFunc(a, {0: 1})
+    y = RatFunc(b, {0: 1})
+    den = {e: c}
+    inputs = (x.coeffs, y.coeffs, den)
+    results = [x + y, x * y, y * x, x - y, -x, RatFunc(x.coeffs, den),
+               RatFunc(y.coeffs, {0: 1})]
+    snapshot = [(dict(r.coeffs), dict(r.den)) for r in results]
     for r in results:
         for p in inputs:
-            assert r.num.coeffs is not p.coeffs
+            assert r.coeffs is not p
     # Combine the inputs and the results with more terms; nothing that
     # was already computed may move.
     for s in (x, y, *results):
         for combined in (s + other, s * other, other + s, other * s,
                          s - other, s.scale(3)):
             _assert_canonical(combined)
-    assert x.num.coeffs == LaurentPoly.from_dict(a).coeffs
-    assert y.num.coeffs == LaurentPoly.from_dict(b).coeffs
-    assert [(dict(r.num.coeffs), dict(r.den.coeffs))
-            for r in results] == snapshot
+    assert x.coeffs == _nonzero(a)
+    assert y.coeffs == _nonzero(b)
+    assert [(dict(r.coeffs), dict(r.den)) for r in results] == snapshot
+    # The shared polynomial denominator is a plain dict: nothing may
+    # have written into it.
+    assert _POLY_ONE == {0: 1}
 
 
 # Every polynomial carries the one shared denominator _POLY_ONE, so the
@@ -198,15 +208,14 @@ _SHARED_BEFORE = [(str(v), hash(v), dict(v.coeffs)) for v in _SHARED]
 
 def _via_gcd(coeffs, p):
     """coeffs as a value of Q(q), built as (coeffs * p) / p."""
-    return RatFunc(LaurentPoly.from_dict(_raw_mul(coeffs, p)),
-                   LaurentPoly.from_dict(p))
+    return RatFunc(_raw_mul(coeffs, p), p)
 
 
 @given(_poly_operands, _poly_operands, st.integers(-3, 3),
        st.integers(-3, 3), _non_units)
 def test_fast_paths_match_the_general_construction(a, b, e, k, p):
-    x = RatFunc(LaurentPoly.from_dict(a), LaurentPoly.from_int(1))
-    y = RatFunc(LaurentPoly.from_dict(b), LaurentPoly.from_int(1))
+    x = RatFunc(a, {0: 1})
+    y = RatFunc(b, {0: 1})
     qe = q_int(e)
     assert qe is q_int(e)
     neg_b = {f: -c for f, c in b.items() if c}
@@ -227,8 +236,8 @@ def test_fast_paths_match_the_general_construction(a, b, e, k, p):
         assert got == slow and hash(got) == hash(slow)
         assert got.coeffs == want
         _assert_exact(got)
-    assert x.coeffs == LaurentPoly.from_dict(a).coeffs
-    assert y.coeffs == LaurentPoly.from_dict(b).coeffs
+    assert x.coeffs == _nonzero(a)
+    assert y.coeffs == _nonzero(b)
     assert [(str(v), hash(v), dict(v.coeffs))
             for v in _SHARED] == _SHARED_BEFORE
 
@@ -274,10 +283,8 @@ def test_add_term_stores_the_sum_on_a_hit():
 def test_every_coefficient_has_one_stored_form(a, b, r, unit, num, p, pts):
     e, c = unit
     results = [a + b, a - b, a * b, -a, a.scale(r), a.scale(2),
-               RatFunc(LaurentPoly.from_dict(num), LaurentPoly.from_dict(p)),
-               RatFunc(LaurentPoly.from_dict(num), LaurentPoly.q_power(e, c)),
-               RatFunc.q_power(e, c),
-               RatFunc(a.num.scale(r), LaurentPoly.from_int(1))]
+               RatFunc(num, p), RatFunc(num, {e: c}), RatFunc.q_power(e, c),
+               RatFunc({f: v * r for f, v in a.coeffs.items()}, {0: 1})]
     if b:
         results += [a / b, b.inverse()]
     for x in results:
@@ -291,15 +298,31 @@ def test_every_coefficient_has_one_stored_form(a, b, r, unit, num, p, pts):
 def test_integral_values_are_stored_as_int():
     half = Fraction(1, 2)
     x = RatFunc.q_power(1, half) + RatFunc.q_power(1, half)
-    assert x.num.coeffs == {1: 1} and type(x.num.coeffs[1]) is int
-    poly = LaurentPoly.from_dict({0: True, 1: Fraction(4, 2), 2: half})
+    assert x.coeffs == {1: 1} and type(x.coeffs[1]) is int
+    poly = RatFunc({0: True, 1: Fraction(4, 2), 2: half}, {0: 1})
     assert [type(poly.coeffs[k]) for k in range(3)] == [int, int, Fraction]
-    assert type(RatFunc.from_int(Fraction(6, 3)).num.coeffs[0]) is int
+    assert type(RatFunc.from_int(Fraction(6, 3)).coeffs[0]) is int
     # A monic step divides every coefficient by an integer lead.
-    y = RatFunc(LaurentPoly.from_dict({0: 2, 1: 4}),
-                LaurentPoly.from_dict({0: 3, 1: 2}))
-    assert y.den.coeffs == {0: Fraction(3, 2), 1: 1}
-    assert y.num.coeffs == {0: 1, 1: 2}
+    y = RatFunc({0: 2, 1: 4}, {0: 3, 1: 2})
+    assert y.den == {0: Fraction(3, 2), 1: 1}
+    assert y.coeffs == {0: 1, 1: 2}
     _assert_exact(y)
     assert type(RatFunc.from_int(0).evaluate(2)) is Fraction
-    assert type(LaurentPoly.from_int(3).evaluate(1)) is Fraction
+    assert type(RatFunc.from_int(3).evaluate(1)) is Fraction
+
+
+def test_constructor_puts_both_dicts_into_stored_form():
+    # The public boundary: any exact rationals, zeros included.
+    x = RatFunc({0: True, 1: Fraction(4, 2), 2: 0}, {0: 1})
+    assert x.coeffs == {0: 1, 1: 2}
+    assert [type(c) for c in x.coeffs.values()] == [int, int]
+    assert x.den is _POLY_ONE
+    y = RatFunc({1: 1}, {0: Fraction(2, 1), 1: 0, 3: 2})
+    assert y.coeffs == {1: Fraction(1, 2)} and y.den == {0: 1, 3: 1}
+    assert [type(c) for c in y.den.values()] == [int, int]
+    # A zero at the lowest exponent must not count as its lowest term.
+    z = RatFunc({0: 1}, {0: 0, 1: 1, 2: 1})
+    assert z.coeffs == {-1: 1} and z.den == {0: 1, 1: 1}
+    for den in ({}, {0: 0}, {1: Fraction(0), 2: False}):
+        with pytest.raises(ZeroDivisionError, match="zero denominator"):
+            RatFunc({0: 1}, den)

@@ -25,7 +25,6 @@ from glq.reps import (
     tensor_power,
     tensor_rep,
     trivial_rep,
-    unitarity_types,
     vector_gram,
     vector_rep,
     weight_to_diagram,
@@ -366,7 +365,7 @@ def test_dual_gram_frozen_at_1_1():
 def test_vector_rep_unitarity(ctx, q0):
     pi = vector_rep(ctx)
     g = vector_gram(ctx)
-    types = unitarity_types(pi, g, q0)
+    types = unitarity_check(pi, g, q0)["unitary_types"]
     assert types == [1]
 
 
@@ -377,7 +376,7 @@ def test_dual_rep_unitarity(ctx, q0):
     pi = vector_rep(ctx)
     pibar = dual_rep(pi)
     g = dual_gram(ctx)
-    types = unitarity_types(pibar, g, q0)
+    types = unitarity_check(pibar, g, q0)["unitary_types"]
     assert types == [2]
 
 
@@ -387,7 +386,7 @@ def test_tensor_square_unitarity(ctx, q0):
     sq = tensor_rep(pi, pi)
     # Diagonal grams acquire no Koszul signs: the tensor of the grams.
     g = vector_gram(ctx).tensor(vector_gram(ctx))
-    types = unitarity_types(sq, g, q0)
+    types = unitarity_check(sq, g, q0)["unitary_types"]
     assert types == [1]
 
 

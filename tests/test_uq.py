@@ -4,7 +4,7 @@ matrix representations at every desk size."""
 
 import pytest
 
-from glq.coeff import ONE, q_int
+from glq.coeff import ONE, q_int, sign_pow
 from glq.graded import GradingContext, GradedMap
 from glq.uq import (
     UqExpression,
@@ -23,7 +23,6 @@ from glq.uq import (
     probe_monomials,
     s_inverse,
     star,
-    star_twisted,
     word_parity,
 )
 from glq.reps import (
@@ -215,20 +214,19 @@ def test_star_fixes_cartan_generators(ctx):
 def test_twisted_star_swaps_the_two_types(ctx):
     for g in all_generators(ctx):
         e = UqExpression.from_gen(ctx, g)
-        assert star_twisted(e, 1) == star(e, 2)
-        assert star_twisted(e, 2) == star(e, 1)
+        twist = sign_pow(e.parity())
+        assert star(e, 1).scale(twist) == star(e, 2)
+        assert star(e, 2).scale(twist) == star(e, 1)
 
 
-@pytest.mark.parametrize("star_map", [star, star_twisted],
-                         ids=["star", "star_twisted"])
 @pytest.mark.parametrize("theta", [0, 3, 7])
-def test_star_rejects_unknown_type(star_map, theta):
+def test_star_rejects_unknown_type(theta):
     ctx = GradingContext(2, 1)
     with pytest.raises(ValueError, match="star type"):
-        star_map(UqExpression.from_gen(ctx, gen_E(2, 3)), theta)
+        star(UqExpression.from_gen(ctx, gen_E(2, 3)), theta)
     # The type is checked once per call, so even zero is rejected.
     with pytest.raises(ValueError, match="star type"):
-        star_map(UqExpression.zero(ctx), theta)
+        star(UqExpression.zero(ctx), theta)
 
 
 # ---------------------------------------------------------------------------
