@@ -15,7 +15,7 @@ from glq.superspace import SuperspaceElement, z_, zb_
 from glq.uq import TensorExpression, UqExpression, gen_E, gen_K
 
 
-def test_polynomial_arithmetic():
+def test_laurent_basithmetic():
     p = RatFunc.q_power(1) - RatFunc.q_power(-1)  # q - q^-1
     r = p + RatFunc.q_power(-1)
     assert r == RatFunc.q_power(1)
@@ -23,14 +23,15 @@ def test_polynomial_arithmetic():
     assert (p * Q).coeffs == {2: 1, 0: -1} and (p * Q).den is _POLY_ONE
 
 
-def test_polynomial_evaluate():
+def test_laurent_evaluate():
     p = RatFunc({2: 1, -2: -1}, {0: 1})  # q^2 - q^-2
     assert p.evaluate(2) == Fraction(15, 4)
     assert p.evaluate(1) == 0
 
 
-def test_polynomial_times_q_power_shifts_exponents():
+def test_laurent_shift_and_bounds():
     p = RatFunc({-1: 1, 3: 2}, {0: 1})
+    assert (min(p.coeffs), max(p.coeffs)) == (-1, 3)
     assert p * q_int(2) == RatFunc({1: 1, 5: 2}, {0: 1})
     assert (p * q_int(2)).coeffs == {1: 1, 5: 2}
     assert RatFunc({-1: 1, 3: 2}, {2: 1}).coeffs == {-3: 1, 1: 2}

@@ -219,14 +219,17 @@ def test_twisted_star_swaps_the_two_types(ctx):
         assert star(e, 2).scale(twist) == star(e, 1)
 
 
+# One star map is left; the row id keeps the name it had beside the
+# deleted twisted star.
+@pytest.mark.parametrize("star_map", [star], ids=["star"])
 @pytest.mark.parametrize("theta", [0, 3, 7])
-def test_star_rejects_unknown_type(theta):
+def test_star_rejects_unknown_type(star_map, theta):
     ctx = GradingContext(2, 1)
     with pytest.raises(ValueError, match="star type"):
-        star(UqExpression.from_gen(ctx, gen_E(2, 3)), theta)
+        star_map(UqExpression.from_gen(ctx, gen_E(2, 3)), theta)
     # The type is checked once per call, so even zero is rejected.
     with pytest.raises(ValueError, match="star type"):
-        star(UqExpression.zero(ctx), theta)
+        star_map(UqExpression.zero(ctx), theta)
 
 
 # ---------------------------------------------------------------------------
