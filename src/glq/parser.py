@@ -249,6 +249,13 @@ class _Parser:
             out.append(self._index())
         return out
 
+    def _index_group(self, size):
+        """One index group of Z[...] or Zb[...]; it may be empty exactly
+        when its block has size 0."""
+        if size == 0 and self.peek()[0] in ("SEMI", "RBRACK"):
+            return []
+        return self._index_list()
+
     def _check_row(self, value, at):
         if not 1 <= value <= self.ctx.N:
             raise ParseError("index %d out of range 1..%d"
@@ -279,9 +286,9 @@ class _Parser:
 
     def multi_index_monomial(self, name, at):
         ctx = self.ctx
-        first = self._index_list()
+        first = self._index_group(ctx.m)
         self.expect("SEMI", "';' between the two index groups")
-        second = self._index_list()
+        second = self._index_group(ctx.n)
         if len(first) != ctx.m or len(second) != ctx.n:
             raise ParseError(
                 "%s takes %d;%d exponents at size (%d|%d)"

@@ -277,14 +277,10 @@ def submodule_rep(rep, basis, name="sub"):
     return Representation(ctx, space, images, weights, name=name)
 
 
-def check_relations(rep, rels=None):
+def check_relations(rep):
     """Evaluate every defining relation; list of (name, vanished)."""
-    if rels is None:
-        rels = defining_relations(rep.ctx)
-    out = []
-    for name, expr in rels:
-        out.append((name, rep.evaluate_expr(expr).is_zero()))
-    return out
+    return [(name, rep.evaluate_expr(expr).is_zero())
+            for name, expr in defining_relations(rep.ctx)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,16 @@
 generated by the last-column entries z_a = t_{a,N} and their barred
 partners, presented by an explicit rewriting system.
 
-A letter is (barred, index).  Words rewrite by:
+A letter is (barred, index).  The rules are one table per (m, n),
+keyed by adjacent letter pair: a pair that rewrites maps to its
+replacement {word: coeff}, and a word is normal exactly when none of its
+adjacent pairs is a key.  The table
 
-  * sorting same-type neighbours (plain ascending, barred descending;
-    odd letters square to zero),
-  * pushing barred letters to the right past plain ones, producing
+  * sorts same-type neighbours (plain ascending, barred descending;
+    the square of an odd letter maps to zero),
+  * pushes barred letters to the right past plain ones, producing
     lower-index correction pairs on equal indices,
-  * eliminating the index-N cross pairs in both orders against the
+  * eliminates the index-N cross pairs in both orders against the
     inhomogeneous sphere relation.
 
 Every rule strictly decreases a four-component lexicographic measure
@@ -104,97 +107,70 @@ def measure(ctx, word):
     return (cross, cross_weight, top, inversions)
 
 
-def _rule_at(ctx, word, i):
-    """Name of the rule applying to the adjacent pair at position i, or
-    None."""
+_rule_tables = {}
+
+
+def _rules(ctx):
+    """The rewriting system as one table, built once per ctx: each
+    adjacent pair (x, y) that is a redex maps to {replacement: coeff},
+    and x y rewrites to the sum of coeff * replacement."""
+    table = _rule_tables.get(ctx)
+    if table is not None:
+        return table
     N = ctx.N
-    x, y = word[i], word[i + 1]
-    if not x.barred and not y.barred:
-        if x.index > y.index:
-            return "sort_plain"
-        if x.index == y.index and ctx.parity(x.index) == 0:
-            # z_a is odd exactly when a <= m, i.e. |a| = 0.
-            return "odd_square_plain"
-        return None
-    if x.barred and y.barred:
-        # Barred letters normalise in descending order, so that a word
-        # holding both z_N and zbar_N always exposes the sphere redex
-        # at the junction of the two blocks.
-        if x.index < y.index:
-            return "sort_barred"
-        if x.index == y.index and ctx.parity(x.index) == 0:
-            return "odd_square_barred"
-        return None
-    if x.barred and not y.barred:
-        if x.index != y.index:
-            return "pass_distinct"
-        if x.index < N:
-            return "pass_equal"
-        return "sphere_crossed"
-    if x.index == N and y.index == N:
-        return "sphere_sorted"
-    return None
+
+    def odd(letter):
+        return space_letter_parity(ctx, letter) == 1
+
+    def swap(x, y, e):
+        c = q_int(e)
+        return {(y, x): -c if odd(x) and odd(y) else c}
+
+    gap = q_int(1) - q_int(-1)
+    table = {}
+    for a in range(1, N + 1):
+        for b in range(1, a):
+            # Plain letters sort ascending, barred ones descending, so
+            # that a word holding both z_N and zbar_N always exposes the
+            # sphere redex at the junction of the two blocks.
+            table[z_(a), z_(b)] = swap(z_(a), z_(b), -1)
+            table[zb_(b), zb_(a)] = swap(zb_(b), zb_(a), -1)
+            table[zb_(a), z_(b)] = swap(zb_(a), z_(b), 1)
+            table[zb_(b), z_(a)] = swap(zb_(b), z_(a), 1)
+        if odd(z_(a)):
+            table[z_(a), z_(a)] = {}
+            table[zb_(a), zb_(a)] = {}
+        if a < N:
+            # zbar_a passes z_a leaving lower-index correction pairs.
+            s = q_int(ctx.sigma(a)) * (-ONE if odd(z_(a)) else ONE)
+            entry = {(z_(a), zb_(a)): q_int(1) * s}
+            for b in range(1, a):
+                entry[zb_(b), z_(b)] = -(s * gap)
+            table[zb_(a), z_(a)] = entry
+    # The sphere relation removes the index-N pair in either order.
+    crossed = {(): ONE}
+    ordered = {(): ONE}
+    for c in range(1, N):
+        crossed[zb_(c), z_(c)] = -ONE
+        e = q_int(ctx.two_rho_eps(c) - ctx.two_rho_eps(N))
+        ordered[z_(c), zb_(c)] = e if ctx.parity(c) != ctx.parity(N) else -e
+    table[zb_(N), z_(N)] = crossed
+    table[z_(N), zb_(N)] = ordered
+    _rule_tables[ctx] = table
+    return table
 
 
 def redexes(ctx, word):
-    """All (position, rule) pairs available in the word."""
-    found = []
-    for i in range(len(word) - 1):
-        rule = _rule_at(ctx, word, i)
-        if rule is not None:
-            found.append((i, rule))
-    return found
+    """The positions i at which the pair word[i], word[i + 1] rewrites."""
+    table = _rules(ctx)
+    return [i for i, pair in enumerate(zip(word, word[1:])) if pair in table]
 
 
-def apply_rule(ctx, word, i, rule):
+def apply_rule(ctx, word, i):
     """Replace the pair at position i, returning {word: coeff}."""
-    N = ctx.N
-    x, y = word[i], word[i + 1]
     head, tail = word[:i], word[i + 2:]
-    px = space_letter_parity(ctx, x)
-    py = space_letter_parity(ctx, y)
-    out = {}
-
-    def put(mid, coeff):
-        add_term(out, head + tuple(mid) + tail, coeff)
-
-    if rule in ("odd_square_plain", "odd_square_barred"):
-        return {}
-    if rule == "sort_plain":
-        c = q_int(-1)
-        put((y, x), -c if (px * py) % 2 else c)
-        return out
-    if rule == "sort_barred":
-        c = q_int(-1)
-        put((y, x), -c if (px * py) % 2 else c)
-        return out
-    if rule == "pass_distinct":
-        c = q_int(1)
-        put((y, x), -c if (px * py) % 2 else c)
-        return out
-    if rule == "pass_equal":
-        a = x.index
-        qa = q_int(ctx.sigma(a))
-        sign = -ONE if py % 2 else ONE
-        put((y, x), q_int(1) * qa * sign)
-        gap = q_int(1) - q_int(-1)
-        for c in range(1, a):
-            put((zb_(c), z_(c)), -(qa * sign * gap))
-        return out
-    if rule == "sphere_crossed":
-        put((), ONE)
-        for c in range(1, N):
-            put((zb_(c), z_(c)), -ONE)
-        return out
-    if rule == "sphere_sorted":
-        put((), ONE)
-        for c in range(1, N):
-            e = ctx.two_rho_eps(c) - ctx.two_rho_eps(N)
-            sgn = (ctx.parity(c) + ctx.parity(N)) % 2
-            coeff = q_int(e)
-            put((z_(c), zb_(c)), coeff if sgn else -coeff)
-        return out
-    raise ValueError("unknown rule %r" % rule)
+    return {head + mid + tail: c
+            for mid, c in _rules(ctx)[word[i:i + 2]].items()}
 
 
 def is_normal(ctx, word):
@@ -221,19 +197,19 @@ def normal_form(ctx, element, strategy="leftmost", seed=0,
             add_term(done, word, coeff)
             continue
         if strategy == "leftmost":
-            i, rule = reds[0]
+            i = reds[0]
         elif strategy == "rightmost":
-            i, rule = reds[-1]
+            i = reds[-1]
         elif strategy == "random":
-            i, rule = reds[rng.randrange(len(reds))]
+            i = reds[rng.randrange(len(reds))]
         else:
             raise ValueError("unknown strategy %r" % strategy)
         steps += 1
         before = measure(ctx, word) if instrument else None
-        for new_word, c in apply_rule(ctx, word, i, rule).items():
+        for new_word, c in apply_rule(ctx, word, i).items():
             if instrument:
                 assert measure(ctx, new_word) < before, (
-                    "measure failed to decrease", rule, word, new_word)
+                    "measure failed to decrease", i, word, new_word)
             add_term(work, new_word, coeff * c)
     return SuperspaceElement(ctx, done), steps
 

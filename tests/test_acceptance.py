@@ -315,15 +315,15 @@ def test_criterion_10_rewriting():
         for l1 in letters:
             for l2 in letters:
                 word = (l1, l2)
-                for pos, rule in superspace.redexes(ctx, word):
-                    out = superspace.apply_rule(ctx, word, pos, rule)
+                for pos in superspace.redexes(ctx, word):
+                    out = superspace.apply_rule(ctx, word, pos)
                     lhs = superspace.to_coordinate_element(
                         ctx, SuperspaceElement.from_word(ctx, word))
                     rhs = superspace.to_coordinate_element(
                         ctx, SuperspaceElement(ctx, out))
                     diff = lhs - rhs
                     if coords.functional_witness(ctx, diff, 2) is not None:
-                        failures.append((size, "unsound-rule", rule, word))
+                        failures.append((size, "unsound-rule", pos, word))
     _report(10, "rewriting-system", failures)
 
 

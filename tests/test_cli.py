@@ -93,6 +93,14 @@ class TestParser:
                 parse_superspace(ctx, text)
         assert info.value.position == position
 
+    def test_empty_index_group_needs_an_empty_block(self):
+        """An empty group of Z[...] is read only when its block has size
+        0, so Z[;1] at (1|1) still misses an index."""
+        with pytest.raises(ParseError) as info:
+            parse_superspace(GradingContext(1, 1), "Z[;1]")
+        assert str(info.value) == "expected an index (at position 2)"
+        assert info.value.position == 2
+
     def test_mixing_algebras_rejected(self):
         ctx = GradingContext(1, 1)
         with pytest.raises(ParseError):
@@ -219,6 +227,21 @@ class TestReports:
         assert suite["input"] == "zb[1]*z[1]"
         assert suite["steps"] >= 1
         assert suite["checks"][0]["name"] == "round-trip"
+
+    @pytest.mark.parametrize("m,n,text,rendered", [
+        (0, 1, "z[1]", "Z[;1]"),
+        (1, 0, "zb[1]", "Zb[1;]"),
+        (0, 2, "z[1]*zb[2]*z[2]", "Z[;1,0] - Z[;2,0] Zb[;1,0]"),
+        (2, 0, "zb[1]*z[1]*z[2]", "q^3 * Z[1,1;] Zb[1,0;]"),
+    ])
+    def test_normalform_round_trips_with_one_block(self, capsys, m, n, text,
+                                                   rendered):
+        code, _, report = run_cli(
+            capsys, ["normalform", "--m", str(m), "--n", str(n), text])
+        assert code == 0 and report["ok"] is True
+        suite = report["suites"][0]
+        assert suite["normal_form"] == rendered
+        assert suite["checks"] == [{"name": "round-trip", "ok": True}]
 
     def test_parse_error_reported_with_position(self, capsys):
         code, _, report = run_cli(capsys, ["normalform", "zb[1"])
