@@ -55,10 +55,10 @@ for k in range(3):
 # The two one-sided translation actions graded-commute: acting on one
 # side never disturbs the module structure carried by the other.
 from glq.coeff import ONE
-from glq.superspace import SuperspaceElement, to_coordinate_element, z_, zb_
+from glq.superspace import SuperspaceElement, z_, zb_
 from glq.uq import gen_E, gen_parity
 
-f = to_coordinate_element(
+f = induction.to_coordinate_element(
     ctx, SuperspaceElement.from_word(ctx, (z_(1), zb_(3))))
 x, y = gen_E(2, 3), gen_E(3, 2)
 left_of_right = induction.left_translation(

@@ -11,6 +11,7 @@ circle action is extracted with honest rank certificates.
 """
 
 from glq.graded import GradingContext
+import glq.induction as induction
 import glq.superspace as superspace
 from glq.parser import format_normal_form, parse_superspace
 from glq.superspace import SuperspaceElement, z_, zb_
@@ -46,13 +47,13 @@ for word in [(z_(1),), (zb_(1), zb_(2)), (z_(1), zb_(2))]:
           % (" ".join(("zb_" if l.barred else "z_") + str(l.index)
                       for l in word),
              superspace.gl1_weight(ctx, w)))
-words, rank_value, deps = superspace.cp_basis(ctx, 1)
+words, rank_value, deps = induction.cp_basis(ctx, 1)
 print("invariant slice at degree (1,1): %d monomials, rank %d, "
       "dependencies %s" % (len(words), rank_value, deps or "none"))
 
 # The coordinate co-action on a generator: one row of the coordinate
 # matrix, with unit coefficients.
-action = superspace.coaction(ctx, SuperspaceElement.from_word(ctx, (z_(1),)))
+action = induction.coaction(ctx, SuperspaceElement.from_word(ctx, (z_(1),)))
 print("co-action on z_1:")
 for (space_word, coord_word), coeff in sorted(
         action.items(), key=lambda kv: repr(kv[0])):

@@ -32,24 +32,9 @@ from math import comb
 
 from .coeff import ONE, q_int
 from .graded import GradedMap, GradingContext, rank
-from . import coords as coords_mod
-from . import induction as induction_mod
-from . import reps as reps_mod
-from . import rmatrix as rmatrix_mod
-from .coords import GqElement, t_, tbar_
-from .parser import ParseError, format_normal_form, parse_superspace
-from .superspace import normal_form
-from .uq import (
-    UqExpression,
-    all_generators,
-    antipode,
-    coproduct,
-    counit,
-    k2rho,
-    pbw_probe_expressions,
-    probe_monomials,
-    star,
-)
+
+# Each subcommand imports the layers it runs inside the functions that
+# run them, so a job compiles and loads no other layer.
 
 SCHEMA = "glq-report/1"
 
@@ -83,6 +68,8 @@ def _probe_check(name, ctx, probe_degree, sides):
     carries the witness of the first probe on which they differ: the
     probe word, the smallest (row, col) entry of the difference and its
     value there."""
+    from .uq import UqExpression, probe_monomials
+
     degree = min(probe_degree, 2)
     for word in probe_monomials(ctx, degree):
         lhs, rhs = sides(UqExpression.from_word(ctx, word))
@@ -101,6 +88,8 @@ def _probe_check(name, ctx, probe_degree, sides):
 
 
 def _suite_relations(ctx):
+    from . import reps as reps_mod
+
     profiles = [("vector", (False,)), ("dual", (True,)),
                 ("vector(x)vector", (False, False)),
                 ("vector(x)dual", (False, True))]
@@ -115,6 +104,9 @@ def _suite_relations(ctx):
 
 
 def _suite_hopf(ctx, probe_degree):
+    from . import reps as reps_mod
+    from .uq import UqExpression, all_generators, coproduct, counit
+
     checks = []
     coassoc = True
     counit_ax = True
@@ -141,6 +133,9 @@ def _suite_hopf(ctx, probe_degree):
 
 
 def _suite_star(ctx, probe_degree, q0):
+    from . import reps as reps_mod
+    from .uq import star
+
     checks = []
     V = reps_mod.profile_rep(ctx, (False,))
     D = reps_mod.profile_rep(ctx, (True,))
@@ -160,6 +155,9 @@ def _suite_star(ctx, probe_degree, q0):
 
 
 def _suite_k2rho(ctx, probe_degree):
+    from . import reps as reps_mod
+    from .uq import antipode, k2rho
+
     checks = []
     for label, profile in (("vector", (False,)), ("dual", (True,))):
         rep = reps_mod.profile_rep(ctx, profile)
@@ -192,6 +190,8 @@ def cmd_verify(args):
 
 
 def cmd_decompose(args):
+    from . import reps as reps_mod
+
     ctx = GradingContext(args.m, args.n)
     rep = reps_mod.profile_rep(ctx, (args.word == "Ed",) * args.power)
     summands = reps_mod.decompose(rep)
@@ -216,6 +216,8 @@ def cmd_decompose(args):
 
 
 def cmd_rmatrix(args):
+    from . import rmatrix as rmatrix_mod
+
     ctx = GradingContext(args.m, args.n)
     degree = args.probe_degree or _default_probe_degree(args.m, args.n)
     kind = args.kind
@@ -259,6 +261,10 @@ def cmd_rmatrix(args):
 
 
 def _coords_antipode_suite(ctx, probe_degree):
+    from . import coords as coords_mod
+    from .coords import GqElement, t_, tbar_
+    from .uq import UqExpression, antipode, probe_monomials
+
     probes = probe_monomials(ctx, min(probe_degree, 2))
     N = ctx.N
     letters = [t_(a, b) for a in range(1, N + 1) for b in range(1, N + 1)]
@@ -293,6 +299,9 @@ def _coords_antipode_suite(ctx, probe_degree):
 
 
 def _coords_star_suite(ctx):
+    from . import coords as coords_mod
+    from .coords import GqElement, t_, tbar_
+
     N = ctx.N
     checks = []
     for theta in (1, 2):
@@ -317,6 +326,11 @@ def _coords_star_suite(ctx):
 
 
 def _coords_peterweyl_suite(ctx):
+    from . import coords as coords_mod
+    from . import reps as reps_mod
+    from .coords import GqElement
+    from .uq import pbw_probe_expressions
+
     V = reps_mod.profile_rep(ctx, (False,))
     funcs = [GqElement.one(ctx)]
     expected = 1
@@ -364,8 +378,16 @@ def cmd_coords(args):
 
 
 def cmd_normalform(args):
+    from .parser import ParseError, format_normal_form, parse_superspace
+    from .superspace import normal_form
+
     ctx = GradingContext(args.m, args.n)
-    element = parse_superspace(ctx, args.expression)
+    try:
+        element = parse_superspace(ctx, args.expression)
+    except ParseError as exc:
+        # Bad input: the report names the error and carries no suites.
+        return {"error": {"message": exc.message, "position": exc.position},
+                "suites": []}
     nf, steps = normal_form(ctx, element)
     rendered = format_normal_form(ctx, nf)
     round_trip = parse_superspace(ctx, rendered) == nf
@@ -384,6 +406,9 @@ def cmd_normalform(args):
 
 
 def cmd_induce(args):
+    from . import induction as induction_mod
+    from . import reps as reps_mod
+
     ctx = GradingContext(args.m, args.n)
     k = args.k
     barred = args.side == "unbar"
@@ -559,18 +584,14 @@ def main(argv=None):
     base = {"schema": SCHEMA, "command": args.command}
     try:
         body = args.func(args)
-    except ParseError as exc:
-        base.update({
-            "error": {"message": exc.message, "position": exc.position},
-            "ok": False,
-            "suites": [],
-        })
-        print(_render(base))
-        return 2
     except Exception:
         traceback.print_exc()
         return 3
     base.update(body)
+    if "error" in body:
+        base["ok"] = False
+        print(_render(base))
+        return 2
     if args.inject_failure:
         base["suites"] = list(base["suites"]) + [
             _suite("injected-failure",

@@ -11,11 +11,16 @@ monomial basis therefore yields two concrete finite-dimensional modules
 per degree — the realized induced modules — whose dimensions, highest
 weights, irreducibility, and reciprocity dimensions the test-suite pins
 down.
+
+This module is also where superspace meets the coordinate algebra: it
+sends superspace words to last-column coordinate words and back, and
+holds the co-action and the invariant-subalgebra certificate.  The
+rewriting system in `superspace` itself needs only Q(q) and the grading.
 """
 
 from __future__ import annotations
 
-from .coeff import ZERO, add_term, q_int
+from .coeff import ZERO, ONE, add_term, q_int
 from .graded import GradedMap, GradedSpace, nullspace
 from .uq import (
     UqExpression,
@@ -23,26 +28,108 @@ from .uq import (
     gen_E,
     gen_K,
     gen_Kinv,
+    pbw_probe_expressions,
     s_inverse,
 )
 from .coords import (
+    CoordLetter,
     GqElement,
     coproduct as coords_coproduct,
     coord_word_parity,
+    evaluate,
     functional_witness,
     pair_table,
     pairing_table,
 )
 from .reps import Representation, check_relations, decompose
 from .superspace import (
+    SpaceLetter,
     SuperspaceElement,
     barred_monomials,
     normal_form,
     plain_monomials,
     space_letter_parity,
-    space_word,
-    to_coordinate_element,
 )
+
+
+# ---------------------------------------------------------------------------
+# Superspace letters as coordinate functions, the co-action, and the
+# invariant subalgebra.
+# ---------------------------------------------------------------------------
+
+
+def to_coordinate_letter(ctx, letter):
+    return CoordLetter(letter.barred, letter.index, ctx.N)
+
+
+def to_coordinate_element(ctx, element):
+    return GqElement(ctx, {
+        tuple(to_coordinate_letter(ctx, l) for l in word): c
+        for word, c in element.terms.items()})
+
+
+def space_word(ctx, coord_word):
+    """The superspace word of a coordinate word in the last column."""
+    letters = []
+    for l in coord_word:
+        if l.col != ctx.N:
+            raise ValueError("letter %r is not a superspace letter" % (l,))
+        letters.append(SpaceLetter(l.barred, l.row))
+    return tuple(letters)
+
+
+def coaction(ctx, element):
+    """The right co-action sending z_a to sum_c z_c (x) t_{ac}: the
+    coordinate coproduct with its legs flipped under the Koszul sign.
+    Returns {(superspace word, coordinate word): coefficient}."""
+    terms = {}
+    f = to_coordinate_element(ctx, element)
+    for (wl, wr), c in coords_coproduct(f).items():
+        sgn = coord_word_parity(ctx, wl) * coord_word_parity(ctx, wr)
+        if sgn % 2:
+            c = -c
+        add_term(terms, (space_word(ctx, wr), wl), c)
+    return terms
+
+
+def coaction_pair(ctx, terms, x, y):
+    """Evaluate a co-action element against the probe pair (x, y):
+    first legs paired as superspace functionals, second legs as
+    coordinate functionals."""
+    total = ZERO
+    for (ws, wg), c in terms.items():
+        f1 = to_coordinate_element(ctx, SuperspaceElement.from_word(ctx, ws))
+        v1 = evaluate(ctx, f1, x)
+        if not v1:
+            continue
+        v2 = evaluate(ctx, GqElement(ctx, {wg: ONE}), y)
+        if v2:
+            total = total + c * v1 * v2
+    return total
+
+
+def cp_basis(ctx, d, probe_degree=None):
+    """Candidate spanning monomials of the bidegree-(d, d) slice of the
+    invariant subalgebra, with a functional rank certificate.
+
+    Returns (words, rank, dependencies): all products of a degree-d
+    plain monomial with a degree-d barred monomial, their exact rank as
+    functionals on the PBW probe family, and a basis of the dependency
+    space (empty when the monomials are independent)."""
+    if probe_degree is None:
+        probe_degree = 2 * d
+    words = []
+    for pw in plain_monomials(ctx, d):
+        for bw in barred_monomials(ctx, d):
+            words.append(pw + bw)
+    table = pairing_table(ctx, (
+        (ci, cw, c) for ci, w in enumerate(words)
+        for cw, c in to_coordinate_element(
+            ctx, SuperspaceElement.from_word(ctx, w)).terms.items()))
+    rows = [pair_table(table, x)
+            for x in pbw_probe_expressions(ctx, probe_degree)]
+    deps = nullspace(rows, len(words))
+    return words, len(words) - len(deps), deps
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ they were detected.
 from __future__ import annotations
 
 from .coeff import ONE, RatFunc
-from .coords import GqElement, t_, tbar_
 from .superspace import (
     SuperspaceElement,
     multi_index_of,
@@ -32,7 +31,6 @@ from .superspace import (
     z_,
     zb_,
 )
-from .uq import UqExpression, gen_E, gen_K, gen_Kinv
 
 
 class ParseError(ValueError):
@@ -44,21 +42,14 @@ class ParseError(ValueError):
         self.position = position
 
 
-# Letter name -> (algebra, number of indices, letter constructor).  Z and
-# Zb take two index groups instead and build a whole word.
-_LETTERS = {
-    "K": (UqExpression, 1, gen_K),
-    "Kinv": (UqExpression, 1, gen_Kinv),
-    "E": (UqExpression, 2, gen_E),
-    "t": (GqElement, 2, t_),
-    "tb": (GqElement, 2, tbar_),
-    "z": (SuperspaceElement, 1, z_),
-    "zb": (SuperspaceElement, 1, zb_),
-    "Z": (SuperspaceElement, None, None),
-    "Zb": (SuperspaceElement, None, None),
-}
+# Letter name -> number of indices, for the letters of all three
+# algebras.  Z and Zb take two index groups instead and build a whole
+# word.  Each entry point hands the parser the constructors of its own
+# letters, so a letter of another algebra is read, then rejected.
+_ARITY = {"K": 1, "Kinv": 1, "E": 2, "t": 2, "tb": 2, "z": 1, "zb": 1,
+          "Z": None, "Zb": None}
 
-_NAMES = sorted([*_LETTERS, "q"], key=len, reverse=True)
+_NAMES = sorted([*_ARITY, "q"], key=len, reverse=True)
 
 _PUNCTUATION = {"+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
                 "^": "CARET", "(": "LPAREN", ")": "RPAREN",
@@ -104,14 +95,16 @@ def _tokenize(text):
 
 class _Parser:
     """Parses one text into ``algebra`` (a Combination class), or into
-    Q(q) when ``algebra`` is None.
+    Q(q) when ``algebra`` is None.  ``letters`` maps each letter name
+    the algebra accepts to its constructor (None for Z and Zb).
 
     A value is a RatFunc until it meets a letter and an element of
     ``algebra`` from then on, so scalar arithmetic stays in Q(q)."""
 
-    def __init__(self, ctx, text, algebra):
+    def __init__(self, ctx, text, algebra, letters):
         self.ctx = ctx
         self.algebra = algebra
+        self.letters = letters
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -264,7 +257,7 @@ class _Parser:
 
     def letter(self, tok):
         name, at = tok[1], tok[2]
-        if _LETTERS[name][0] is not self.algebra:
+        if name not in self.letters:
             raise ParseError("letter %r not allowed here" % name, at)
         self.expect("LBRACK", "'['")
         if name in ("Z", "Zb"):
@@ -275,14 +268,15 @@ class _Parser:
         return value
 
     def simple_letter(self, name, indices, at):
-        algebra, arity, make = _LETTERS[name]
+        arity = _ARITY[name]
         if len(indices) != arity:
             raise ParseError("%s takes %s" % (
                 name, "one index" if arity == 1 else "two indices"), at)
         rows = [self._check_row(*index) for index in indices]
         if name == "E" and abs(rows[0] - rows[1]) != 1:
             raise ParseError("E indices must be adjacent", indices[1][1])
-        return algebra.from_word(self.ctx, (make(*rows),))
+        return self.algebra.from_word(self.ctx,
+                                      (self.letters[name](*rows),))
 
     def multi_index_monomial(self, name, at):
         ctx = self.ctx
@@ -310,22 +304,28 @@ class _Parser:
 
 def parse_scalar(text):
     """A rational function of q; letters are rejected."""
-    return _Parser(None, text, None).parse()
+    return _Parser(None, text, None, {}).parse()
 
 
 def parse_uq(ctx, text):
     """An element of the quantised enveloping algebra."""
-    return _Parser(ctx, text, UqExpression).parse()
+    from .uq import UqExpression, gen_E, gen_K, gen_Kinv
+
+    return _Parser(ctx, text, UqExpression,
+                   {"K": gen_K, "Kinv": gen_Kinv, "E": gen_E}).parse()
 
 
 def parse_coords(ctx, text):
     """An element of the coordinate algebra."""
-    return _Parser(ctx, text, GqElement).parse()
+    from .coords import GqElement, t_, tbar_
+
+    return _Parser(ctx, text, GqElement, {"t": t_, "tb": tbar_}).parse()
 
 
 def parse_superspace(ctx, text):
     """An element of the superspace algebra."""
-    return _Parser(ctx, text, SuperspaceElement).parse()
+    return _Parser(ctx, text, SuperspaceElement,
+                   {"z": z_, "zb": zb_, "Z": None, "Zb": None}).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,10 @@ both, which is what makes the normal form a genuine basis.  Each rule
 is an identity of coordinate functionals, which the test-suite checks
 by pairing both sides against probe elements of the enveloping
 superalgebra.
+
+The rewriting system needs only Q(q) and the grading.  The map to
+coordinate functions, the co-action and the invariant subalgebra live
+in `induction`, so `glq normalform` loads no algebra layer.
 """
 
 from __future__ import annotations
@@ -32,18 +36,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .coeff import Combination, ZERO, ONE, add_term, q_int
-from .coords import (
-    CoordLetter,
-    GqElement,
-    coord_word_parity,
-    coproduct as coords_coproduct,
-    evaluate,
-    pair_table,
-    pairing_table,
-)
-from .graded import nullspace
-from .uq import pbw_probe_expressions
+from .coeff import Combination, ONE, add_term, q_int
 
 SpaceLetter = namedtuple("SpaceLetter", ["barred", "index"])
 
@@ -59,16 +52,6 @@ def zb_(a):
 def space_letter_parity(ctx, letter):
     """z_a carries the parity of t_{a,N}, i.e. |a| + 1."""
     return (ctx.parity(letter.index) + 1) % 2
-
-
-def to_coordinate_letter(ctx, letter):
-    return CoordLetter(letter.barred, letter.index, ctx.N)
-
-
-def to_coordinate_element(ctx, element):
-    return GqElement(ctx, {
-        tuple(to_coordinate_letter(ctx, l) for l in word): c
-        for word, c in element.terms.items()})
 
 
 class SuperspaceElement(Combination):
@@ -160,17 +143,23 @@ def _rules(ctx):
     return table
 
 
+def _redexes(table, word):
+    return [i for i, pair in enumerate(zip(word, word[1:])) if pair in table]
+
+
+def _splice(table, word, i):
+    head, tail = word[:i], word[i + 2:]
+    return {head + mid + tail: c for mid, c in table[word[i:i + 2]].items()}
+
+
 def redexes(ctx, word):
     """The positions i at which the pair word[i], word[i + 1] rewrites."""
-    table = _rules(ctx)
-    return [i for i, pair in enumerate(zip(word, word[1:])) if pair in table]
+    return _redexes(_rules(ctx), word)
 
 
 def apply_rule(ctx, word, i):
     """Replace the pair at position i, returning {word: coeff}."""
-    head, tail = word[:i], word[i + 2:]
-    return {head + mid + tail: c
-            for mid, c in _rules(ctx)[word[i:i + 2]].items()}
+    return _splice(_rules(ctx), word, i)
 
 
 def is_normal(ctx, word):
@@ -186,13 +175,16 @@ def normal_form(ctx, element, strategy="leftmost", seed=0,
     decrease of the termination measure and the step count is returned.
     Returns (normal element, steps).
     """
+    if strategy not in ("leftmost", "rightmost", "random"):
+        raise ValueError("unknown strategy %r" % strategy)
+    table = _rules(ctx)
     rng = random.Random(seed)
     work = dict(element.terms)
     done = {}
     steps = 0
     while work:
         word, coeff = work.popitem()
-        reds = redexes(ctx, word)
+        reds = _redexes(table, word)
         if not reds:
             add_term(done, word, coeff)
             continue
@@ -200,13 +192,11 @@ def normal_form(ctx, element, strategy="leftmost", seed=0,
             i = reds[0]
         elif strategy == "rightmost":
             i = reds[-1]
-        elif strategy == "random":
-            i = reds[rng.randrange(len(reds))]
         else:
-            raise ValueError("unknown strategy %r" % strategy)
+            i = reds[rng.randrange(len(reds))]
         steps += 1
         before = measure(ctx, word) if instrument else None
-        for new_word, c in apply_rule(ctx, word, i).items():
+        for new_word, c in _splice(table, word, i).items():
             if instrument:
                 assert measure(ctx, new_word) < before, (
                     "measure failed to decrease", i, word, new_word)
@@ -284,7 +274,7 @@ def charge(word):
 
 
 # ---------------------------------------------------------------------------
-# Gradings, multi-indices, the co-action, and the invariant subalgebra.
+# Gradings and multi-indices.
 # ---------------------------------------------------------------------------
 
 
@@ -330,70 +320,6 @@ def word_of_multi_index(ctx, plain_index, barred_index):
     for a in range(ctx.N, 0, -1):
         word.extend([zb_(a)] * barred_counts[a - 1])
     return tuple(word)
-
-
-def space_word(ctx, coord_word):
-    """The superspace word of a coordinate word in the last column."""
-    letters = []
-    for l in coord_word:
-        if l.col != ctx.N:
-            raise ValueError("letter %r is not a superspace letter" % (l,))
-        letters.append(SpaceLetter(l.barred, l.row))
-    return tuple(letters)
-
-
-def coaction(ctx, element):
-    """The right co-action sending z_a to sum_c z_c (x) t_{ac}: the
-    coordinate coproduct with its legs flipped under the Koszul sign.
-    Returns {(superspace word, coordinate word): coefficient}."""
-    terms = {}
-    f = to_coordinate_element(ctx, element)
-    for (wl, wr), c in coords_coproduct(f).items():
-        sgn = coord_word_parity(ctx, wl) * coord_word_parity(ctx, wr)
-        if sgn % 2:
-            c = -c
-        add_term(terms, (space_word(ctx, wr), wl), c)
-    return terms
-
-
-def coaction_pair(ctx, terms, x, y):
-    """Evaluate a co-action element against the probe pair (x, y):
-    first legs paired as superspace functionals, second legs as
-    coordinate functionals."""
-    total = ZERO
-    for (ws, wg), c in terms.items():
-        f1 = to_coordinate_element(ctx, SuperspaceElement.from_word(ctx, ws))
-        v1 = evaluate(ctx, f1, x)
-        if not v1:
-            continue
-        v2 = evaluate(ctx, GqElement(ctx, {wg: ONE}), y)
-        if v2:
-            total = total + c * v1 * v2
-    return total
-
-
-def cp_basis(ctx, d, probe_degree=None):
-    """Candidate spanning monomials of the bidegree-(d, d) slice of the
-    invariant subalgebra, with a functional rank certificate.
-
-    Returns (words, rank, dependencies): all products of a degree-d
-    plain monomial with a degree-d barred monomial, their exact rank as
-    functionals on the PBW probe family, and a basis of the dependency
-    space (empty when the monomials are independent)."""
-    if probe_degree is None:
-        probe_degree = 2 * d
-    words = []
-    for pw in plain_monomials(ctx, d):
-        for bw in barred_monomials(ctx, d):
-            words.append(pw + bw)
-    table = pairing_table(ctx, (
-        (ci, cw, c) for ci, w in enumerate(words)
-        for cw, c in to_coordinate_element(
-            ctx, SuperspaceElement.from_word(ctx, w)).terms.items()))
-    rows = [pair_table(table, x)
-            for x in pbw_probe_expressions(ctx, probe_degree)]
-    deps = nullspace(rows, len(words))
-    return words, len(words) - len(deps), deps
 
 
 def verify_identities(ctx, seed=0, word_count=20, max_len=6):

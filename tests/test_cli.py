@@ -108,6 +108,20 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_scalar("z[1]")
 
+    @pytest.mark.parametrize("parse,text,name,at", [
+        (parse_superspace, "z[1] + t[1,1]", "t", 7),
+        (parse_superspace, "2 K[1]", "K", 2),
+        (parse_uq, "K[1] * zb[2]", "zb", 7),
+        (parse_coords, "t[1,2] E[1,2]", "E", 7),
+        (parse_coords, "(q + Z[1;0])", "Z", 5),
+    ], ids=["superspace-t", "superspace-K", "uq-zb", "coords-E", "coords-Z"])
+    def test_letter_of_another_algebra_names_its_offset(self, parse, text,
+                                                        name, at):
+        with pytest.raises(ParseError) as info:
+            parse(GradingContext(1, 1), text)
+        assert str(info.value) == ("letter %r not allowed here (at position "
+                                   "%d)" % (name, at))
+
 
 class TestNormalFormPrinter:
     def test_frozen_example(self):
@@ -351,6 +365,59 @@ class TestReports:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["suites"][0]["normal_form"] == "-q^2 * Z[1;0] Zb[1;0]"
+
+
+# The glq modules each subcommand loads: the command line, Q(q) and the
+# grading always, and beyond them only the layers the job runs.
+_BASE = {"glq", "glq.cli", "glq.coeff", "glq.graded"}
+_ENVELOPING = {"glq.reps", "glq.uq"}
+_COORDINATES = _ENVELOPING | {"glq.coords"}
+LAYER_ROWS = [
+    (["--help"], _BASE),
+    (["normalform", "zb[1]*z[1]"], _BASE | {"glq.parser", "glq.superspace"}),
+    (["verify"], _BASE | _ENVELOPING),
+    (["decompose", "--word", "E", "--power", "2"], _BASE | _ENVELOPING),
+    (["coords", "--check", "star"], _BASE | _COORDINATES),
+    (["rmatrix", "--kind", "pp"], _BASE | _COORDINATES | {"glq.rmatrix"}),
+    (["induce", "--k", "1", "--side", "bar"],
+     _BASE | _COORDINATES | {"glq.induction", "glq.superspace"}),
+]
+
+_RUN_JOB = """import sys
+from glq.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+"""
+_WRITE_LOADED = """
+sys.stderr.write(" ".join(m for m in sys.modules if m.startswith("glq")))
+sys.exit(code)
+"""
+
+
+def _loaded_glq_modules(code, argv=()):
+    """The glq.* names in sys.modules after ``code`` runs in a fresh
+    interpreter that imports glq from this checkout."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code + _WRITE_LOADED] + list(argv),
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+@pytest.mark.parametrize("argv,expected", LAYER_ROWS,
+                         ids=[argv[0] for argv, _ in LAYER_ROWS])
+def test_each_subcommand_loads_only_its_layers(argv, expected):
+    assert _loaded_glq_modules(_RUN_JOB, argv) == expected
+
+
+@pytest.mark.parametrize("module", ["glq.superspace", "glq.parser"])
+def test_rewriting_and_parsing_load_no_algebra_layer(module):
+    loaded = _loaded_glq_modules("import sys, %s\ncode = 0\n" % module)
+    assert not loaded & {"glq.coords", "glq.uq", "glq.reps"}, loaded
 
 
 # Every accepted option must reach the run: changing its value either

@@ -23,7 +23,6 @@ from glq.superspace import (
     SuperspaceElement,
     barred_monomials,
     plain_monomials,
-    to_coordinate_element,
     z_,
     zb_,
 )
@@ -42,6 +41,7 @@ from glq.induction import (
     reciprocity_character,
     right_translation,
     skew_highest_weight,
+    to_coordinate_element,
 )
 
 SIZES = [(1, 1), (2, 1), (1, 2)]

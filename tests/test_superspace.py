@@ -17,9 +17,6 @@ from glq.superspace import (
     apply_rule,
     barred_monomials,
     charge,
-    coaction,
-    coaction_pair,
-    cp_basis,
     gl1_weight,
     is_normal,
     measure,
@@ -29,12 +26,17 @@ from glq.superspace import (
     redexes,
     sphere_relation_element,
     multi_index_of,
-    to_coordinate_element,
-    to_coordinate_letter,
     verify_identities,
     word_of_multi_index,
     z_,
     zb_,
+)
+from glq.induction import (
+    coaction,
+    coaction_pair,
+    cp_basis,
+    to_coordinate_element,
+    to_coordinate_letter,
 )
 from glq.uq import gen_K
 from glq.uq import UqExpression, pbw_probe_expressions, probe_monomials
@@ -149,6 +151,16 @@ def test_frozen_rewrites_at_1_1():
 # ---------------------------------------------------------------------------
 # Termination (instrumented measure) and confluence across strategies.
 # ---------------------------------------------------------------------------
+
+
+def test_unknown_strategy_rejected_before_rewriting():
+    """An element that is already normal takes no rewriting step, and a
+    misspelt strategy is still an error."""
+    ctx = GradingContext(2, 1)
+    element = SuperspaceElement.from_word(ctx, (z_(1), z_(2)))
+    assert normal_form(ctx, element) == (element, 0)
+    with pytest.raises(ValueError, match="unknown strategy 'typo'"):
+        normal_form(ctx, element, strategy="typo")
 
 
 def test_termination_measure_decreases_on_random_words(ctx):
