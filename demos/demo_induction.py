@@ -25,17 +25,17 @@ print("degree-k section spaces at (2|1):")
 for k in range(4):
     expected = sum(comb(m, j) * comb(n - 1 + k - j, k - j)
                    for j in range(min(m, k) + 1))
-    summary = induction.borel_weil_summary(ctx, k)
-    plain, barred = summary["plain"], summary["barred"]
+    rep, _ = induction.build_induced(ctx, k, barred=False)
+    plain = reps.decompose(rep)
+    barred = reps.decompose(induction.build_induced(ctx, k, barred=True)[0])
     print("  k=%d  dim %d (expected %d)  irreducible %s/%s  weights %s | %s"
-          % (k, plain["dim"], expected,
-             plain["irreducible"], barred["irreducible"],
-             plain["highest_weight"], barred["highest_weight"]))
+          % (k, rep.dim, expected, len(plain) == 1, len(barred) == 1,
+             plain[0].highest_weight, barred[0].highest_weight))
 
 # Reciprocity: for each test module W and each realization, the two
 # dimension counts agree.  The grid below prints the nonzero cells.
 V = reps.vector_rep(ctx)
-square = reps.tensor_power(V, 2)
+square = reps.tensor_rep(V, V)
 tests = [("trivial", reps.trivial_rep(ctx)), ("vector", V)]
 tests += [("square[%s]" % (s.highest_weight,),
            reps.submodule_rep(square, s.basis, name="summand"))

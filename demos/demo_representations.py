@@ -29,7 +29,7 @@ for label, rep in (("vector", V), ("dual", D)):
 
 # The tensor square splits into two irreducibles, found by closing the
 # highest-weight vectors under the lowering operators.
-square = reps.tensor_power(V, 2)
+square = reps.tensor_rep(V, V)
 summands = reps.decompose(square)
 print("tensor square dim:", square.dim)
 for s in summands:
@@ -38,10 +38,10 @@ for s in summands:
 # Weight classification: which integral weights head a tensor-family
 # module, and which head a dual-family one.
 for weight in [(2, 1, 0), (0, 0, -1), (-1, 0, 0)]:
-    info = reps.classify_weight(ctx, weight)
+    in_tensor, diagram = reps.in_first_family(ctx, weight)
+    in_dual, _ = reps.in_second_family(ctx, weight)
     print("weight %s: tensor family %s, dual family %s, diagram %s"
-          % (weight, info["in_tensor_family"], info["in_dual_family"],
-             info["diagram"]))
+          % (weight, in_tensor, in_dual, diagram))
 
 # Unitarity at a rational point: the sesquilinear form is positive and
 # every generator is adjoint to its star partner.

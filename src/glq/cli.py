@@ -331,19 +331,13 @@ def _coords_peterweyl_suite(ctx):
     from .coords import GqElement
     from .uq import pbw_probe_expressions
 
-    V = reps_mod.profile_rep(ctx, (False,))
     funcs = [GqElement.one(ctx)]
-    expected = 1
-    mc = coords_mod.matrix_coefficients(ctx, (False,),
-                                        reps_mod.decompose(V), 0)
-    funcs += [mc[i][j] for i in range(V.dim) for j in range(V.dim)]
-    expected += V.dim * V.dim
-    summands = reps_mod.decompose(reps_mod.profile_rep(ctx, (False, False)))
-    for which, s in enumerate(summands):
-        mc = coords_mod.matrix_coefficients(ctx, (False, False),
-                                            summands, which)
-        funcs += [mc[i][j] for i in range(s.dim) for j in range(s.dim)]
-        expected += s.dim * s.dim
+    for profile in ((False,), (False, False)):
+        summands = reps_mod.decompose(reps_mod.profile_rep(ctx, profile))
+        for which, s in enumerate(summands):
+            mc = coords_mod.matrix_coefficients(ctx, profile, summands, which)
+            funcs += [mc[i][j] for i in range(s.dim) for j in range(s.dim)]
+    expected = len(funcs)
     table = coords_mod.pairing_table(
         ctx, ((fi, w, c) for fi, f in enumerate(funcs)
               for w, c in f.terms.items()))
@@ -434,7 +428,8 @@ def cmd_induce(args):
     checks.append(_check("irreducible", len(summands) == 1,
                          summands=len(summands)))
     if barred:
-        want = induction_mod.skew_highest_weight(ctx, k)
+        # The barred span is headed by the one-column diagram of size k.
+        want = reps_mod.partition_weight(ctx, (1,) * k)
     else:
         want = tuple([0] * (ctx.N - 1) + [-k])
     got = summands[0].highest_weight if summands else None

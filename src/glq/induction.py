@@ -9,8 +9,8 @@ raisings except the last); the barred span does the same for the upper
 parabolic.  Building the left-translation matrices on the normal
 monomial basis therefore yields two concrete finite-dimensional modules
 per degree — the realized induced modules — whose dimensions, highest
-weights, irreducibility, and reciprocity dimensions the test-suite pins
-down.
+weights, irreducibility, and reciprocity dimensions (both counted by
+`hom_dimension`) `glq induce` checks.
 
 This module is also where superspace meets the coordinate algebra: it
 sends superspace words to last-column coordinate words and back, and
@@ -41,11 +41,12 @@ from .coords import (
     pair_table,
     pairing_table,
 )
-from .reps import Representation, check_relations, decompose
+from .reps import Representation, check_relations
 from .superspace import (
     SpaceLetter,
     SuperspaceElement,
     barred_monomials,
+    multidegree,
     normal_form,
     plain_monomials,
     space_letter_parity,
@@ -166,18 +167,12 @@ def right_translation(ctx, x, element):
     return GqElement(ctx, pair_table(table, x))
 
 
-def _superspace_from_coords(ctx, element):
-    """Reinterpret a coordinate element whose letters all sit in the
-    last column as a superspace element."""
-    return SuperspaceElement(ctx, {space_word(ctx, w): c
-                                   for w, c in element.terms.items()})
-
-
 def dot_action_on_word(ctx, x, word):
     """Left translation of a superspace word, reduced to normal form."""
     f = to_coordinate_element(ctx, SuperspaceElement.from_word(ctx, word))
     moved = left_translation(ctx, x, f)
-    nf, _ = normal_form(ctx, _superspace_from_coords(ctx, moved))
+    nf, _ = normal_form(ctx, SuperspaceElement(
+        ctx, {space_word(ctx, w): c for w, c in moved.terms.items()}))
     return nf
 
 
@@ -211,12 +206,8 @@ def parabolic_generators(ctx, side, theta=None):
     every simple node except the last): the Levi generators together
     with the lowerings ('lower') or raisings ('upper') at the remaining
     nodes."""
-    N = ctx.N
-    if theta is None:
-        theta = range(1, N - 1)
-    theta = sorted(set(theta))
     gens = levi_generators(ctx, theta)
-    rest = [c for c in range(1, N) if c not in theta]
+    rest = [c for c in range(1, ctx.N) if gen_E(c, c + 1) not in gens]
     if side == "lower":
         gens.extend(gen_E(c + 1, c) for c in rest)
     elif side == "upper":
@@ -270,15 +261,6 @@ def equivariance_defects(ctx, k, barred, degree=2):
 # ---------------------------------------------------------------------------
 
 
-def _dot_weight(ctx, word):
-    """Left-translation weight of a normal monomial: minus the index
-    counts on the plain side, plus them on the barred side."""
-    wt = [0] * ctx.N
-    for l in word:
-        wt[l.index - 1] += 1 if l.barred else -1
-    return tuple(wt)
-
-
 class RelationError(ValueError):
     """A realized module violates a defining relation."""
 
@@ -305,7 +287,9 @@ def build_induced(ctx, k, barred):
                         "action leaves the degree-%d span on %r" % (k, g))
                 ent[(index[out_word], j)] = c
         images[g] = GradedMap(space, space, ent)
-    weights = [_dot_weight(ctx, w) for w in words]
+    # Left translation weighs barred index counts minus plain ones.
+    weights = [tuple(b - p for p, b in zip(*multidegree(ctx, w)))
+               for w in words]
     name = "induced(%s, k=%d)" % ("barred" if barred else "plain", k)
     rep = Representation(ctx, space, images, weights, name)
     bad = [nm for nm, ok in check_relations(rep) if not ok]
@@ -314,71 +298,33 @@ def build_induced(ctx, k, barred):
     return rep, words
 
 
-def skew_highest_weight(ctx, k):
-    """Highest weight of the barred realization: the first k marks, with
-    overflow beyond the even block piled on index m+1."""
-    wt = [0] * ctx.N
-    if k <= ctx.m:
-        for i in range(k):
-            wt[i] = 1
-    else:
-        for i in range(ctx.m):
-            wt[i] = 1
-        wt[ctx.m] = k - ctx.m
-    return tuple(wt)
-
-
-def borel_weil_summary(ctx, k):
-    """Both degree-k realizations: dimensions, highest weights,
-    irreducibility flags, and the unordered highest-weight pair."""
-    plain_rep, _ = build_induced(ctx, k, barred=False)
-    barred_rep, _ = build_induced(ctx, k, barred=True)
-    out = {}
-    for tag, rep in (("plain", plain_rep), ("barred", barred_rep)):
-        summands = decompose(rep)
-        out[tag] = {
-            "dim": rep.dim,
-            "irreducible": len(summands) == 1,
-            "highest_weight": summands[0].highest_weight,
-        }
-    out["weight_pair"] = frozenset(
-        (out["plain"]["highest_weight"], out["barred"]["highest_weight"]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Reciprocity dimensions.
 # ---------------------------------------------------------------------------
 
 
 def hom_dimension(rep_w, rep_h):
-    """Dimension of the space of intertwiners rep_w -> rep_h over the
-    coefficient field (no parity restriction)."""
-    ctx = rep_w.ctx
+    """Dimension of the space of maps rep_w -> rep_h over the coefficient
+    field (no parity restriction) that intertwine every generator on
+    which rep_h is defined."""
     dw, dh = rep_w.dim, rep_h.dim
-    nvars = dh * dw
-
-    def var(i, kk):
-        return i * dw + kk
-
     rows = []
-    for g in all_generators(ctx):
+    for g, MH in rep_h.images.items():
         MW = rep_w.image(g)
-        MH = rep_h.image(g)
         for i in range(dh):
             for j in range(dw):
                 row = {}
                 for kk in range(dw):
                     v = MW.get(kk, j)
                     if v:
-                        add_term(row, var(i, kk), v)
+                        add_term(row, i * dw + kk, v)
                 for kk in range(dh):
                     v = MH.get(i, kk)
                     if v:
-                        add_term(row, var(kk, j), -v)
+                        add_term(row, kk * dw + j, -v)
                 if row:
                     rows.append(row)
-    return len(nullspace(rows, nvars))
+    return len(nullspace(rows, dh * dw))
 
 
 def reciprocity_character(ctx, k, side):
@@ -388,31 +334,20 @@ def reciprocity_character(ctx, k, side):
     induced character under right translation, and evaluation at the
     counit carries an enveloping-algebra map into a parabolic
     functional only after inverting the Cartan values."""
-    char = induced_character(ctx, k, side)
-    out = {}
-    for g, v in char.items():
-        out[g] = v.inverse() if g[0] in ("K", "Kinv") else v
-    return out
+    return {g: v.inverse() if g[0] in ("K", "Kinv") else v
+            for g, v in induced_character(ctx, k, side).items()}
 
 
 def parabolic_hom_dimension(ctx, rep_w, k, side):
     """Dimension of the maps rep_w -> (the degree-k character line)
-    intertwining the parabolic action."""
-    char = reciprocity_character(ctx, k, side)
-    dw = rep_w.dim
-    rows = []
-    for g, phi in char.items():
-        MW = rep_w.image(g)
-        for j in range(dw):
-            row = {}
-            for kk in range(dw):
-                v = MW.get(kk, j)
-                if v:
-                    add_term(row, kk, v)
-            add_term(row, j, -phi)
-            if row:
-                rows.append(row)
-    return len(nullspace(rows, dw))
+    intertwining the parabolic action: hom_dimension into the line on
+    which each parabolic generator acts by its reciprocity character."""
+    line = GradedSpace((0,))
+    images = {g: GradedMap(line, line, {(0, 0): phi})
+              for g, phi in reciprocity_character(ctx, k, side).items()}
+    # hom_dimension reads no weight, so the line carries the zero one.
+    return hom_dimension(rep_w, Representation(
+        ctx, line, images, [ctx.zero_weight()], name="character"))
 
 
 def frobenius_dims(ctx, rep_w, rep_h, k, barred):

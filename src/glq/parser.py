@@ -17,11 +17,14 @@ multi-index (nilpotent exponents, then the rest, separated by ';').
 Each entry point parses into one algebra: scalars, rational functions
 of q, embed into it, and a letter of any other algebra is an error.
 Division and negative powers need a scalar, that is, a subexpression
-with no letter in it.  Errors carry the 0-based character offset where
-they were detected.
+with no letter in it, and a literal, sum, product or power holding an
+integer that ``str`` refuses to print (``sys.get_int_max_str_digits``)
+is an error.  Errors carry the 0-based offset where they were detected.
 """
 
 from __future__ import annotations
+
+import sys
 
 from .coeff import ONE, RatFunc
 from .superspace import (
@@ -56,6 +59,29 @@ _PUNCTUATION = {"+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
                 "[": "LBRACK", "]": "RBRACK", ",": "COMMA", ";": "SEMI"}
 
 
+# 10**L, the least integer that str() refuses to print, by digit limit L.
+_UNPRINTABLE = {}
+_TOO_LONG = "an integer has more than %d digits"
+
+
+def _checked(value, at, words=None):
+    """The parsed value, unless str() would refuse to print an exponent,
+    numerator or denominator of the Q(q) value or of the coefficients of
+    the element (at ``words`` only, when given)."""
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        bound = (_UNPRINTABLE.get(limit)
+                 or _UNPRINTABLE.setdefault(limit, 10 ** limit))
+        terms = {(): value} if isinstance(value, RatFunc) else value.terms
+        for x in [terms[w] for w in words or terms if w in terms]:
+            for part in (x.coeffs, x.den):
+                for e, c in part.items():
+                    if not (-bound < e < bound and c.denominator < bound
+                            and -bound < c.numerator < bound):
+                        raise ParseError(_TOO_LONG % limit, at)
+    return value
+
+
 def _tokenize(text):
     tokens = []
     i = 0
@@ -69,7 +95,11 @@ def _tokenize(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("INT", int(text[i:j]), i))
+            digits = text[i:j].lstrip("0") or "0"
+            limit = sys.get_int_max_str_digits()
+            if limit and len(digits) > limit:
+                raise ParseError(_TOO_LONG % limit, i)
+            tokens.append(("INT", int(digits), i))
             i = j
             continue
         if c.isalpha():
@@ -157,8 +187,19 @@ class _Parser:
                 raise ParseError("zero to a negative power", at)
             base, exponent = base.inverse(), -exponent
         out = ONE
-        for _ in range(exponent):
-            out = self.mul(out, base)
+        if not isinstance(base, RatFunc):
+            # One factor at a time: the term order of the product sets
+            # the order in which normal_form rewrites it.
+            for _ in range(exponent):
+                out = self.mul(out, base)
+            return _checked(out, at)
+        # Each square is checked, so 2^99999999 fails within 15 squarings.
+        while exponent:
+            if exponent & 1:
+                out = _checked(out * base, at)
+            exponent >>= 1
+            if exponent:
+                base = _checked(base * base, at)
         return out
 
     # -- grammar ------------------------------------------------------------
@@ -174,7 +215,10 @@ class _Parser:
         value = self.term()
         while self.peek()[0] in ("PLUS", "MINUS"):
             op = self.advance()
-            value = self.add(value, self.term(), op[0] == "MINUS")
+            term = self.term()
+            # Only the coefficients at the new term's words can change.
+            value = _checked(self.add(value, term, op[0] == "MINUS"), op[2],
+                             getattr(term, "terms", ((),)))
         return value
 
     def term(self):
@@ -191,6 +235,7 @@ class _Parser:
                 value = self.mul(value, self.factor())
             else:
                 return value
+            _checked(value, tok[2])
 
     def factor(self):
         tok = self.peek()

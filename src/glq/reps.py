@@ -28,8 +28,9 @@ summand is recorded, which drives the dual-label computation.
 Weight classification: the labels attached to tensor powers of the
 vector representation are exactly the weights read off hook-bounded
 Young diagrams (first block = first m rows; second block = the column
-excesses over m).  Labels of duals form the mirror family, recognised
-by searching the hook diagrams of the matching size.
+excesses over m), and labels of duals form the mirror family.  Both
+families are recognised by searching the hook diagrams of the matching
+size.
 
 Unitarity: a representation is unitarisable of a given star type when
 some positive-definite Gram matrix G satisfies M(g)^T G = G M(*g) for
@@ -181,17 +182,6 @@ def tensor_rep(r1, r2):
                for w1 in r1.weights for w2 in r2.weights]
     return Representation(ctx, space, images, weights,
                           name="%s(x)%s" % (r1.name, r2.name))
-
-
-def tensor_power(rep, k):
-    """rep (x) ... (x) rep with k factors, k >= 1; the trivial module is
-    profile_rep(ctx, ())."""
-    if k < 1:
-        raise ValueError("tensor power needs k >= 1, got %d" % k)
-    out = rep
-    for _ in range(k - 1):
-        out = tensor_rep(out, rep)
-    return out
 
 
 _profile_reps = {}
@@ -422,58 +412,29 @@ def partition_weight(ctx, diagram):
     return tuple(first + tail)
 
 
-def weight_to_diagram(ctx, weight):
-    """Inverse of partition_weight on valid first-family labels: the
-    full list of diagram rows, padded with zeros to length >= m+n.
-    Returns None if the label is not of hook shape."""
-    m, n = ctx.m, ctx.n
-    first = list(weight[:m])
-    tail = list(weight[m:])
-    if any(x < 0 for x in weight):
-        return None
-    if any(first[i] < first[i + 1] for i in range(m - 1)):
-        return None
-    if any(tail[i] < tail[i + 1] for i in range(n - 1)):
-        return None
-    lower_rows = [sum(1 for t in tail if t >= j + 1)
-                  for j in range(tail[0] if tail else 0)]
-    rows = first + lower_rows
-    while len(rows) < m + n:
-        rows.append(0)
-    # the reconstruction must itself be a partition (this rejects labels
-    # whose tail support exceeds the m-th row), and the caller re-checks
-    # the roundtrip through partition_weight
-    if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
-        return None
-    return tuple(rows)
-
-
 def in_first_family(ctx, weight):
-    """Membership of a label among the tensor-power family, with its
-    diagram witness: (bool, rows-or-None)."""
-    rows = weight_to_diagram(ctx, weight)
-    if rows is None:
-        return False, None
-    if partition_weight(ctx, tuple(r for r in rows if r > 0)) != tuple(weight):
-        return False, None
-    return True, rows
+    """Membership of a label among the tensor-power family: (bool,
+    witness).  The witness is the hook diagram of size sum(weight) that
+    carries this label, its rows padded with zeros to length >= m+n."""
+    weight = tuple(weight)
+    for diagram in hook_partitions(ctx, sum(weight)):
+        if partition_weight(ctx, diagram) == weight:
+            return True, diagram + (0,) * (ctx.N - len(diagram))
+    return False, None
 
 
 _dual_power_cache = {}
 
 
-def _vector_power_summands(ctx, k):
+def dual_label_of(ctx, weight):
+    """Highest weight of the dual of the first-family module labelled by
+    the given weight (found inside the k-th tensor power, whose summands
+    are decomposed once per size and k)."""
+    k = sum(weight)
     key = (ctx, k)
     if key not in _dual_power_cache:
         _dual_power_cache[key] = decompose(profile_rep(ctx, (False,) * k))
-    return _dual_power_cache[key]
-
-
-def dual_label_of(ctx, weight):
-    """Highest weight of the dual of the first-family module labelled by
-    the given weight (found inside the k-th tensor power)."""
-    k = sum(weight)
-    for s in _vector_power_summands(ctx, k):
+    for s in _dual_power_cache[key]:
         if s.highest_weight == tuple(weight):
             return s.dual_label
     raise ValueError("label %s not found in the %d-th tensor power"
@@ -487,11 +448,7 @@ def in_second_family(ctx, weight):
     weight.  Uses k = -sum(weight) and searches hook diagrams of size k.
     """
     weight = tuple(weight)
-    if all(x == 0 for x in weight):
-        return True, ctx.zero_weight()
     k = -sum(weight)
-    if k <= 0:
-        return False, None
     for diagram in hook_partitions(ctx, k):
         mu = partition_weight(ctx, diagram)
         if dual_label_of(ctx, mu) == weight:
@@ -556,21 +513,6 @@ def gram_is_positive(gram, q0):
                 raise ValueError("positivity test implemented for "
                                  "diagonal Gram matrices only")
     return True
-
-
-def classify_weight(ctx, weight):
-    """Family membership report for an integral label: whether it
-    labels a summand of a tensor power of the vector module, whether it
-    labels the dual of one, and the witnesses (the hook diagram, and
-    the tensor-family label whose dual it is)."""
-    ok1, rows = in_first_family(ctx, weight)
-    ok2, mu = in_second_family(ctx, weight)
-    return {
-        "in_tensor_family": ok1,
-        "in_dual_family": ok2,
-        "diagram": rows,
-        "dual_witness": mu,
-    }
 
 
 def unitarity_check(rep, gram, q0):

@@ -61,8 +61,8 @@ def test_criterion_01_defining_relations():
         modules = [
             ("vector", V),
             ("dual", D),
-            ("square", reps.tensor_power(V, 2)),
-            ("cube", reps.tensor_power(V, 3)),
+            ("square", reps.tensor_rep(V, V)),
+            ("cube", reps.tensor_rep(reps.tensor_rep(V, V), V)),
             ("mixed", reps.tensor_rep(V, D)),
         ]
         for label, rep in modules:
@@ -272,7 +272,8 @@ def _closure_dim(rep, seed_vec):
 def test_criterion_09_tensor_square_split():
     failures = []
     ctx = GradingContext(2, 1)
-    square = reps.tensor_power(reps.vector_rep(ctx), 2)
+    V = reps.vector_rep(ctx)
+    square = reps.tensor_rep(V, V)
     hw_vectors = joint_kernel(
         [square.image(g) for g in reps.raising_generators(ctx)])
     dims = sorted(_closure_dim(square, v) for v in hw_vectors)
@@ -330,8 +331,17 @@ def test_criterion_10_rewriting():
 
 # ---------------------------------------------------------------------------
 # 11. The two families of degree-k induced modules: dimensions,
-#     irreducibility, and the highest-weight pair.
+#     irreducibility, and the highest weight of each.
 # ---------------------------------------------------------------------------
+
+# Highest weight of the degree-k barred module, k = 0..3: one column of
+# k boxes, so the first k marks with the overflow beyond the even block
+# on index m+1.  The plain module is headed by (0, ..., 0, -k).
+COLUMN_LABELS = {
+    (1, 1): [(0, 0), (1, 0), (1, 1), (1, 2)],
+    (2, 1): [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)],
+    (1, 2): [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0)],
+}
 
 
 def test_criterion_11_induced_modules():
@@ -342,20 +352,20 @@ def test_criterion_11_induced_modules():
         for k in range(0, 4):
             expected_dim = sum(comb(m, j) * comb(n - 1 + k - j, k - j)
                                for j in range(min(m, k) + 1))
-            summary = induction.borel_weil_summary(ctx, k)
-            for side in ("plain", "barred"):
-                info = summary[side]
-                if info["dim"] != expected_dim:
-                    failures.append((size, k, side, "dim", info["dim"],
+            plain = tuple([0] * (ctx.N - 1) + [-k])
+            for side, barred, want in (("plain", False, plain),
+                                       ("barred", True,
+                                        COLUMN_LABELS[size][k])):
+                rep, _ = induction.build_induced(ctx, k, barred)
+                summands = reps.decompose(rep)
+                if rep.dim != expected_dim:
+                    failures.append((size, k, side, "dim", rep.dim,
                                      expected_dim))
-                if not info["irreducible"]:
+                if len(summands) != 1:
                     failures.append((size, k, side, "reducible"))
-            want_pair = frozenset([
-                tuple([0] * (ctx.N - 1) + [-k]),
-                induction.skew_highest_weight(ctx, k)])
-            if summary["weight_pair"] != want_pair:
-                failures.append((size, k, "weights", summary["weight_pair"],
-                                 want_pair))
+                if summands[0].highest_weight != want:
+                    failures.append((size, k, side, "weight",
+                                     summands[0].highest_weight, want))
     _report(11, "induced-modules", failures)
 
 
@@ -371,7 +381,7 @@ def test_criterion_12_reciprocity():
     for size in [(1, 1), (2, 1)]:
         ctx = GradingContext(*size)
         V = reps.vector_rep(ctx)
-        square = reps.tensor_power(V, 2)
+        square = reps.tensor_rep(V, V)
         summands = reps.decompose(square)
         tests = [("trivial", reps.trivial_rep(ctx)), ("vector", V)]
         tests += [("square:%s" % (s.highest_weight,),

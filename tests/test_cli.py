@@ -264,6 +264,38 @@ class TestReports:
         assert report["error"]["position"] == 4
         assert report["suites"] == []
 
+    @pytest.mark.parametrize("text,rendered", [
+        ("q^99999999999999*z[1]", "q^99999999999999 * Z[1;0]"),
+        ("2^10000*z[1]", "%d * Z[1;0]" % 2 ** 10000),
+        ("(1/2)^10000*z[1]", "1/%d * Z[1;0]" % 2 ** 10000),
+    ], ids=["q-power", "2-power", "half-power"])
+    def test_large_scalar_powers_print(self, capsys, text, rendered):
+        """A scalar power is computed by squaring, not one product per
+        unit of exponent, and one that str() can print is reported as is."""
+        code, _, report = run_cli(capsys, ["normalform", text])
+        assert code == 0
+        assert report["suites"][0]["normal_form"] == rendered
+
+    @pytest.mark.parametrize("text,position", [
+        ("2^20000*z[1]", 1),
+        ("2^99999999*z[1]", 1),
+        ("z[1]*(1/2)^20000", 10),
+        ("(2^8000)*(2^8000)*z[1]", 8),
+        ("(2^8000*z[1])*2^8000", 13),
+        ("z[1]*%s" % ("9" * 4400), 5),
+        ("%s+1" % ("9" * 4300), 4300),
+    ], ids=["power", "huge-power", "power-of-fraction", "product",
+            "element-product", "literal", "sum"])
+    def test_unprintable_scalar_is_bad_input(self, capsys, text, position):
+        """A literal, sum, product or power whose integers str() would
+        refuse to print is rejected with the offset of the literal or
+        operator, not a crash while printing."""
+        code, _, report = run_cli(capsys, ["normalform", text])
+        assert code == 2
+        assert report["error"]["position"] == position
+        assert report["error"]["message"].endswith(
+            "more than %d digits" % sys.get_int_max_str_digits())
+
     def test_injected_failure_flips_exit_code(self, capsys):
         argv = ["verify", "--m", "1", "--n", "1"]
         code, _, report = run_cli(capsys, argv)

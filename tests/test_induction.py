@@ -27,7 +27,6 @@ from glq.superspace import (
     zb_,
 )
 from glq.induction import (
-    borel_weil_summary,
     build_induced,
     dot_action_on_word,
     equivariance_defects,
@@ -40,7 +39,6 @@ from glq.induction import (
     parabolic_hom_dimension,
     reciprocity_character,
     right_translation,
-    skew_highest_weight,
     to_coordinate_element,
 )
 
@@ -165,6 +163,15 @@ EXPECTED_DIMS = {
 }
 
 
+# Highest weight of the degree-k barred module, k = 0..3: the first k
+# marks, with the overflow beyond the even block piled on index m+1.
+COLUMN_LABELS = {
+    (1, 1): [(0, 0), (1, 0), (1, 1), (1, 2)],
+    (2, 1): [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)],
+    (1, 2): [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0)],
+}
+
+
 class TestBorelWeil:
     def test_dimension_formula(self):
         for size in SIZES:
@@ -177,24 +184,20 @@ class TestBorelWeil:
 
     @pytest.mark.parametrize("size", SIZES)
     def test_summary_grid(self, size):
+        """Both degree-k modules are irreducible of the expected
+        dimension; the plain one is headed by (0, ..., 0, -k) and the
+        barred one by the label of the one-column diagram of size k."""
         ctx = ctx_of(size)
         for k in range(4):
-            s = borel_weil_summary(ctx, k)
-            want_dim = EXPECTED_DIMS[size][k]
-            assert s["plain"]["dim"] == want_dim
-            assert s["barred"]["dim"] == want_dim
-            assert s["plain"]["irreducible"]
-            assert s["barred"]["irreducible"]
-            lowest = tuple(-k if a == ctx.N else 0
-                           for a in range(1, ctx.N + 1))
-            assert s["weight_pair"] == frozenset(
-                [lowest, skew_highest_weight(ctx, k)])
-
-    def test_skew_weights(self):
-        assert skew_highest_weight(ctx_of((2, 1)), 2) == (1, 1, 0)
-        assert skew_highest_weight(ctx_of((2, 1)), 3) == (1, 1, 1)
-        assert skew_highest_weight(ctx_of((1, 2)), 3) == (1, 2, 0)
-        assert skew_highest_weight(ctx_of((1, 1)), 2) == (1, 1)
+            plain = tuple(-k if a == ctx.N else 0
+                          for a in range(1, ctx.N + 1))
+            for barred, want in ((False, plain),
+                                 (True, COLUMN_LABELS[size][k])):
+                rep, _ = build_induced(ctx, k, barred)
+                summands = decompose(rep)
+                assert rep.dim == EXPECTED_DIMS[size][k]
+                assert len(summands) == 1
+                assert summands[0].highest_weight == want, (k, barred)
 
     def test_frozen_matrices_1_1_degree_2(self):
         ctx = ctx_of((1, 1))

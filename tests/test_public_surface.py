@@ -1,7 +1,12 @@
 """The public surface: every exported name and every library entry point
-that the README names imports and does what its name says."""
+that the README names imports and does what its name says, and every
+function of `src/glq` that no subcommand reaches is listed with the
+reason it stays."""
 
 from __future__ import annotations
+
+import ast
+import pathlib
 
 import glq
 from glq.coeff import ONE, Q, RatFunc
@@ -27,3 +32,110 @@ def test_readme_entry_points_parse_into_their_algebras():
     assert isinstance(parse_coords(ctx, "t[1,2]*tb[2,1]"), GqElement)
     x, _ = normal_form(ctx, parse_superspace(ctx, "zb[2]*z[1]"))
     assert parse_superspace(ctx, format_normal_form(ctx, x)) == x
+
+
+# ---------------------------------------------------------------------------
+# Reachability: functions that no `glq` subcommand reaches.
+# ---------------------------------------------------------------------------
+
+ORACLE = "oracle: a test checks the code with it, stated a second way"
+README = "library entry point that the README names"
+BENCH = "the normal-form checker of bench/run.py's rewrite workload"
+LABELS = ("paper check waiting for a report (ROADMAP item 5): the two "
+          "label families of tensor powers and their duals")
+EQUIVARIANCE = ("paper check waiting for a report (ROADMAP item 3): "
+                "right-translation equivariance of the induced span")
+COACTION = ("paper check waiting for a report (ROADMAP item 5): the "
+            "co-action and the invariant subalgebra")
+REWRITING = ("paper check waiting for a report (ROADMAP item 5): the "
+             "rewriting system's identities and confluence")
+GRADING = ("paper check waiting for a report (ROADMAP item 5): the "
+           "circle grading of superspace")
+
+UNREACHED = {
+    "joint_kernel": ORACLE,
+    "pair_coproduct": ORACLE,
+    "parse_uq": README,
+    "parse_coords": README,
+    "parse_scalar": README,
+    "is_normal": BENCH,
+    "hook_partitions": LABELS,
+    "in_first_family": LABELS,
+    "in_second_family": LABELS,
+    "dual_label_of": LABELS,
+    "dual_label": LABELS,
+    "equivariance_defects": EQUIVARIANCE,
+    "right_translation": EQUIVARIANCE,
+    "is_homogeneous": EQUIVARIANCE,
+    "functional_witness": EQUIVARIANCE,
+    "coaction": COACTION,
+    "coaction_pair": COACTION,
+    "cp_basis": COACTION,
+    "verify_identities": REWRITING,
+    "sphere_relation_element": REWRITING,
+    "redexes": REWRITING,
+    "apply_rule": REWRITING,
+    "charge": GRADING,
+    "gl1_weight": GRADING,
+    "classical_limit_is_identity": ("paper check waiting for a report "
+                                    "(ROADMAP item 5): the R-matrix is "
+                                    "the identity at q = 1"),
+    "bilinear": ("the super form on weights; only tests of graded read "
+                 "it"),
+    "contains": "Echelon membership; only tests of graded read it",
+}
+
+
+def _names(node):
+    """Every name and attribute name that a piece of code mentions."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+    return out
+
+
+def _unreached_functions():
+    """Names of the functions in src/glq that no subcommand reaches.
+
+    The walk goes by name: it starts from the functions of glq.cli, the
+    module-level code of every module and the dunder methods (which run
+    on import or through an operator), and a reached body reaches every
+    function, in any module, named like a name or attribute it
+    mentions."""
+    bodies = {}
+    roots = set()
+    for path in sorted(pathlib.Path(glq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                bodies.setdefault(node.name, []).append(node)
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef):
+                if path.stem == "cli":
+                    roots.add(stmt.name)
+                continue
+            parts = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+            for part in parts:
+                if not isinstance(part, ast.FunctionDef):
+                    roots |= _names(part)
+                elif part.name.startswith("__") and part.name.endswith("__"):
+                    roots.add(part.name)
+    reached = set()
+    queue = [name for name in roots if name in bodies]
+    while queue:
+        name = queue.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in bodies[name]:
+            queue.extend(n for n in _names(node) if n in bodies)
+    return set(bodies) - reached
+
+
+def test_every_unreached_function_is_listed_with_a_reason():
+    unreached = _unreached_functions()
+    assert sorted(unreached - set(UNREACHED)) == [], "unreached, not listed"
+    assert sorted(set(UNREACHED) - unreached) == [], "listed, now reached"

@@ -22,13 +22,10 @@ from glq.reps import (
     partition_weight,
     profile_rep,
     submodule_rep,
-    tensor_power,
     tensor_rep,
     trivial_rep,
     vector_gram,
     vector_rep,
-    weight_to_diagram,
-    classify_weight,
     unitarity_check,
 )
 from glq.uq import all_generators
@@ -110,21 +107,10 @@ def test_profile_rep_matches_fresh_builds(size):
     assert _same_module(profile_rep(ctx, ()), trivial_rep(ctx))
     assert _same_module(profile_rep(ctx, (False,)), V)
     assert _same_module(profile_rep(ctx, (True,)), dual_rep(V))
-    assert _same_module(profile_rep(ctx, (False,) * 3), tensor_power(V, 3))
+    assert _same_module(profile_rep(ctx, (False,) * 3),
+                        tensor_rep(tensor_rep(V, V), V))
     assert _same_module(profile_rep(ctx, (False, True)),
                         tensor_rep(V, dual_rep(V)))
-
-
-@pytest.mark.parametrize("k", [0, -1])
-def test_tensor_power_rejects_fewer_than_one_factor(k):
-    V = vector_rep(GradingContext(1, 1))
-    with pytest.raises(ValueError):
-        tensor_power(V, k)
-
-
-def test_tensor_power_of_one_factor_is_the_module():
-    V = vector_rep(GradingContext(1, 1))
-    assert tensor_power(V, 1) is V
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +137,8 @@ EXPECTED_CUBES = {
 
 
 def test_tensor_square_decomposition(ctx):
-    rep = tensor_power(vector_rep(ctx), 2)
+    V = vector_rep(ctx)
+    rep = tensor_rep(V, V)
     summands = decompose(rep)
     got = [(s.highest_weight, s.dim, s.lowest_weight) for s in summands]
     assert got == EXPECTED_SQUARES[(ctx.m, ctx.n)]
@@ -159,7 +146,8 @@ def test_tensor_square_decomposition(ctx):
 
 
 def test_tensor_cube_decomposition(ctx):
-    rep = tensor_power(vector_rep(ctx), 3)
+    V = vector_rep(ctx)
+    rep = tensor_rep(tensor_rep(V, V), V)
     summands = decompose(rep)
     got = [(s.highest_weight, s.dim, s.lowest_weight) for s in summands]
     assert got == EXPECTED_CUBES[(ctx.m, ctx.n)]
@@ -168,7 +156,8 @@ def test_tensor_cube_decomposition(ctx):
 
 def test_summand_subreps_satisfy_relations():
     ctx = GradingContext(2, 1)
-    rep = tensor_power(vector_rep(ctx), 2)
+    V = vector_rep(ctx)
+    rep = tensor_rep(V, V)
     for s in decompose(rep):
         sub = submodule_rep(rep, s.basis)
         assert all(ok for _, ok in check_relations(sub))
@@ -196,7 +185,7 @@ def test_submodule_rep_matches_solved_coordinates(size, dual):
     base = vector_rep(ctx)
     if dual:
         base = dual_rep(base)
-    rep = tensor_power(base, 3)
+    rep = tensor_rep(tensor_rep(base, base), base)
     for s in decompose(rep):
         sub = submodule_rep(rep, s.basis)
         for g in all_generators(ctx):
@@ -205,7 +194,8 @@ def test_submodule_rep_matches_solved_coordinates(size, dual):
 
 def test_submodule_rep_rejects_non_invariant_span():
     ctx = GradingContext(2, 1)
-    rep = tensor_power(vector_rep(ctx), 2)
+    V = vector_rep(ctx)
+    rep = tensor_rep(V, V)
     v1_v2 = {1: ONE}  # row-major index of v_1 (x) v_2
     with pytest.raises(ValueError, match="not invariant"):
         submodule_rep(rep, [v1_v2])
@@ -213,7 +203,8 @@ def test_submodule_rep_rejects_non_invariant_span():
 
 def test_submodule_rep_rejects_basis_without_unit_pivots():
     ctx = GradingContext(2, 1)
-    rep = tensor_power(vector_rep(ctx), 2)
+    V = vector_rep(ctx)
+    rep = tensor_rep(V, V)
     basis = max(decompose(rep), key=lambda s: s.dim).basis
     b0, b1 = basis[0], basis[1]
     b0_plus_b1 = {i: b0.get(i, ZERO) + b1.get(i, ZERO)
@@ -223,7 +214,8 @@ def test_submodule_rep_rejects_basis_without_unit_pivots():
 
 
 def test_highest_weight_vector_count(ctx):
-    rep = tensor_power(vector_rep(ctx), 2)
+    V = vector_rep(ctx)
+    rep = tensor_rep(V, V)
     assert len(highest_weight_vectors(rep)) == 2
 
 
@@ -279,7 +271,8 @@ def _closure_dim_at_point(rep, seed_vec, q0):
 
 def test_tensor_square_summand_dims_by_independent_oracle():
     ctx = GradingContext(2, 1)
-    rep = tensor_power(vector_rep(ctx), 2)
+    V = vector_rep(ctx)
+    rep = tensor_rep(V, V)
     q0 = Fraction(3, 2)
     dims = set()
     for _, hw in highest_weight_vectors(rep):
@@ -310,6 +303,11 @@ def test_partition_weight_examples():
     assert partition_weight(ctx, (2, 1)) == (2, 1, 0)
     assert partition_weight(ctx, (1, 1, 1)) == (1, 1, 1)
     assert partition_weight(ctx, (3,)) == (3, 0, 0)
+    # One column of k boxes: the highest weight of the degree-k barred
+    # induced module.
+    assert partition_weight(ctx, (1, 1)) == (1, 1, 0)
+    assert partition_weight(GradingContext(1, 2), (1, 1, 1)) == (1, 2, 0)
+    assert partition_weight(GradingContext(1, 1), (1, 1)) == (1, 1)
 
 
 def test_first_family_membership_roundtrip():
@@ -322,11 +320,10 @@ def test_first_family_membership_roundtrip():
     ctx11 = GradingContext(1, 1)
     ok, rows = in_first_family(ctx11, (1, 2))
     assert ok and rows == (1, 1, 1)
-
-
-def test_weight_to_diagram_rejects_non_partitions():
-    ctx = GradingContext(2, 1)
-    assert weight_to_diagram(ctx, (1, 2, 0)) is None
+    # Rows that do not decrease, and a tail longer than the m-th row.
+    assert in_first_family(ctx, (1, 2, 0)) == (False, None)
+    assert in_first_family(ctx, (1, 0, 1)) == (False, None)
+    assert in_first_family(ctx11, (0, 0)) == (True, (0, 0))
 
 
 def test_dual_labels_of_small_hooks():
@@ -398,31 +395,28 @@ def test_adjoint_pair_is_exact_over_the_field():
 
 
 class TestClassifyWeight:
+    """Each label's membership in the two families, with the witnesses:
+    the hook diagram and the tensor-family label whose dual it is."""
+
     def test_tensor_label(self):
         ctx = GradingContext(2, 1)
-        out = classify_weight(ctx, (2, 1, 0))
-        assert out["in_tensor_family"] is True
-        assert out["diagram"] == (2, 1, 0)
-        assert out["in_dual_family"] is False
+        assert in_first_family(ctx, (2, 1, 0)) == (True, (2, 1, 0))
+        assert in_second_family(ctx, (2, 1, 0)) == (False, None)
 
     def test_dual_label(self):
         ctx = GradingContext(2, 1)
-        out = classify_weight(ctx, (0, 0, -1))
-        assert out["in_dual_family"] is True
-        assert out["dual_witness"] == (1, 0, 0)
-        assert out["in_tensor_family"] is False
+        assert in_second_family(ctx, (0, 0, -1)) == (True, (1, 0, 0))
+        assert in_first_family(ctx, (0, 0, -1)) == (False, None)
 
     def test_neither(self):
         ctx = GradingContext(2, 1)
-        out = classify_weight(ctx, (-1, 0, 0))
-        assert out["in_tensor_family"] is False
-        assert out["in_dual_family"] is False
+        assert in_first_family(ctx, (-1, 0, 0)) == (False, None)
+        assert in_second_family(ctx, (-1, 0, 0)) == (False, None)
 
     def test_zero_weight_in_both(self):
         ctx = GradingContext(1, 1)
-        out = classify_weight(ctx, (0, 0))
-        assert out["in_tensor_family"] is True
-        assert out["in_dual_family"] is True
+        assert in_first_family(ctx, (0, 0))[0] is True
+        assert in_second_family(ctx, (0, 0))[0] is True
 
 
 class TestUnitarityCheck:

@@ -28,7 +28,6 @@ from glq.uq import (
 from glq.reps import (
     check_relations,
     dual_rep,
-    tensor_power,
     tensor_rep,
     vector_rep,
 )
@@ -60,11 +59,13 @@ def test_relations_dual_rep(ctx):
 
 
 def test_relations_tensor_square(ctx):
-    _assert_all_relations(tensor_power(vector_rep(ctx), 2))
+    V = vector_rep(ctx)
+    _assert_all_relations(tensor_rep(V, V))
 
 
 def test_relations_tensor_cube(ctx):
-    _assert_all_relations(tensor_power(vector_rep(ctx), 3))
+    V = vector_rep(ctx)
+    _assert_all_relations(tensor_rep(tensor_rep(V, V), V))
 
 
 def test_relations_mixed_tensor(ctx):
