@@ -14,6 +14,7 @@ from glq.uq import gen_E, gen_K, gen_Kinv, gen_parity
 from glq.coords import functional_witness
 from glq.reps import (
     decompose,
+    partition_weight,
     submodule_rep,
     tensor_rep,
     trivial_rep,
@@ -198,6 +199,14 @@ class TestBorelWeil:
                 assert rep.dim == EXPECTED_DIMS[size][k]
                 assert len(summands) == 1
                 assert summands[0].highest_weight == want, (k, barred)
+
+    def test_skew_weights(self):
+        """The barred module's highest weight is the label of one column
+        of k boxes."""
+        assert partition_weight(ctx_of((2, 1)), (1, 1)) == (1, 1, 0)
+        assert partition_weight(ctx_of((2, 1)), (1, 1, 1)) == (1, 1, 1)
+        assert partition_weight(ctx_of((1, 2)), (1, 1, 1)) == (1, 2, 0)
+        assert partition_weight(ctx_of((1, 1)), (1, 1)) == (1, 1)
 
     def test_frozen_matrices_1_1_degree_2(self):
         ctx = ctx_of((1, 1))

@@ -303,11 +303,6 @@ def test_partition_weight_examples():
     assert partition_weight(ctx, (2, 1)) == (2, 1, 0)
     assert partition_weight(ctx, (1, 1, 1)) == (1, 1, 1)
     assert partition_weight(ctx, (3,)) == (3, 0, 0)
-    # One column of k boxes: the highest weight of the degree-k barred
-    # induced module.
-    assert partition_weight(ctx, (1, 1)) == (1, 1, 0)
-    assert partition_weight(GradingContext(1, 2), (1, 1, 1)) == (1, 2, 0)
-    assert partition_weight(GradingContext(1, 1), (1, 1)) == (1, 1)
 
 
 def test_first_family_membership_roundtrip():
@@ -320,10 +315,15 @@ def test_first_family_membership_roundtrip():
     ctx11 = GradingContext(1, 1)
     ok, rows = in_first_family(ctx11, (1, 2))
     assert ok and rows == (1, 1, 1)
-    # Rows that do not decrease, and a tail longer than the m-th row.
-    assert in_first_family(ctx, (1, 2, 0)) == (False, None)
+    # A tail longer than the m-th row.
     assert in_first_family(ctx, (1, 0, 1)) == (False, None)
     assert in_first_family(ctx11, (0, 0)) == (True, (0, 0))
+
+
+def test_weight_to_diagram_rejects_non_partitions():
+    """A label whose rows do not decrease is the weight of no diagram."""
+    ctx = GradingContext(2, 1)
+    assert in_first_family(ctx, (1, 2, 0)) == (False, None)
 
 
 def test_dual_labels_of_small_hooks():
