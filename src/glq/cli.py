@@ -272,6 +272,11 @@ def _coords_antipode_suite(ctx, probe_degree):
                 for b in range(1, N + 1)]
     words = [(l,) for l in letters]
     words += [(t_(1, N), t_(N, 1)), (tbar_(1, 1), t_(1, N))]
+    m = ctx.m
+    if 1 <= m < N:
+        # The odd simple pair: two odd letters that degree-2 probes see,
+        # so the reversal sign of S shows at every size.
+        words.append((t_(m, m + 1), t_(m + 1, m)))
     # <S f_i, x> against <f_i, S x>, every f_i keyed in one table.
     plain = coords_mod.pairing_table(
         ctx, ((i, w, ONE) for i, w in enumerate(words)))

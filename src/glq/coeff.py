@@ -416,6 +416,51 @@ def add_term(terms, key, c):
         del terms[key]
 
 
+# -- Hopf maps on words from their values on letters ------------------------
+#
+# Both Hopf superalgebras (the enveloping and the coordinate one) state
+# their coproduct, antipode and stars on letters only; these two functions
+# carry every such map to words, with the Koszul sign each rule needs.
+
+def split_word(word, letter_split, parity):
+    """The coproduct of a word, {(left, right): coeff}, from the coproduct
+    of its letters, letter_split(letter) -> [(left piece, right piece,
+    coeff)].  It is multiplicative with the Koszul leg-collection sign:
+    appending the pieces u (x) v of a letter to wl (x) wr gives
+    (-1)^{|wr||u|} wl u (x) wr v, where parity(word) is 0 or 1."""
+    out = {((), ()): ONE}
+    for letter in word:
+        pieces = [(u, v, c, parity(u)) for u, v, c in letter_split(letter)]
+        nxt = {}
+        for (wl, wr), coeff in out.items():
+            odd_right = parity(wr)
+            for u, v, c, odd_u in pieces:
+                cc = coeff * c
+                if odd_right & odd_u:
+                    cc = -cc
+                add_term(nxt, (wl + u, wr + v), cc)
+        out = nxt
+    return out
+
+
+def reverse_word(word, letter_map, parity=None):
+    """The anti-multiplicative extension of letter_map(letter) -> (piece,
+    coeff): (piece of the last letter + ... + piece of the first, product
+    of the coeffs).  Given the letter parity, it adds the reversal sign
+    (-1)^{sum_{i<j} p_i p_j} of an antipode; a star takes none."""
+    out = ()
+    coeff = ONE
+    for letter in reversed(word):
+        piece, c = letter_map(letter)
+        out += piece
+        coeff = coeff * c
+    if parity is not None:
+        odd = sum(parity(letter) for letter in word)
+        if odd * (odd - 1) // 2 % 2:
+            coeff = -coeff
+    return out, coeff
+
+
 class Combination:
     """A Q(q)-linear combination of words: {word: nonzero RatFunc}.
 
@@ -491,3 +536,11 @@ class Combination:
             nw, nc = f(w)
             add_term(out, nw, c * nc)
         return self._new(out)
+
+    def split_words(self, letter_split, parity):
+        """The sum of split_word over the terms: {(left, right): coeff}."""
+        out = {}
+        for w, c in self.terms.items():
+            for key, dc in split_word(w, letter_split, parity).items():
+                add_term(out, key, c * dc)
+        return out

@@ -28,18 +28,19 @@ Hopf structure on letters (same shape for barred letters):
     S(t_{ab})     = (-1)^{|a||b| + |a|} t-bar_{ba}
     S(t-bar_{ab}) = (-1)^{|a||b| + |b|} q^{(2rho, eps_b - eps_a)} t_{ba}
 
-extended anti-multiplicatively with the Koszul sign for S, and
-multiplicatively with Koszul leg-collection signs for Delta.  The star
-operations (theta = 1, 2) send t_{ab} to (-1)^{(theta+|a|)(|a|+|b|)}
-t-bar_{ab} and back with the same sign, reversing products without a
-Koszul sign.
+extended to words by `coeff.split_word` (Delta) and `coeff.reverse_word`
+(S, with its reversal sign).  The star operations (theta = 1, 2) send
+t_{ab} to (-1)^{(theta+|a|)(|a|+|b|)} t-bar_{ab} and back with the same
+sign, extended by `coeff.reverse_word` without a sign.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 
-from .coeff import Combination, ZERO, ONE, add_term, q_int, sign_pow
+from .coeff import (Combination, ZERO, ONE, add_term, q_int, reverse_word,
+                    sign_pow)
 from .graded import GradedMap, invert, tensor_unindex
 from .uq import UqExpression, probe_monomials, word_parity
 from .reps import profile_rep
@@ -173,41 +174,25 @@ def functional_witness(ctx, f, degree):
 # ---------------------------------------------------------------------------
 
 
-def coproduct_word(ctx, letters):
-    """Delta of a coordinate word, as {(left word, right word): coeff}.
-
-    Each letter splits over an internal index c; the Koszul
-    leg-collection sign multiplies the per-letter coproduct signs.
-    """
-    N = ctx.N
-    out = {((), ()): ONE}
-    for letter in letters:
-        a, b = letter.row, letter.col
-        pa = ctx.parity(a)
-        pb = ctx.parity(b)
-        nxt = {}
-        for (wl, wr), coeff in out.items():
-            pright = coord_word_parity(ctx, wr)
-            for c in range(1, N + 1):
-                pc = ctx.parity(c)
-                first = CoordLetter(letter.barred, a, c)
-                second = CoordLetter(letter.barred, c, b)
-                sgn = (pa + pc) * (pc + pb)  # per-letter coproduct sign
-                sgn += pright * (pa + pc)    # move the new left letter home
-                add_term(nxt, (wl + (first,), wr + (second,)),
-                         coeff if sgn % 2 == 0 else -coeff)
-        out = nxt
+def coproduct_letter(ctx, letter):
+    """Delta on one letter, split over the internal index c:
+    [(left piece, right piece, coeff)]."""
+    a, b = letter.row, letter.col
+    pa, pb = ctx.parity(a), ctx.parity(b)
+    out = []
+    for c in range(1, ctx.N + 1):
+        pc = ctx.parity(c)
+        out.append(((CoordLetter(letter.barred, a, c),),
+                    (CoordLetter(letter.barred, c, b),),
+                    sign_pow((pa + pc) * (pc + pb))))
     return out
 
 
 def coproduct(element):
     """Delta on a GqElement: {(left, right): coeff} summed over terms."""
     ctx = element.ctx
-    out = {}
-    for w, c in element.terms.items():
-        for key, dc in coproduct_word(ctx, w).items():
-            add_term(out, key, c * dc)
-    return out
+    return element.split_words(partial(coproduct_letter, ctx),
+                               partial(coord_word_parity, ctx))
 
 
 def pair_coproduct(ctx, dfn, x, y):
@@ -229,31 +214,22 @@ def pair_coproduct(ctx, dfn, x, y):
 
 
 def antipode_letter(ctx, letter):
-    """S on one letter: (new letter, coefficient)."""
+    """S on one letter: ((new letter,), coefficient)."""
     a, b = letter.row, letter.col
     pa, pb = ctx.parity(a), ctx.parity(b)
     if not letter.barred:
-        sgn = pa * pb + pa
-        coeff = ONE if sgn % 2 == 0 else -ONE
-        return CoordLetter(True, b, a), coeff
-    sgn = pa * pb + pb
+        return (CoordLetter(True, b, a),), sign_pow(pa * pb + pa)
     exp = ctx.two_rho_eps(b) - ctx.two_rho_eps(a)
     coeff = q_int(exp)
-    if sgn % 2:
+    if (pa * pb + pb) % 2:
         coeff = -coeff
-    return CoordLetter(False, b, a), coeff
+    return (CoordLetter(False, b, a),), coeff
 
 
 def antipode_word_coords(ctx, letters):
     """S(w_1 ... w_l) = Koszul sign times S(w_l) ... S(w_1)."""
-    odd = sum(letter_parity(ctx, w) for w in letters)
-    coeff = sign_pow(odd * (odd - 1) // 2)  # sum_{i<j} p_i p_j
-    out = []
-    for letter in reversed(letters):
-        nl, c = antipode_letter(ctx, letter)
-        out.append(nl)
-        coeff = coeff * c
-    return tuple(out), coeff
+    return reverse_word(letters, partial(antipode_letter, ctx),
+                        partial(letter_parity, ctx))
 
 
 def antipode_coords(element):
@@ -261,31 +237,25 @@ def antipode_coords(element):
     return element.map_words(lambda w: antipode_word_coords(ctx, w))
 
 
-def star_letter(ctx, letter, theta):
-    """Star on one letter: bar status flips, indices stay.  Returns the
-    new letter and the exponent of its sign."""
-    a, b = letter.row, letter.col
-    sgn = (theta + ctx.parity(a)) * (ctx.parity(a) + ctx.parity(b))
-    return CoordLetter(not letter.barred, a, b), sgn
+def _star_letter_map(ctx, theta):
+    """Star on one letter, as a map letter -> ((new letter,), sign): bar
+    status flips, indices stay."""
+    if theta not in (1, 2):
+        raise ValueError("star type must be 1 or 2")
+
+    def star_letter(letter):
+        a, b = letter.row, letter.col
+        sgn = (theta + ctx.parity(a)) * (ctx.parity(a) + ctx.parity(b))
+        return (CoordLetter(not letter.barred, a, b),), sign_pow(sgn)
+
+    return star_letter
 
 
 def star_coords(element, theta=1):
     """Antilinear anti-automorphism on coordinates (no Koszul sign);
     conjugation is trivial on rational coefficients at real q."""
-    if theta not in (1, 2):
-        raise ValueError("star type must be 1 or 2")
-    ctx = element.ctx
-
-    def star_word(word):
-        letters = []
-        sign = 0
-        for letter in reversed(word):
-            nl, s = star_letter(ctx, letter, theta)
-            letters.append(nl)
-            sign += s
-        return tuple(letters), sign_pow(sign)
-
-    return element.map_words(star_word)
+    star_letter = _star_letter_map(element.ctx, theta)
+    return element.map_words(lambda w: reverse_word(w, star_letter))
 
 
 def star_coproduct(element, theta=1):
@@ -293,14 +263,13 @@ def star_coproduct(element, theta=1):
     antilinear odd-degree-aware maps: (* (x) *)(a (x) b) =
     (-1)^{|a||b|} (*a (x) *b).  Compares against Delta(*(f))."""
     ctx = element.ctx
+    star_letter = _star_letter_map(ctx, theta)
     out = {}
     for (wl, wr), c in coproduct(element).items():
         if (coord_word_parity(ctx, wl) * coord_word_parity(ctx, wr)) % 2:
             c = -c
-        sl = star_coords(GqElement.from_word(ctx, wl), theta)
-        sr = star_coords(GqElement.from_word(ctx, wr), theta)
-        ((nwl, cl),) = sl.terms.items()
-        ((nwr, cr),) = sr.terms.items()
+        nwl, cl = reverse_word(wl, star_letter)
+        nwr, cr = reverse_word(wr, star_letter)
         add_term(out, (nwl, nwr), c * cl * cr)
     return out
 

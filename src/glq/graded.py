@@ -1,9 +1,8 @@
 """Z2-graded linear algebra over Q(q) with Koszul sign bookkeeping.
 
 A grading context fixes the two block sizes (m even basis labels, n odd
-ones, labels 1..m+n) and provides parities, the signs sigma_a, the
-super-symmetric bilinear form on weights, and the weight 2*rho that
-controls the square of the antipode.
+ones, labels 1..m+n) and provides parities, the signs sigma_a, and the
+weight 2*rho that controls the square of the antipode.
 
 Graded vector spaces are just parity tuples; linear maps are sparse
 matrices over Q(q) tagged with their domain and codomain.  The tensor
@@ -52,11 +51,6 @@ class GradingContext:
 
     def zero_weight(self):
         return (0,) * self.N
-
-    def bilinear(self, mu, nu):
-        """Super form (mu, nu) = sum_a sigma_a mu_a nu_a."""
-        return sum(self.sigma(a) * mu[a - 1] * nu[a - 1]
-                   for a in range(1, self.N + 1))
 
     def two_rho_eps(self, c):
         """(2 rho, eps_c) = sum_{b>c} sigma_b - sum_{b<c} sigma_b."""
@@ -308,9 +302,6 @@ class Echelon:
                 self.rows[p] = vec_sub_scaled(r, row, x)
         self.rows[piv] = row
         return True
-
-    def contains(self, vec):
-        return not self.reduce(vec)
 
     def basis(self):
         return [dict(r) for _, r in sorted(self.rows.items())]

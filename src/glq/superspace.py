@@ -268,11 +268,6 @@ def multidegree(ctx, word):
     return tuple(plain), tuple(barred)
 
 
-def charge(word):
-    """Plain-letter count minus barred-letter count."""
-    return sum(-1 if l.barred else 1 for l in word)
-
-
 # ---------------------------------------------------------------------------
 # Gradings and multi-indices.
 # ---------------------------------------------------------------------------
@@ -281,7 +276,7 @@ def charge(word):
 def gl1_weight(ctx, element):
     """The integer grading (barred letter count) - (plain letter count),
     constant across the element's terms; mixed input is an error."""
-    values = {-charge(w) for w in element.terms}
+    values = {sum(1 if l.barred else -1 for l in w) for w in element.terms}
     if not values:
         return 0
     if len(values) > 1:

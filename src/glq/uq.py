@@ -17,14 +17,14 @@ Hopf structure on generators:
     S(E_{a,a+1}) = -E_{a,a+1} K_a^{-1} K_{a+1}
     S(E_{a+1,a}) = -K_a K_{a+1}^{-1} E_{a+1,a},  S(K^{+-1}) = K^{-+1}
 
-extended to words anti-multiplicatively with the Koszul sign:
-S(g_1 ... g_k) = (prod_{i<j} (-1)^{|g_i||g_j|}) S(g_k) ... S(g_1).
-The square of the antipode is conjugation by the group-like element
-K_{2 rho} (see GradingContext.k2rho_exponents), which also realises the
-inverse antipode as S^{-1}(x) = K_{2 rho}^{-1} S(x) K_{2 rho}.
+extended to words by `coeff.split_word` (Delta) and `coeff.reverse_word`
+(S, with its reversal sign).  The square of the antipode is conjugation
+by the group-like element K_{2 rho} (see GradingContext.k2rho_exponents),
+which also realises the inverse antipode as
+S^{-1}(x) = K_{2 rho}^{-1} S(x) K_{2 rho}.
 
 Two star operations are provided (type 1 and type 2), both antilinear
-anti-automorphisms taken WITHOUT a Koszul sign: *(xy) = *(y)*(x).  They
+anti-automorphisms extended by `coeff.reverse_word` without a sign.  They
 differ by the sign (-1)^{(theta+1)} on the odd simple pair, and
 x -> (-1)^{|x|} *(x) exchanges the two types.
 """
@@ -32,8 +32,10 @@ x -> (-1)^{|x|} *(x) exchanges the two types.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
-from .coeff import Combination, ZERO, ONE, add_term, q_int, sign_pow
+from .coeff import (Combination, ZERO, ONE, add_term, q_int, reverse_word,
+                    sign_pow, split_word)
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +171,7 @@ def counit(expr):
 
 def antipode_word(ctx, word):
     """S on a word: reversed generator antipodes times the Koszul sign."""
-    odd = sum(gen_parity(ctx, g) for g in word)
-    out_word = ()
-    coeff = sign_pow(odd * (odd - 1) // 2)  # sum_{i<j} p_i p_j
-    for g in reversed(word):
-        w, c = _antipode_gen(g)
-        out_word = out_word + w
-        coeff = coeff * c
-    return out_word, coeff
+    return reverse_word(word, _antipode_gen, partial(gen_parity, ctx))
 
 
 def antipode(expr):
@@ -184,27 +179,18 @@ def antipode(expr):
     return expr.map_words(lambda w: antipode_word(ctx, w))
 
 
-def _star_word_map(ctx, theta):
-    """The star of type theta on words: reversed generator stars."""
-    if theta not in (1, 2):
-        raise ValueError("star type must be 1 or 2")
-
-    def star_word(word):
-        sw = ()
-        sign = 0
-        for g in reversed(word):
-            gw, gs = _star_gen(ctx, g, theta)
-            sw = sw + gw
-            sign += gs
-        return sw, sign_pow(sign)
-
-    return star_word
-
-
 def star(expr, theta=1):
     """Antilinear anti-automorphism; coefficient conjugation is trivial
     on Q(q) with rational coefficients (q is treated as a real point)."""
-    return expr.map_words(_star_word_map(expr.ctx, theta))
+    if theta not in (1, 2):
+        raise ValueError("star type must be 1 or 2")
+    ctx = expr.ctx
+
+    def star_gen(g):
+        word, sign = _star_gen(ctx, g, theta)
+        return word, sign_pow(sign)
+
+    return expr.map_words(lambda w: reverse_word(w, star_gen))
 
 
 def k2rho_word(ctx, inverse=False):
@@ -244,10 +230,6 @@ class TensorExpression(Combination):
 
     def _new(self, terms):
         return TensorExpression(self.ctx, self.arity, terms)
-
-    @staticmethod
-    def one(ctx, arity):
-        return TensorExpression(ctx, arity, {((),) * arity: ONE})
 
     def __eq__(self, other):
         if not isinstance(other, TensorExpression):
@@ -306,9 +288,10 @@ class TensorExpression(Combination):
     def delta_leg(self, i):
         """Apply the coproduct to leg i, raising the arity by one."""
         ctx = self.ctx
+        parity = partial(word_parity, ctx)
         out = {}
         for ws, c in self.terms.items():
-            for (wl, wr), dc in _delta_word_terms(ctx, ws[i]):
+            for (wl, wr), dc in split_word(ws[i], _delta_gen, parity).items():
                 add_term(out, ws[:i] + (wl, wr) + ws[i + 1:], c * dc)
         return TensorExpression(ctx, self.arity + 1, out)
 
@@ -332,29 +315,11 @@ class TensorExpression(Combination):
                 % (self.arity, len(self.terms)))
 
 
-def _delta_word_terms(ctx, word):
-    """Coproduct of a word as [( (left, right), coeff )]."""
-    cur = {((), ()): ONE}
-    for g in word:
-        nxt = {}
-        for (w1, w2), c in cur.items():
-            p2 = word_parity(ctx, w2)
-            for u, v, dc in _delta_gen(g):
-                cc = c * dc
-                if (p2 * word_parity(ctx, u)) % 2:
-                    cc = -cc
-                add_term(nxt, (w1 + u, w2 + v), cc)
-        cur = nxt
-    return list(cur.items())
-
-
 def coproduct(expr):
     """Delta as an arity-2 TensorExpression."""
-    out = {}
-    for w, c in expr.terms.items():
-        for key, dc in _delta_word_terms(expr.ctx, w):
-            add_term(out, key, c * dc)
-    return TensorExpression(expr.ctx, 2, out)
+    ctx = expr.ctx
+    return TensorExpression(
+        ctx, 2, expr.split_words(_delta_gen, partial(word_parity, ctx)))
 
 
 def coproduct_opposite(expr):

@@ -13,10 +13,11 @@ test.
 """
 
 import json
+from functools import partial
 
 import pytest
 
-from glq import coords, graded, reps, rmatrix, uq
+from glq import coeff, coords, graded, reps, rmatrix, uq
 from glq.cli import main
 from glq.coeff import ONE
 from glq.graded import GradedMap, GradingContext
@@ -28,6 +29,7 @@ VERIFY = ["verify", "--m", "2", "--n", "1"]
 RMATRIX = ["rmatrix", "--m", "2", "--n", "1", "--kind", "pp",
            "--probe-degree", "2"]
 INDUCE = ["induce", "--m", "2", "--n", "1", "--k", "2", "--side"]
+COORDS = ["coords", "--m", "2", "--n", "1", "--check"]
 E12 = uq.gen_E(1, 2)
 
 
@@ -84,6 +86,37 @@ def _drop_koszul_sign_of_flip(monkeypatch):
     monkeypatch.setattr(rmatrix, "graded_flip", unsigned)
 
 
+def _on_uq_side(letter_fn):
+    """Whether a word rule of coeff runs on a generator table of uq (its
+    coproduct or antipode) rather than on a letter map of coords."""
+    return letter_fn is uq._delta_gen or letter_fn is uq._antipode_gen
+
+
+def _drop_leg_sign(monkeypatch, on_uq_side):
+    true_split = coeff.split_word
+
+    def unsigned(word, letter_split, parity):
+        if _on_uq_side(letter_split) == on_uq_side:
+            return true_split(word, letter_split, lambda w: 0)
+        return true_split(word, letter_split, parity)
+
+    # uq holds its own binding of the name.
+    monkeypatch.setattr(coeff, "split_word", unsigned)
+    monkeypatch.setattr(uq, "split_word", unsigned)
+
+
+def _drop_reversal_sign(monkeypatch, on_uq_side):
+    true_reverse = coeff.reverse_word
+
+    def unsigned(word, letter_map, parity=None):
+        if _on_uq_side(letter_map) == on_uq_side:
+            parity = None
+        return true_reverse(word, letter_map, parity)
+
+    for module in (coeff, uq, coords):
+        monkeypatch.setattr(module, "reverse_word", unsigned)
+
+
 MUTANTS = {
     "r-element-off-diagonal-flipped": (
         _flip_first_off_diagonal, RMATRIX,
@@ -119,6 +152,25 @@ MUTANTS = {
     "layout-koszul-sign-dropped/induce-unbar": (
         _drop_koszul_sign_of_layout, INDUCE + ["unbar"],
         {"defining-relations"}),
+    # The Koszul word rules of coeff, each dropped on one side only.
+    "leg-sign-dropped-in-uq": (
+        partial(_drop_leg_sign, on_uq_side=True), VERIFY,
+        {"antipode-axiom-vector"}),
+    # Weak spot: `induce` at (1|1) through (2|2), k = 2 and 3, cannot see
+    # a dropped coordinate leg sign, although its translations pair the
+    # coordinate coproduct.
+    "leg-sign-dropped-in-coords": (
+        partial(_drop_leg_sign, on_uq_side=False), COORDS + ["star"],
+        {"star-coproduct-type-1", "star-coproduct-type-2"}),
+    "reversal-sign-dropped-in-uq/verify": (
+        partial(_drop_reversal_sign, on_uq_side=True), VERIFY,
+        {"antipode-axiom-vector"}),
+    "reversal-sign-dropped-in-uq/coords-antipode": (
+        partial(_drop_reversal_sign, on_uq_side=True), COORDS + ["antipode"],
+        {"antipode-dual-to-enveloping"}),
+    "reversal-sign-dropped-in-coords": (
+        partial(_drop_reversal_sign, on_uq_side=False),
+        COORDS + ["antipode"], {"antipode-dual-to-enveloping"}),
 }
 
 

@@ -75,14 +75,10 @@ UNREACHED = {
     "sphere_relation_element": REWRITING,
     "redexes": REWRITING,
     "apply_rule": REWRITING,
-    "charge": GRADING,
     "gl1_weight": GRADING,
     "classical_limit_is_identity": ("paper check waiting for a report "
                                     "(ROADMAP item 5): the R-matrix is "
                                     "the identity at q = 1"),
-    "bilinear": ("the super form on weights; only tests of graded read "
-                 "it"),
-    "contains": "Echelon membership; only tests of graded read it",
 }
 
 

@@ -154,6 +154,16 @@ def test_tensor_cube_decomposition(ctx):
     assert sum(s.dim for s in summands) == rep.dim
 
 
+def test_decompose_rejects_overlapping_closures():
+    """V (x) V-bar at (1|1) is not completely reducible, so the modules
+    that its highest-weight vectors generate are not independent, and
+    decompose raises instead of returning summands."""
+    rep = profile_rep(GradingContext(1, 1), (False, True))
+    with pytest.raises(ValueError,
+                       match=r"highest-weight closures overlap at \(0, 0\)"):
+        decompose(rep)
+
+
 def test_summand_subreps_satisfy_relations():
     ctx = GradingContext(2, 1)
     V = vector_rep(ctx)

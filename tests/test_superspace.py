@@ -16,7 +16,6 @@ from glq.superspace import (
     SuperspaceElement,
     apply_rule,
     barred_monomials,
-    charge,
     gl1_weight,
     is_normal,
     measure,
@@ -315,8 +314,9 @@ def test_multidegree_and_charge(ctx):
     plain, barred = multidegree(ctx, word)
     assert plain[0] == 1 and plain[-1] == 1
     assert barred[0] == 1
-    assert charge(word) == 1
-    assert charge(()) == 0
+    # The circle grading is (barred count) - (plain count).
+    assert gl1_weight(ctx, SuperspaceElement.from_word(ctx, word)) == -1
+    assert gl1_weight(ctx, SuperspaceElement.one(ctx)) == 0
 
 
 def test_measure_of_sorted_word_is_minimal(ctx):

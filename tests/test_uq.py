@@ -101,6 +101,16 @@ def test_coassociativity_on_generators(ctx):
         assert d.delta_leg(0) == d.delta_leg(1)
 
 
+def test_coproduct_is_an_algebra_map_on_generator_pairs(ctx):
+    """Delta(xy) = Delta(x) Delta(y): the leg-collection sign of
+    coeff.split_word on the left against the Koszul product of
+    TensorExpression on the right, two statements of one sign rule."""
+    gens = [UqExpression.from_gen(ctx, g) for g in all_generators(ctx)]
+    for x in gens:
+        for y in gens:
+            assert coproduct(x * y) == coproduct(x) * coproduct(y)
+
+
 def test_counit_axiom_on_generators(ctx):
     from glq.uq import TensorExpression
 
