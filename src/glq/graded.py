@@ -112,10 +112,12 @@ class GradedMap:
     """Sparse matrix over Q(q) with graded domain and codomain.
 
     Entries are stored as {(row, col): RatFunc}, zeros omitted.  Vectors
-    are dicts {index: RatFunc}.
+    are dicts {index: RatFunc}.  Only the constructor writes ``entries``;
+    every operation builds its dict first and a new map from it.  So the
+    column index that ``apply`` builds on first use never goes stale.
     """
 
-    __slots__ = ("domain", "codomain", "entries")
+    __slots__ = ("domain", "codomain", "entries", "_by_col")
 
     def __init__(self, domain, codomain, entries=None):
         self.domain = domain
@@ -125,6 +127,7 @@ class GradedMap:
             for rc, v in entries.items():
                 if v:
                     self.entries[rc] = v
+        self._by_col = None
 
     @staticmethod
     def identity(space):
@@ -149,10 +152,10 @@ class GradedMap:
                 and self.entries == other.entries)
 
     def __add__(self, other):
-        out = GradedMap(self.domain, self.codomain, dict(self.entries))
+        out = dict(self.entries)
         for rc, v in other.entries.items():
-            add_term(out.entries, rc, v)
-        return out
+            add_term(out, rc, v)
+        return GradedMap(self.domain, self.codomain, out)
 
     def __neg__(self):
         return GradedMap(self.domain, self.codomain,
@@ -169,13 +172,21 @@ class GradedMap:
         return GradedMap(self.domain, self.codomain,
                          {rc: v * s for rc, v in self.entries.items()})
 
+    def _columns(self):
+        """The entries by column, {col: [(row, value)]}, in entry order."""
+        by_col = {}
+        for (r, c), v in self.entries.items():
+            by_col.setdefault(c, []).append((r, v))
+        return by_col
+
     def compose(self, other):
         """self after other."""
         if other.codomain != self.domain:
             raise ValueError("composition domain mismatch")
-        by_col = {}
-        for (r, c), v in self.entries.items():
-            by_col.setdefault(c, []).append((r, v))
+        # Only apply stores the index: the word images that
+        # Representation caches are composed, not applied, and an index
+        # on each of them would only cost memory.
+        by_col = self._by_col or self._columns()
         out = {}
         for (r2, c2), v2 in other.entries.items():
             for r1, v1 in by_col.get(r2, ()):
@@ -186,12 +197,16 @@ class GradedMap:
         return self.compose(other)
 
     def apply(self, vec):
-        """Apply to a sparse column vector {index: RatFunc}."""
+        """Apply to a sparse column vector {index: RatFunc}, walking only
+        the columns in its support."""
+        if self._by_col is None:
+            self._by_col = self._columns()
+        by_col = self._by_col
         out = {}
-        for (r, c), v in self.entries.items():
-            x = vec.get(c)
+        for c, x in vec.items():
             if x:
-                add_term(out, r, v * x)
+                for r, v in by_col.get(c, ()):
+                    add_term(out, r, v * x)
         return out
 
     def tensor(self, other):

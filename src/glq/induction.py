@@ -12,6 +12,16 @@ per degree — the realized induced modules — whose dimensions, highest
 weights, irreducibility, and reciprocity dimensions (both counted by
 `hom_dimension`) `glq induce` checks.
 
+Left translation makes the coordinate algebra a module superalgebra:
+g.(a w) = sum (-1)^{|x''||a|} (x'.a)(x''.w) over Delta^op(g) = sum
+x' (x) x'', for a first letter a and the rest w of a word.  That is why
+the degree-k spans are stable, and `build_induced` builds its matrices
+by this rule (`translation_rule`), with a memo that lives for one build.
+Words of at most two letters take the coproduct path
+(`dot_action_on_word`), which pairs the coordinate coproduct of the
+whole word, about N^k terms, with S^-1(g).  That path is the rule's base
+case and the oracle it is tested against.
+
 This module is also where superspace meets the coordinate algebra: it
 sends superspace words to last-column coordinate words and back, and
 holds the co-action and the invariant-subalgebra certificate.  The
@@ -25,11 +35,13 @@ from .graded import GradedMap, GradedSpace, nullspace
 from .uq import (
     UqExpression,
     all_generators,
+    coproduct_opposite,
     gen_E,
     gen_K,
     gen_Kinv,
     pbw_probe_expressions,
     s_inverse,
+    word_parity,
 )
 from .coords import (
     CoordLetter,
@@ -168,12 +180,79 @@ def right_translation(ctx, x, element):
 
 
 def dot_action_on_word(ctx, x, word):
-    """Left translation of a superspace word, reduced to normal form."""
+    """Left translation of a superspace word, reduced to normal form.
+
+    This is the coproduct path: it expands the coordinate coproduct of
+    the whole word, about N^k terms at degree k.  It is the base case of
+    ``translation_rule`` and the oracle that the rule is tested against."""
     f = to_coordinate_element(ctx, SuperspaceElement.from_word(ctx, word))
     moved = left_translation(ctx, x, f)
     nf, _ = normal_form(ctx, SuperspaceElement(
         ctx, {space_word(ctx, w): c for w, c in moved.terms.items()}))
     return nf
+
+
+def _signed_opposite_legs(ctx, g, letter):
+    """The terms x' (x) x'' of Delta^op(g) as (x', x'', coeff), each
+    coefficient carrying the sign (-1)^{|x''||a|} of moving x'' past the
+    letter a."""
+    odd = space_letter_parity(ctx, letter)
+    legs = coproduct_opposite(UqExpression.from_gen(ctx, g)).terms
+    return [(x1, x2, -c if odd and word_parity(ctx, x2) else c)
+            for (x1, x2), c in legs.items()]
+
+
+# Words of at most this many letters take the coproduct path in
+# translation_rule.  Two odd letters meet the Koszul sign of the
+# coordinate word layout there, which a single letter never does.
+COPRODUCT_BASE = 2
+
+
+def translation_rule(ctx):
+    """Left translation of normal words by the module-algebra rule.
+
+    Returns act(g, word) -> {normal word: coeff} for a generator g and a
+    normal monomial.  Left translation makes the coordinate algebra a
+    module superalgebra, so for a first letter a and the rest w,
+
+        g.(a w) = sum (-1)^{|x''||a|} (x'.a)(x''.w)
+
+    over Delta^op(g) = sum x' (x) x''.  A word of generators acts last
+    letter first.  The product concatenates the pieces, and normal_form
+    reduces the sum once.  Words of at most ``COPRODUCT_BASE`` letters
+    take the coproduct path ``dot_action_on_word``.  The memo lives as
+    long as the returned function."""
+    base = COPRODUCT_BASE
+    memo = {}
+
+    def act(g, word):
+        out = memo.get((g, word))
+        if out is not None:
+            return out
+        if len(word) <= base:
+            out = dot_action_on_word(ctx, g, word).terms
+        else:
+            terms = {}
+            for x1, x2, c in _signed_opposite_legs(ctx, g, word[0]):
+                head = act_word(x1, {word[:1]: ONE})
+                tail = act_word(x2, {word[1:]: ONE}) if head else {}
+                for hw, hc in head.items():
+                    for tw, tc in tail.items():
+                        add_term(terms, hw + tw, c * hc * tc)
+            out = normal_form(ctx, SuperspaceElement(ctx, terms))[0].terms
+        memo[g, word] = out
+        return out
+
+    def act_word(gens, terms):
+        for g in reversed(gens):
+            moved = {}
+            for w, c in terms.items():
+                for w2, c2 in act(g, w).items():
+                    add_term(moved, w2, c * c2)
+            terms = moved
+        return terms
+
+    return act
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +347,24 @@ class RelationError(ValueError):
 def build_induced(ctx, k, barred):
     """Left-translation module on the degree-k normal monomials.
 
-    Verifies block stability (the action lands exactly in the span,
-    else ValueError) and the defining relations (else RelationError);
-    returns the Representation and its basis."""
+    The action is built by the module-algebra rule of
+    ``translation_rule``, on the coproduct base, with a memo
+    local to this call: a memo shared between calls would let one build
+    read the actions of another.  Verifies block stability (the action
+    lands exactly in the span, else ValueError) and the defining
+    relations (else RelationError); returns the Representation and its
+    basis."""
     words = barred_monomials(ctx, k) if barred else plain_monomials(ctx, k)
     index = {w: i for i, w in enumerate(words)}
     parities = tuple(
         sum(space_letter_parity(ctx, l) for l in w) % 2 for w in words)
     space = GradedSpace(parities)
+    act = translation_rule(ctx)
     images = {}
     for g in all_generators(ctx):
         ent = {}
         for j, w in enumerate(words):
-            moved = dot_action_on_word(ctx, g, w)
-            for out_word, c in moved.terms.items():
+            for out_word, c in act(g, w).items():
                 if out_word not in index:
                     raise ValueError(
                         "action leaves the degree-%d span on %r" % (k, g))

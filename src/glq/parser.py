@@ -187,19 +187,21 @@ class _Parser:
                 raise ParseError("zero to a negative power", at)
             base, exponent = base.inverse(), -exponent
         out = ONE
-        if not isinstance(base, RatFunc):
+        if not isinstance(base, RatFunc) and len(base.terms) > 1:
             # One factor at a time: the term order of the product sets
             # the order in which normal_form rewrites it.
             for _ in range(exponent):
                 out = self.mul(out, base)
             return _checked(out, at)
-        # Each square is checked, so 2^99999999 fails within 15 squarings.
+        # A scalar or a one-term element has one term order, so it is
+        # powered by squaring.  Each square is checked, so 2^99999999
+        # fails within 15 squarings.
         while exponent:
             if exponent & 1:
-                out = _checked(out * base, at)
+                out = _checked(self.mul(out, base), at)
             exponent >>= 1
             if exponent:
-                base = _checked(base * base, at)
+                base = _checked(self.mul(base, base), at)
         return out
 
     # -- grammar ------------------------------------------------------------

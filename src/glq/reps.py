@@ -248,6 +248,7 @@ def submodule_rep(rep, basis, name="sub"):
         parities.append(ps.pop())
         weights.append(ws.pop())
     space = GradedSpace(tuple(parities))
+    row_of = {piv: r for r, piv in enumerate(pivots)}
     images = {}
     for g in all_generators(ctx):
         mat = rep.image(g)
@@ -255,11 +256,12 @@ def submodule_rep(rep, basis, name="sub"):
         for j, v in enumerate(basis):
             target = mat.apply(v)
             residual = target
-            for r, piv in enumerate(pivots):
-                x = target.get(piv)
-                if x:
-                    entries[(r, j)] = x
-                    residual = vec_sub_scaled(residual, basis[r], x)
+            # Only the pivots in the image's support can carry a
+            # coordinate; they are read in basis order.
+            for r in sorted(row_of[i] for i in target if i in row_of):
+                x = target[pivots[r]]
+                entries[(r, j)] = x
+                residual = vec_sub_scaled(residual, basis[r], x)
             if residual:
                 raise ValueError("span is not invariant under %s: the image "
                                  "of basis vector %d leaves it" % (g, j))
@@ -310,11 +312,18 @@ def highest_weight_vectors(rep):
 
 
 def generated_submodule(rep, seed):
-    """Echelon basis of the submodule generated by a vector."""
+    """Echelon basis of the submodule generated by a weight vector.
+
+    Only the E generators are applied: the seed and every vector queued
+    from it have one weight each, so K_a^{+-1} only scales them and
+    could never enlarge the span.  ``submodule_rep`` still checks the
+    span against every generator."""
+    if len({rep.weights[i] for i, x in seed.items() if x}) != 1:
+        raise ValueError("the seed must be a nonzero weight vector")
     ech = Echelon()
     ech.add(seed)
     queue = [seed]
-    mats = [rep.image(g) for g in all_generators(rep.ctx)]
+    mats = [rep.image(g) for g in all_generators(rep.ctx) if g[0] == "E"]
     while queue:
         v = queue.pop()
         for mat in mats:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -276,6 +277,36 @@ class TestReports:
         assert code == 0
         assert report["suites"][0]["normal_form"] == rendered
 
+    @pytest.mark.parametrize("m,n,rendered", [
+        (1, 1, "0"), (0, 2, "Z[;300000,0]")])
+    def test_power_of_a_one_term_element_is_squared(self, capsys, m, n,
+                                                    rendered):
+        """A one-term element has one term order, so its power is
+        computed by squaring.  One factor at a time would copy the
+        growing word once per unit of exponent, in quadratic time."""
+        start = time.perf_counter()
+        code, _, report = run_cli(
+            capsys, ["normalform", "--m", str(m), "--n", str(n),
+                     "z[1]^300000"])
+        assert time.perf_counter() - start < 10
+        assert code == 0 and report["ok"] is True
+        assert report["suites"][0]["normal_form"] == rendered
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (0, 2)])
+    @pytest.mark.parametrize("base,power", [
+        ("z[1]", 50), ("(q*z[2])", 7), ("(2*zb[1])", 5)])
+    def test_power_matches_the_written_out_product(self, capsys, m, n,
+                                                   base, power):
+        # Squaring and the written-out product reach normal_form with
+        # the same element, so the form and the step count agree.
+        reports = [run_cli(capsys, ["normalform", "--m", str(m), "--n",
+                                    str(n), text])[2]["suites"][0]
+                   for text in ("%s^%d" % (base, power),
+                                "*".join([base] * power))]
+        for r in reports:
+            del r["input"]
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("text,position", [
         ("2^20000*z[1]", 1),
         ("2^99999999*z[1]", 1),
@@ -345,6 +376,19 @@ class TestReports:
         by_name = {c["name"]: c for c in borel["checks"]}
         assert by_name["dimension"]["measured"] == 2
         assert by_name["highest-weight"]["measured"] == [0, -2]
+
+    def test_induce_frontier_cube_at_3_3(self, capsys):
+        # The module-algebra rule builds this module in about a second,
+        # where the coproduct path alone takes 40-60 s.
+        start = time.perf_counter()
+        code, _, report = run_cli(
+            capsys, ["induce", "--m", "3", "--n", "3", "--k", "4",
+                     "--side", "bar"])
+        assert time.perf_counter() - start < 20
+        assert code == 0 and report["ok"] is True
+        checks = [c for s in report["suites"] for c in s["checks"]]
+        assert len(checks) == 7
+        assert all(c["ok"] is True for c in checks)
 
     def test_induce_reports_a_relation_failure(self, capsys, monkeypatch):
         from glq import induction

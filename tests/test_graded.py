@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from glq.coeff import RatFunc, ZERO, ONE, Q, QINV
+from glq.coeff import RatFunc, ZERO, ONE, Q, QINV, add_term, q_int
 from glq.graded import (
     Echelon,
     GradedMap,
@@ -72,6 +73,64 @@ def test_graded_map_compose_and_apply():
     assert e12.apply({0: Q}) == {}
     both = GradedMap(sp, sp, {(0, 0): ONE, (0, 1): ONE, (1, 1): QINV})
     assert both.apply({0: Q, 1: -Q}) == {1: -ONE}
+
+
+# Sparse maps and vectors with small Q(q) values, some of them zero.
+_values = st.builds(lambda c, e: q_int(e).scale(c),
+                    st.integers(-2, 2), st.integers(-2, 2))
+_spaces = st.lists(st.integers(0, 1), max_size=4).map(GradedSpace)
+
+
+@st.composite
+def _maps(draw, domain=None, codomain=None):
+    domain = domain or draw(_spaces)
+    codomain = codomain or draw(_spaces)
+    cells = st.tuples(st.integers(0, codomain.dim - 1),
+                      st.integers(0, domain.dim - 1))
+    entries = (draw(st.dictionaries(cells, _values, max_size=8))
+               if domain.dim and codomain.dim else {})
+    return GradedMap(domain, codomain, entries)
+
+
+def _vector(draw, space):
+    return draw(st.dictionaries(st.integers(0, space.dim - 1), _values,
+                                max_size=4)) if space.dim else {}
+
+
+def _walk(mat, vec):
+    """The map applied entry by entry over the whole matrix."""
+    out = {}
+    for (r, c), v in mat.entries.items():
+        x = vec.get(c)
+        if x:
+            add_term(out, r, v * x)
+    return out
+
+
+@st.composite
+def _built_maps(draw):
+    """A map as one of the operations builds it from random maps."""
+    a = draw(_maps())
+    how = draw(st.sampled_from(["plain", "add", "compose", "tensor",
+                                "transpose"]))
+    if how == "add":
+        return a + draw(_maps(a.domain, a.codomain))
+    if how == "compose":
+        return a @ draw(_maps(codomain=a.domain))
+    if how == "tensor":
+        return a.tensor(draw(_maps()))
+    if how == "transpose":
+        return a.transpose()
+    return a
+
+
+@given(st.data())
+def test_apply_by_column_matches_the_entry_walk(data):
+    mat = data.draw(_built_maps())
+    # The column index is built on the first apply and reused after.
+    for _ in range(2):
+        vec = _vector(data.draw, mat.domain)
+        assert mat.apply(vec) == _walk(mat, vec)
 
 
 def test_invert_exact_and_singular():

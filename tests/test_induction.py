@@ -10,7 +10,17 @@ import pytest
 
 from glq.coeff import ZERO, ONE, Q, QINV, q_int
 from glq.graded import GradingContext
-from glq.uq import gen_E, gen_K, gen_Kinv, gen_parity
+from glq import induction
+from glq.uq import (
+    UqExpression,
+    all_generators,
+    coproduct_opposite,
+    gen_E,
+    gen_K,
+    gen_Kinv,
+    gen_parity,
+    word_parity,
+)
 from glq.coords import functional_witness
 from glq.reps import (
     decompose,
@@ -24,6 +34,7 @@ from glq.superspace import (
     SuperspaceElement,
     barred_monomials,
     plain_monomials,
+    space_letter_parity,
     z_,
     zb_,
 )
@@ -41,6 +52,7 @@ from glq.induction import (
     reciprocity_character,
     right_translation,
     to_coordinate_element,
+    translation_rule,
 )
 
 SIZES = [(1, 1), (2, 1), (1, 2)]
@@ -231,6 +243,102 @@ class TestBorelWeil:
         ctx = ctx_of((1, 2))
         rep, _ = build_induced(ctx, 3, barred=False)
         assert rep.dim == EXPECTED_DIMS[(1, 2)][3]
+
+
+# ---------------------------------------------------------------------------
+# The module-algebra rule against the coproduct path.
+# ---------------------------------------------------------------------------
+
+# (m, n, k): every (generator, normal monomial) pair is compared, on
+# both sides.
+RULE_SIZES = [(1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 2, 2),
+              (1, 1, 3), (2, 1, 3), (1, 2, 3), (2, 2, 3), (3, 2, 3)]
+
+_oracles = {}
+
+
+def _oracle(m, n, k, barred):
+    """{(generator, word): terms} of the coproduct path, computed once."""
+    key = (m, n, k, barred)
+    if key not in _oracles:
+        ctx = GradingContext(m, n)
+        words = barred_monomials(ctx, k) if barred else plain_monomials(ctx, k)
+        _oracles[key] = {(g, w): dot_action_on_word(ctx, g, w).terms
+                         for g in all_generators(ctx) for w in words}
+    return _oracles[key]
+
+
+def _mismatches(*sizes):
+    """How many (generator, word) pairs at the sizes (m, n, k), over both
+    sides, on which the rule disagrees with the coproduct path, and how
+    many it compared."""
+    bad = total = 0
+    for m, n, k in sizes:
+        for barred in (False, True):
+            act = translation_rule(GradingContext(m, n))
+            for (g, w), want in _oracle(m, n, k, barred).items():
+                total += 1
+                bad += act(g, w) != want
+    return bad, total
+
+
+def _unsigned_legs(ctx, g, letter):
+    legs = coproduct_opposite(UqExpression.from_gen(ctx, g)).terms
+    return [(x1, x2, c) for (x1, x2), c in legs.items()]
+
+
+def _legs_signed_by_x1(ctx, g, letter):
+    odd = space_letter_parity(ctx, letter)
+    legs = coproduct_opposite(UqExpression.from_gen(ctx, g)).terms
+    return [(x1, x2, -c if odd and word_parity(ctx, x1) else c)
+            for (x1, x2), c in legs.items()]
+
+
+class TestModuleAlgebraRule:
+    """``build_induced`` acts by g.(a w) = sum (-1)^{|x''||a|} (x'.a)(x''.w)
+    over Delta^op(g).  Its oracle is ``dot_action_on_word``, which
+    expands the coordinate coproduct of the whole word instead.  A
+    one-letter coproduct base runs the rule down to single letters, so
+    every k >= 2 exercises it; ``build_induced`` runs it on the
+    two-letter base.
+
+    Weak spot: no ``induce`` report sees a dropped rule sign.  With it
+    dropped, all 16 reports at (1|1) through (2|2), k = 2 and 3, both
+    sides, stay ok, so this comparison is the only gate on the sign
+    until ROADMAP item 7's agreement check puts it into the report."""
+
+    @pytest.fixture(autouse=True)
+    def _one_letter_base(self, monkeypatch):
+        monkeypatch.setattr(induction, "COPRODUCT_BASE", 1)
+
+    @pytest.mark.parametrize("m,n,k", RULE_SIZES)
+    def test_rule_matches_the_coproduct_path(self, monkeypatch, m, n, k):
+        assert _mismatches((m, n, k))[0] == 0
+        if k > 2:
+            monkeypatch.setattr(induction, "COPRODUCT_BASE", 2)
+            assert _mismatches((m, n, k))[0] == 0
+
+    def test_rule_sign_dropped_is_caught(self, monkeypatch):
+        monkeypatch.setattr(induction, "_signed_opposite_legs",
+                            _unsigned_legs)
+        assert _mismatches((2, 1, 2), (2, 1, 3)) == (4, 160)
+        assert _mismatches((2, 2, 2), (2, 2, 3)) == (6, 560)
+
+    def test_rule_sign_from_x1_is_caught(self, monkeypatch):
+        monkeypatch.setattr(induction, "_signed_opposite_legs",
+                            _legs_signed_by_x1)
+        assert _mismatches((1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 2, 2)) == \
+            (12, 428)
+
+    def test_memo_is_per_rule(self, monkeypatch):
+        # A memo shared between builds would hand a later build the
+        # actions of an earlier one, defects included.
+        ctx = ctx_of((2, 1))
+        w = plain_monomials(ctx, 3)[0]
+        assert translation_rule(ctx)(gen_K(1), w)
+        monkeypatch.setattr(induction, "_signed_opposite_legs",
+                            lambda ctx, g, letter: [])
+        assert translation_rule(ctx)(gen_K(1), w) == {}
 
 
 # ---------------------------------------------------------------------------

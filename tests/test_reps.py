@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 
 from glq.coeff import ONE, QINV, ZERO, q_int
-from glq.graded import GradingContext, solve
+from glq.graded import Echelon, GradingContext, solve
 from glq.reps import (
     check_relations,
     decompose,
     dual_gram,
     dual_label_of,
     dual_rep,
+    generated_submodule,
     highest_weight_vectors,
     hook_partitions,
     in_first_family,
@@ -162,6 +163,37 @@ def test_decompose_rejects_overlapping_closures():
     with pytest.raises(ValueError,
                        match=r"highest-weight closures overlap at \(0, 0\)"):
         decompose(rep)
+
+
+def _closure_under_every_generator(rep, seed):
+    ech = Echelon()
+    ech.add(seed)
+    queue = [seed]
+    while queue:
+        v = queue.pop()
+        for g in all_generators(rep.ctx):
+            w = rep.image(g).apply(v)
+            if w and ech.add(w):
+                queue.append(w)
+    return ech.basis()
+
+
+@pytest.mark.parametrize("size", [(2, 1), (1, 2)])
+def test_generated_submodule_needs_only_the_e_generators(size):
+    """A K^{+-1} image of a weight vector is a multiple of it, so closing
+    under the E generators alone gives the same echelon basis."""
+    rep = profile_rep(GradingContext(*size), (False, False, True))
+    vectors = highest_weight_vectors(rep)
+    assert vectors
+    for _, vec in vectors:
+        assert generated_submodule(rep, vec) == \
+            _closure_under_every_generator(rep, vec)
+
+
+def test_generated_submodule_rejects_a_seed_of_two_weights():
+    V = vector_rep(GradingContext(1, 1))
+    with pytest.raises(ValueError, match="weight vector"):
+        generated_submodule(V, {0: ONE, 1: ONE})
 
 
 def test_summand_subreps_satisfy_relations():
