@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import sys
 
-from .coeff import ONE, RatFunc
+from .coeff import _POLY_ONE, ONE, RatFunc
 from .superspace import (
     SuperspaceElement,
     multi_index_of,
@@ -59,9 +59,15 @@ _PUNCTUATION = {"+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
                 "[": "LBRACK", "]": "RBRACK", ",": "COMMA", ";": "SEMI"}
 
 
-# 10**L, the least integer that str() refuses to print, by digit limit L.
 _UNPRINTABLE = {}
 _TOO_LONG = "an integer has more than %d digits"
+
+
+def _unprintable(limit):
+    """10**L, the least integer that str() refuses to print at digit
+    limit L, computed once per limit."""
+    return _UNPRINTABLE.get(limit) or _UNPRINTABLE.setdefault(limit,
+                                                              10 ** limit)
 
 
 def _checked(value, at, words=None):
@@ -70,8 +76,7 @@ def _checked(value, at, words=None):
     the element (at ``words`` only, when given)."""
     limit = sys.get_int_max_str_digits()
     if limit:
-        bound = (_UNPRINTABLE.get(limit)
-                 or _UNPRINTABLE.setdefault(limit, 10 ** limit))
+        bound = _unprintable(limit)
         terms = {(): value} if isinstance(value, RatFunc) else value.terms
         for x in [terms[w] for w in words or terms if w in terms]:
             for part in (x.coeffs, x.den):
@@ -80,6 +85,31 @@ def _checked(value, at, words=None):
                             and -bound < c.numerator < bound):
                         raise ParseError(_TOO_LONG % limit, at)
     return value
+
+
+def _reject_dense_power(base, exponent, at):
+    """Reject p^k, for p a polynomial scalar or the coefficient of a
+    one-term element, before computing it if a^k > 10^L (k*s + 1), with
+    a = max(|p(1)|, |p(-1)|), s the exponent span of p and L the digit
+    limit: the at most k*s + 1 coefficients of p^k sum to p(1)^k, and
+    with signs to p(-1)^k, so one of them has more than L digits."""
+    limit = sys.get_int_max_str_digits()
+    p = (base if isinstance(base, RatFunc)
+         else next(iter(base.terms.values()), ONE))
+    if limit and p and p.den is _POLY_ONE:
+        c = p.coeffs
+        a = max(abs(sum(c.values())),
+                abs(sum(-x if e % 2 else x for e, x in c.items())))
+        bound = _unprintable(limit) * (exponent * (max(c) - min(c)) + 1)
+        out = 1  # a^k by squaring; each step is at most a^k for a > 1
+        while a > 1 and exponent:
+            if exponent & 1:
+                out *= a
+            exponent >>= 1
+            if exponent:
+                a *= a
+            if out > bound or a > bound:
+                raise ParseError(_TOO_LONG % limit, at)
 
 
 def _tokenize(text):
@@ -196,6 +226,7 @@ class _Parser:
         # A scalar or a one-term element has one term order, so it is
         # powered by squaring.  Each square is checked, so 2^99999999
         # fails within 15 squarings.
+        _reject_dense_power(base, exponent, at)
         while exponent:
             if exponent & 1:
                 out = _checked(self.mul(out, base), at)

@@ -19,11 +19,11 @@ Provided constructions:
     dual legs, each built once per size and leg profile.
 
 Decomposition finds all joint highest-weight vectors (kernels of the
-raising operators, one weight block at a time), generates each
-submodule by closing under all generator images, and certifies that the
-summands are independent and exhaust the space.  At generic q each
-highest-weight closure here is irreducible; the lowest weight of each
-summand is recorded, which drives the dual-label computation.
+raising operators, one weight block at a time) and closes each under the
+lowering generators.  Each summand has one highest-weight line, so it is
+irreducible and the summands form a direct sum (see ``decompose``); their
+dimensions add up to the whole.  The lowest weight of each summand is
+recorded, which drives the dual-label computation.
 
 Weight classification: the labels attached to tensor powers of the
 vector representation are exactly the weights read off hook-bounded
@@ -312,18 +312,18 @@ def highest_weight_vectors(rep):
 
 
 def generated_submodule(rep, seed):
-    """Echelon basis of the submodule generated by a weight vector.
-
-    Only the E generators are applied: the seed and every vector queued
-    from it have one weight each, so K_a^{+-1} only scales them and
-    could never enlarge the span.  ``submodule_rep`` still checks the
-    span against every generator."""
+    """Echelon basis of the submodule U.v = U^-.v (U = U^- U^0 U^+)
+    generated by a highest-weight vector v: only the lowering generators
+    are applied.  ``submodule_rep`` still checks the span against every
+    generator."""
     if len({rep.weights[i] for i, x in seed.items() if x}) != 1:
         raise ValueError("the seed must be a nonzero weight vector")
+    if any(rep.image(g).apply(seed) for g in raising_generators(rep.ctx)):
+        raise ValueError("the seed must be a highest-weight vector")
     ech = Echelon()
     ech.add(seed)
     queue = [seed]
-    mats = [rep.image(g) for g in all_generators(rep.ctx) if g[0] == "E"]
+    mats = [rep.image(g) for g in lowering_generators(rep.ctx)]
     while queue:
         v = queue.pop()
         for mat in mats:
@@ -336,14 +336,12 @@ def generated_submodule(rep, seed):
 class Summand:
     """One irreducible constituent of a decomposed representation."""
 
-    __slots__ = ("highest_weight", "lowest_weight", "dim", "basis",
-                 "hw_vector")
+    __slots__ = ("highest_weight", "lowest_weight", "dim", "basis")
 
-    def __init__(self, highest_weight, lowest_weight, basis, hw_vector):
+    def __init__(self, highest_weight, lowest_weight, basis):
         self.highest_weight = highest_weight
         self.lowest_weight = lowest_weight
         self.basis = basis
-        self.hw_vector = hw_vector
         self.dim = len(basis)
 
     @property
@@ -357,11 +355,15 @@ class Summand:
 
 
 def decompose(rep):
-    """Split into highest-weight submodules with an exhaustiveness
-    certificate: the summand bases are jointly independent and their
-    dimensions add up to dim(rep)."""
+    """Split into the submodules U^-.v of a basis of highest-weight
+    vectors v, each required to have one lowest- and one highest-weight
+    line.  Each is then irreducible, and the sum is direct: a summand's
+    intersection with the direct sum of the earlier ones is a submodule,
+    so if nonzero it holds v, whose components in the earlier summands
+    are highest-weight vectors of v's weight; v would then lie in the
+    span of earlier highest-weight vectors, which are independent of it.
+    Dimensions adding up to dim(rep) make the sum exhaust it."""
     summands = []
-    union = Echelon()
     total = 0
     for weight, vec in highest_weight_vectors(rep):
         basis = generated_submodule(rep, vec)
@@ -371,16 +373,15 @@ def decompose(rep):
             raise ValueError("summand at %s has %d lowest-weight lines; "
                              "expected exactly 1 at generic q"
                              % (weight, len(lows)))
-        low_weight = lows[0][0]
-        summands.append(Summand(weight, low_weight, basis, vec))
+        highs = highest_weight_vectors(sub)
+        if len(highs) != 1:  # the seed's line comes first
+            raise ValueError("highest-weight closures overlap at %s"
+                             % (highs[1][0],))
+        summands.append(Summand(weight, lows[0][0], basis))
         total += len(basis)
-        for v in basis:
-            if not union.add(v):
-                raise ValueError("highest-weight closures overlap at %s"
-                                 % (weight,))
-    if total != rep.dim or union.dim != rep.dim:
+    if total != rep.dim:
         raise ValueError("decomposition does not exhaust the module: "
-                         "%d of %d" % (union.dim, rep.dim))
+                         "%d of %d" % (total, rep.dim))
     summands.sort(key=lambda s: s.highest_weight, reverse=True)
     return summands
 

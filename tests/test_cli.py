@@ -1,6 +1,7 @@
 """Command-line contract: deterministic JSON reports, exit codes, the
 expression parser, and the normal-form printer."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from glq.cli import main
 from glq.coeff import ONE, Q
 from glq.graded import GradingContext
+from glq import parser
 from glq.parser import (
     ParseError,
     format_normal_form,
@@ -327,6 +329,50 @@ class TestReports:
         assert report["error"]["message"].endswith(
             "more than %d digits" % sys.get_int_max_str_digits())
 
+    @pytest.mark.parametrize("text,position", [
+        ("(q+1)^20000*z[1]", 5), ("((q+1)*z[1])^20000", 12)],
+        ids=["scalar", "one-term-element"])
+    def test_unprintable_dense_power_is_rejected_first(self, capsys, text,
+                                                       position):
+        """A dense polynomial power whose coefficients cannot be printed
+        is rejected at its caret before any square is computed, with
+        the report that the squaring loop would reach much later."""
+        start = time.perf_counter()
+        code, _, report = run_cli(capsys, ["normalform", text])
+        assert time.perf_counter() - start < 10
+        assert code == 2
+        assert report["error"] == {
+            "message": "an integer has more than %d digits"
+            % sys.get_int_max_str_digits(), "position": position}
+
+    @pytest.mark.parametrize("text", ["(9*q+9)^%d*z[1]",
+                                      "((9*q+9)*z[1])^%d"],
+                             ids=["scalar", "one-term-element"])
+    def test_dense_power_precheck_changes_no_report(self, capsys,
+                                                    monkeypatch, text):
+        """At the smallest digit limit the pre-check rejects (9q+9)^k*z
+        from the least k with 18^k > 10^640 (k+1).  On both sides of that
+        k, the reports equal those of the squaring loop alone: a valid
+        power, one the loop rejects, and two the pre-check rejects."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            least = next(k for k in itertools.count(2)
+                         if 18 ** k > 10 ** 640 * (k + 1))
+            jobs = [["normalform", text % k]
+                    for k in range(least - 2, least + 2)]
+            with pytest.raises(ParseError):
+                parser._reject_dense_power(parse_scalar("9*q+9"), least, 0)
+            parser._reject_dense_power(parse_scalar("9*q+9"), least - 1, 0)
+            checked = [run_cli(capsys, argv)[:2] for argv in jobs]
+            monkeypatch.setattr(parser, "_reject_dense_power",
+                                lambda *args: None)
+            looped = [run_cli(capsys, argv)[:2] for argv in jobs]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert checked == looped
+        assert [code for code, _ in checked] == [0, 2, 2, 2]
+
     def test_injected_failure_flips_exit_code(self, capsys):
         argv = ["verify", "--m", "1", "--n", "1"]
         code, _, report = run_cli(capsys, argv)
@@ -368,6 +414,21 @@ class TestReports:
         checks = {c["name"]: c for c in suite["checks"]}
         assert checks["dimensions-sum"] == {
             "name": "dimensions-sum", "ok": True, "total": 125}
+
+    def test_decompose_frontier_fourth_power_at_3_2(self, capsys):
+        # About a second here: one highest-weight line per summand
+        # certifies the decomposition without ambient elimination.
+        start = time.perf_counter()
+        code, _, report = run_cli(
+            capsys,
+            ["decompose", "--m", "3", "--n", "2", "--word", "E",
+             "--power", "4"])
+        assert time.perf_counter() - start < 20
+        assert code == 0 and report["ok"] is True
+        suite, = report["suites"]
+        assert all(c["ok"] is True for c in suite["checks"])
+        assert len(suite["summands"]) == 10
+        assert sum(s["dim"] for s in suite["summands"]) == 625
 
     def test_induce_reports_dimension(self, capsys):
         _, _, report = run_cli(

@@ -2,12 +2,14 @@
 decomposition into highest-weight summands, the two label families, and
 contravariant forms / unitarity at generic rational points."""
 
+from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from glq.coeff import ONE, QINV, ZERO, q_int
-from glq.graded import Echelon, GradingContext, solve
+from glq.graded import Echelon, GradingContext, rank, solve
 from glq.reps import (
     check_relations,
     decompose,
@@ -165,6 +167,54 @@ def test_decompose_rejects_overlapping_closures():
         decompose(rep)
 
 
+def test_decompose_rejects_two_lowest_weight_lines():
+    """At (2|2) the closure of a highest-weight vector of V (x) V-bar has
+    two lowest-weight lines, which the lowest-weight check finds before
+    the highest-weight one is asked."""
+    rep = profile_rep(GradingContext(2, 2), (False, True))
+    with pytest.raises(ValueError, match="2 lowest-weight lines"):
+        decompose(rep)
+
+
+def _standard_tableaux(diagram):
+    """f^lambda by the hook-length formula: k! over the product of the
+    hook lengths of the cells of the diagram."""
+    columns = [sum(1 for row in diagram if row > j)
+               for j in range(diagram[0])]
+    hooks = 1
+    for i, row in enumerate(diagram):
+        for j in range(row):
+            hooks *= (row - j) + (columns[j] - i) - 1
+    return factorial(sum(diagram)) // hooks
+
+
+@pytest.mark.parametrize("size,k", [((1, 1), 4), ((2, 1), 4), ((2, 2), 4),
+                                    ((3, 1), 3), ((1, 2), 3)],
+                         ids=lambda x: "-".join(map(str, x))
+                         if isinstance(x, tuple) else "k%d" % x)
+def test_tensor_power_follows_berele_regev(size, k):
+    """Super Schur-Weyl duality (Berele-Regev, Adv. Math. 64, 1987): the
+    k-th tensor power of V is the sum, over the partitions lambda of k in
+    the (m, n)-hook, of f^lambda copies of the irreducible labelled by
+    lambda.  The summand bases together also have full rank, the
+    independence that ``decompose`` derives instead of computing."""
+    ctx = GradingContext(*size)
+    rep = profile_rep(ctx, (False,) * k)
+    summands = decompose(rep)
+    expected = Counter()
+    for diagram in hook_partitions(ctx, k):
+        expected[partition_weight(ctx, diagram)] += _standard_tableaux(diagram)
+    assert Counter(s.highest_weight for s in summands) == expected
+    assert rank([v for s in summands for v in s.basis]) == rep.dim
+
+
+def test_vector_times_dual_splits_off_the_trivial_line():
+    rep = profile_rep(GradingContext(2, 1), (False, True))
+    summands = decompose(rep)
+    assert [s.dim for s in summands] == [8, 1]
+    assert rank([v for s in summands for v in s.basis]) == rep.dim == 9
+
+
 def _closure_under_every_generator(rep, seed):
     ech = Echelon()
     ech.add(seed)
@@ -180,8 +230,9 @@ def _closure_under_every_generator(rep, seed):
 
 @pytest.mark.parametrize("size", [(2, 1), (1, 2)])
 def test_generated_submodule_needs_only_the_e_generators(size):
-    """A K^{+-1} image of a weight vector is a multiple of it, so closing
-    under the E generators alone gives the same echelon basis."""
+    """A K^{+-1} image of a weight vector is a multiple of it, and the
+    raising images of U^-.v stay in it for a highest-weight v, so closing
+    under the lowering generators alone gives the same echelon basis."""
     rep = profile_rep(GradingContext(*size), (False, False, True))
     vectors = highest_weight_vectors(rep)
     assert vectors
@@ -194,6 +245,12 @@ def test_generated_submodule_rejects_a_seed_of_two_weights():
     V = vector_rep(GradingContext(1, 1))
     with pytest.raises(ValueError, match="weight vector"):
         generated_submodule(V, {0: ONE, 1: ONE})
+
+
+def test_generated_submodule_rejects_a_seed_that_is_not_highest():
+    V = vector_rep(GradingContext(1, 1))
+    with pytest.raises(ValueError, match="highest-weight vector"):
+        generated_submodule(V, {1: ONE})
 
 
 def test_summand_subreps_satisfy_relations():
