@@ -50,15 +50,12 @@ print("star-coproduct compatibility:",
 # independent: the measured rank matches the sum of squared dimensions.
 V = reps.vector_rep(ctx)
 funcs = [GqElement.one(ctx)]
-funcs += [row_entry
-          for row in coords.matrix_coefficients(
-              ctx, (False,), reps.decompose(V), 0)
-          for row_entry in row]
 square = reps.tensor_rep(V, V)
 summands = reps.decompose(square)
-for which, s in enumerate(summands):
-    grid = coords.matrix_coefficients(ctx, (False, False), summands, which)
-    funcs += [grid[i][j] for i in range(s.dim) for j in range(s.dim)]
+for profile, parts in (((False,), reps.decompose(V)),
+                       ((False, False), summands)):
+    for grid in coords.matrix_coefficients(ctx, profile, parts):
+        funcs += [entry for row in grid for entry in row]
 expected = 1 + V.dim ** 2 + sum(s.dim ** 2 for s in summands)
 vectors = [{j: v for j, v in
             enumerate(coords.evaluate(ctx, fn, p) for p in probes) if v}

@@ -339,9 +339,8 @@ def _coords_peterweyl_suite(ctx):
     funcs = [GqElement.one(ctx)]
     for profile in ((False,), (False, False)):
         summands = reps_mod.decompose(reps_mod.profile_rep(ctx, profile))
-        for which, s in enumerate(summands):
-            mc = coords_mod.matrix_coefficients(ctx, profile, summands, which)
-            funcs += [mc[i][j] for i in range(s.dim) for j in range(s.dim)]
+        for grid in coords_mod.matrix_coefficients(ctx, profile, summands):
+            funcs += [entry for row in grid for entry in row]
     expected = len(funcs)
     table = coords_mod.pairing_table(
         ctx, ((fi, w, c) for fi, f in enumerate(funcs)

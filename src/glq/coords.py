@@ -279,26 +279,22 @@ def star_coproduct(element, theta=1):
 # ---------------------------------------------------------------------------
 
 
-def matrix_coefficients(ctx, profile, summands, which):
-    """Entry functionals of one summand of a tensor representation,
+def matrix_coefficients(ctx, profile, summands):
+    """Entry functionals of every summand of a tensor representation,
     realized as exact combinations of coordinate words.
 
     `profile` is the tuple of barred flags defining the ambient tensor
-    product (False = vector leg, True = dual leg), `summands` its full
-    decomposition, and `which` selects the summand.  Returns a square
-    list-of-lists of GqElements; entry (i, j) evaluates on every probe
-    exactly as entry (i, j) of the summand's representation matrices.
+    product (False = vector leg, True = dual leg), and `summands` its full
+    decomposition.  One inverse of the change of basis to all summand
+    bases serves every summand.  Returns one square list-of-lists of
+    GqElements per summand, in order; entry (i, j) evaluates on every
+    probe exactly as entry (i, j) of the summand's representation
+    matrices.
     """
     rep = profile_rep(ctx, profile)
     dim = rep.dim
-    N = ctx.N
-    cols = []
-    block_start = None
-    for si, s in enumerate(summands):
-        if si == which:
-            block_start = len(cols)
-        cols.extend(s.basis)
-    if block_start is None or len(cols) != dim:
+    cols = [v for s in summands for v in s.basis]
+    if len(cols) != dim:
         raise ValueError("summand list does not decompose the module")
     change = GradedMap(rep.space, rep.space,
                        {(r, c): v for c, vec in enumerate(cols)
@@ -306,28 +302,29 @@ def matrix_coefficients(ctx, profile, summands, which):
     inverse = invert(change)
     if inverse is None:
         raise ValueError("summand bases are linearly dependent")
-    target = summands[which]
-    d = target.dim
-    dims = tuple(N for _ in profile)
-    out = []
-    for i in range(d):
-        out_row = []
-        for j in range(d):
-            terms = {}
-            vj = target.basis[j]
-            for r in range(dim):
-                di = inverse.get(block_start + i, r)
-                if not di:
-                    continue
-                rid = tensor_unindex(r, dims) if profile else ()
-                for s_flat, cs in vj.items():
-                    sid = (tensor_unindex(s_flat, dims) if profile else ())
-                    word = tuple(
-                        CoordLetter(bar, a + 1, b + 1)
-                        for bar, a, b in zip(profile, rid, sid))
-                    coeff = di * cs
-                    negate = word_layout(ctx, word)[3]
-                    add_term(terms, word, -coeff if negate else coeff)
-            out_row.append(GqElement(ctx, terms))
-        out.append(out_row)
-    return out
+    dims = (ctx.N,) * len(profile)
+    grids = []
+    start = 0
+    for target in summands:
+        grid = []
+        for i in range(start, start + target.dim):
+            out_row = []
+            for vj in target.basis:
+                terms = {}
+                for r in range(dim):
+                    di = inverse.get(i, r)
+                    if not di:
+                        continue
+                    rid = tensor_unindex(r, dims)
+                    for s_flat, cs in vj.items():
+                        sid = tensor_unindex(s_flat, dims)
+                        word = tuple(CoordLetter(bar, a + 1, b + 1)
+                                     for bar, a, b in zip(profile, rid, sid))
+                        coeff = di * cs
+                        negate = word_layout(ctx, word)[3]
+                        add_term(terms, word, -coeff if negate else coeff)
+                out_row.append(GqElement(ctx, terms))
+            grid.append(out_row)
+        grids.append(grid)
+        start += target.dim
+    return grids

@@ -49,9 +49,6 @@ class GradingContext:
         """Weight of the a-th vector basis element, as an exponent tuple."""
         return tuple(1 if b == a else 0 for b in range(1, self.N + 1))
 
-    def zero_weight(self):
-        return (0,) * self.N
-
     def two_rho_eps(self, c):
         """(2 rho, eps_c) = sum_{b>c} sigma_b - sum_{b<c} sigma_b."""
         return (sum(self.sigma(b) for b in range(c + 1, self.N + 1))

@@ -10,7 +10,9 @@ parabolic.  Building the left-translation matrices on the normal
 monomial basis therefore yields two concrete finite-dimensional modules
 per degree — the realized induced modules — whose dimensions, highest
 weights, irreducibility, and reciprocity dimensions (both counted by
-`hom_dimension`) `glq induce` checks.
+`hom_dimension`) `glq induce` checks.  The weights are measured, not
+asserted from monomial content: `Representation` reads them off the
+K_a images that left translation builds.
 
 Left translation makes the coordinate algebra a module superalgebra:
 g.(a w) = sum (-1)^{|x''||a|} (x'.a)(x''.w) over Delta^op(g) = sum
@@ -58,7 +60,6 @@ from .superspace import (
     SpaceLetter,
     SuperspaceElement,
     barred_monomials,
-    multidegree,
     normal_form,
     plain_monomials,
     space_letter_parity,
@@ -370,11 +371,8 @@ def build_induced(ctx, k, barred):
                         "action leaves the degree-%d span on %r" % (k, g))
                 ent[(index[out_word], j)] = c
         images[g] = GradedMap(space, space, ent)
-    # Left translation weighs barred index counts minus plain ones.
-    weights = [tuple(b - p for p, b in zip(*multidegree(ctx, w)))
-               for w in words]
     name = "induced(%s, k=%d)" % ("barred" if barred else "plain", k)
-    rep = Representation(ctx, space, images, weights, name)
+    rep = Representation(ctx, space, images, name)
     bad = [nm for nm, ok in check_relations(rep) if not ok]
     if bad:
         raise RelationError("induced module violates relations: %s" % bad)
@@ -428,9 +426,8 @@ def parabolic_hom_dimension(ctx, rep_w, k, side):
     line = GradedSpace((0,))
     images = {g: GradedMap(line, line, {(0, 0): phi})
               for g, phi in reciprocity_character(ctx, k, side).items()}
-    # hom_dimension reads no weight, so the line carries the zero one.
     return hom_dimension(rep_w, Representation(
-        ctx, line, images, [ctx.zero_weight()], name="character"))
+        ctx, line, images, name="character"))
 
 
 def frobenius_dims(ctx, rep_w, rep_h, k, barred):

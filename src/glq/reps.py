@@ -1,9 +1,12 @@
 """Finite-dimensional weight representations and their decomposition.
 
-A representation stores one sparse matrix per generator, the basis
-parities, and the basis weights (exponent tuples for the diagonal
-torus).  Words are evaluated by composing generator images, with prefix
-caching so large probe families stay cheap.
+A representation stores one sparse matrix per generator and the basis
+parities.  Its weights are read off the K_a images (K_a acts on a
+weight-w vector by q^{sigma_a w_a}, so an entry q^e at (i, i) gives
+w_{i,a} = sigma_a e), and every K_a^{+-1} must be the diagonal map of
+those weights: the torus is stated once.  Words are evaluated by
+composing generator images, with prefix caching so large probe
+families stay cheap.
 
 Provided constructions:
 
@@ -62,18 +65,38 @@ from .uq import (
 )
 
 
+def cartan_images(ctx, space, weights):
+    """K_a^{+-1} on a weight basis: a vector of weight w is scaled by
+    q^{+-sigma_a w_a}."""
+    images = {}
+    for a in range(1, ctx.N + 1):
+        s = ctx.sigma(a)
+        images[gen_K(a)] = GradedMap(space, space, {
+            (i, i): q_int(s * w[a - 1]) for i, w in enumerate(weights)})
+        images[gen_Kinv(a)] = GradedMap(space, space, {
+            (i, i): q_int(-s * w[a - 1]) for i, w in enumerate(weights)})
+    return images
+
+
 class Representation:
-    """Images of the generators on a graded weight basis."""
+    """Images of the generators on a graded weight basis, the weights
+    read off the K_a images."""
 
     __slots__ = ("ctx", "space", "images", "weights", "name", "_cache")
 
-    def __init__(self, ctx, space, images, weights, name=""):
-        if len(weights) != space.dim:
-            raise ValueError("one weight per basis vector required")
+    def __init__(self, ctx, space, images, name=""):
+        # A K_a entry that is not a power of q fails the comparison below.
+        weights = [tuple(
+            ctx.sigma(a) * min(images[gen_K(a)].get(i, i).coeffs, default=0)
+            for a in range(1, ctx.N + 1)) for i in range(space.dim)]
+        for g, mat in cartan_images(ctx, space, weights).items():
+            if images.get(g) != mat:
+                raise ValueError("%s does not act by q^(sigma_a w_a) on the "
+                                 "weights read off K" % (g,))
         self.ctx = ctx
         self.space = space
         self.images = images
-        self.weights = [tuple(w) for w in weights]
+        self.weights = weights
         self.name = name
         self._cache = {(): GradedMap.identity(space)}
 
@@ -114,19 +137,11 @@ def vector_rep(ctx):
     """The vector representation on basis v_1 .. v_{m+n}."""
     N = ctx.N
     space = GradedSpace(tuple(ctx.parity(a) for a in range(1, N + 1)))
-    images = {}
-    for a in range(1, N + 1):
-        images[gen_K(a)] = GradedMap(space, space, {
-            (b - 1, b - 1): q_int(ctx.sigma(a)) if b == a else ONE
-            for b in range(1, N + 1)})
-        images[gen_Kinv(a)] = GradedMap(space, space, {
-            (b - 1, b - 1): q_int(-ctx.sigma(a)) if b == a else ONE
-            for b in range(1, N + 1)})
+    images = cartan_images(ctx, space, [ctx.eps(a) for a in range(1, N + 1)])
     for a in range(1, N):
         images[gen_E(a, a + 1)] = GradedMap(space, space, {(a - 1, a): ONE})
         images[gen_E(a + 1, a)] = GradedMap(space, space, {(a, a - 1): ONE})
-    weights = [ctx.eps(a) for a in range(1, N + 1)]
-    return Representation(ctx, space, images, weights, name="V")
+    return Representation(ctx, space, images, name="V")
 
 
 def trivial_rep(ctx):
@@ -137,7 +152,7 @@ def trivial_rep(ctx):
             images[g] = GradedMap.zero(space, space)
         else:
             images[g] = GradedMap.identity(space)
-    return Representation(ctx, space, images, [ctx.zero_weight()], name="1")
+    return Representation(ctx, space, images, name="1")
 
 
 def dual_rep(rep):
@@ -155,9 +170,7 @@ def dual_rep(rep):
             else:
                 out[(r, c)] = v
         images[g] = GradedMap(space, space, out)
-    weights = [tuple(-x for x in w) for w in rep.weights]
-    return Representation(ctx, space, images, weights,
-                          name="(%s)~" % rep.name)
+    return Representation(ctx, space, images, name="(%s)~" % rep.name)
 
 
 def eval_tensor_pair(r1, r2, texpr):
@@ -178,9 +191,7 @@ def tensor_rep(r1, r2):
     images = {g: eval_tensor_pair(r1, r2,
                                   coproduct(UqExpression.from_gen(ctx, g)))
               for g in all_generators(ctx)}
-    weights = [tuple(x + y for x, y in zip(w1, w2))
-               for w1 in r1.weights for w2 in r2.weights]
-    return Representation(ctx, space, images, weights,
+    return Representation(ctx, space, images,
                           name="%s(x)%s" % (r1.name, r2.name))
 
 
@@ -232,9 +243,10 @@ def submodule_rep(rep, basis, name="sub"):
 
     The basis must have unit pivots (see ``_unit_pivots``), as the
     reduced echelon bases from ``Echelon.basis()`` do.  The coordinates
-    of each generator image are read off at the pivots, and the image
-    minus their combination must vanish exactly, or the span is not
-    invariant and ValueError is raised."""
+    of each E image are read off at the pivots, and the image minus
+    their combination must vanish exactly, or the span is not invariant
+    and ValueError is raised.  K_a^{+-1} only scale the weight-homogeneous
+    basis vectors, so they are the ``cartan_images`` of their weights."""
     ctx = rep.ctx
     pivots = _unit_pivots(basis)
     parities = []
@@ -249,8 +261,8 @@ def submodule_rep(rep, basis, name="sub"):
         weights.append(ws.pop())
     space = GradedSpace(tuple(parities))
     row_of = {piv: r for r, piv in enumerate(pivots)}
-    images = {}
-    for g in all_generators(ctx):
+    images = cartan_images(ctx, space, weights)
+    for g in raising_generators(ctx) + lowering_generators(ctx):
         mat = rep.image(g)
         entries = {}
         for j, v in enumerate(basis):
@@ -266,7 +278,7 @@ def submodule_rep(rep, basis, name="sub"):
                 raise ValueError("span is not invariant under %s: the image "
                                  "of basis vector %d leaves it" % (g, j))
         images[g] = GradedMap(space, space, entries)
-    return Representation(ctx, space, images, weights, name=name)
+    return Representation(ctx, space, images, name=name)
 
 
 def check_relations(rep):
@@ -490,23 +502,16 @@ def dual_gram(ctx):
         for a in range(1, N + 1)})
 
 
-def is_adjoint_pair(rep, gram, theta, q0=None):
-    """Does M(g)^T G = G M(*g) hold for every generator?
-
-    With q0 = None the identity is checked exactly in Q(q); otherwise
-    both sides are specialised first (conjugation is trivial at a
-    rational point)."""
+def is_adjoint_pair(rep, gram, theta):
+    """Does M(g)^T G = G M(*g) hold exactly in Q(q) for every generator?
+    Equality over the field implies it at every rational point."""
     ctx = rep.ctx
     for g in all_generators(ctx):
         lhs = rep.image(g).transpose() @ gram
         rhs = gram @ rep.evaluate_expr(star(UqExpression.from_gen(ctx, g),
                                             theta))
-        if q0 is None:
-            if lhs != rhs:
-                return False
-        else:
-            if lhs.specialize(q0) != rhs.specialize(q0):
-                return False
+        if lhs != rhs:
+            return False
     return True
 
 
@@ -526,10 +531,10 @@ def gram_is_positive(gram, q0):
 
 
 def unitarity_check(rep, gram, q0):
-    """Unitarity report at a rational point: Gram positivity, which
-    star types satisfy the adjointness identity, and which combine both."""
+    """Unitarity report: Gram positivity at the rational point q0, the
+    star types with the adjointness identity in Q(q), and both combined."""
     positive = gram_is_positive(gram, q0)
-    adjoint = [t for t in (1, 2) if is_adjoint_pair(rep, gram, t, q0=q0)]
+    adjoint = [t for t in (1, 2) if is_adjoint_pair(rep, gram, t)]
     return {
         "q0": q0,
         "positive": positive,

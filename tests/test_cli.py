@@ -430,6 +430,21 @@ class TestReports:
         assert len(suite["summands"]) == 10
         assert sum(s["dim"] for s in suite["summands"]) == 625
 
+    def test_decompose_frontier_fourth_power_at_3_3(self, capsys):
+        # All five partitions of 4 fit the (3|3)-hook, so the summands
+        # are 1 + 3 + 2 + 3 + 1 = 10, over 6^4 = 1296 dimensions.
+        start = time.perf_counter()
+        code, _, report = run_cli(
+            capsys,
+            ["decompose", "--m", "3", "--n", "3", "--word", "E",
+             "--power", "4"])
+        assert time.perf_counter() - start < 20
+        assert code == 0 and report["ok"] is True
+        suite, = report["suites"]
+        assert all(c["ok"] is True for c in suite["checks"])
+        assert len(suite["summands"]) == 10
+        assert sum(s["dim"] for s in suite["summands"]) == 1296
+
     def test_induce_reports_dimension(self, capsys):
         _, _, report = run_cli(
             capsys, ["induce", "--k", "2", "--side", "bar"])

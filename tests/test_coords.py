@@ -352,7 +352,7 @@ class TestMatrixCoefficients:
     def test_vector_summand_recovers_letters(self):
         ctx = GradingContext(1, 1)
         V = reps.vector_rep(ctx)
-        mc = coords.matrix_coefficients(ctx, (False,), reps.decompose(V), 0)
+        mc, = coords.matrix_coefficients(ctx, (False,), reps.decompose(V))
         for i in range(2):
             for j in range(2):
                 assert mc[i][j].terms == {(t_(i + 1, j + 1),): ONE}
@@ -363,12 +363,12 @@ class TestMatrixCoefficients:
         ctx = GradingContext(1, 1)
         twice = SimpleNamespace(basis=[{0: ONE}, {0: ONE}], dim=2)
         with pytest.raises(ValueError, match="linearly dependent"):
-            coords.matrix_coefficients(ctx, (False,), [twice], 0)
+            coords.matrix_coefficients(ctx, (False,), [twice])
 
     def test_trivial_profile_gives_counit(self):
         ctx = GradingContext(1, 1)
         triv = reps.trivial_rep(ctx)
-        mc = coords.matrix_coefficients(ctx, (), reps.decompose(triv), 0)
+        mc, = coords.matrix_coefficients(ctx, (), reps.decompose(triv))
         assert mc[0][0].terms == {(): ONE}
 
     @pytest.mark.parametrize("size", [(1, 1), (2, 1)])
@@ -377,9 +377,8 @@ class TestMatrixCoefficients:
         V = reps.vector_rep(ctx)
         square = reps.tensor_rep(V, V)
         summands = reps.decompose(square)
-        for which, s in enumerate(summands):
-            mc = coords.matrix_coefficients(
-                ctx, (False, False), summands, which)
+        grids = coords.matrix_coefficients(ctx, (False, False), summands)
+        for s, mc in zip(summands, grids):
             sub = reps.submodule_rep(square, s.basis, name="s")
             for w in probe_monomials(ctx, 2):
                 M = sub.evaluate_word(w)
@@ -391,7 +390,7 @@ class TestMatrixCoefficients:
         ctx = GradingContext(1, 1)
         V = reps.vector_rep(ctx)
         D = reps.dual_rep(V)
-        mc = coords.matrix_coefficients(ctx, (True,), reps.decompose(D), 0)
+        mc, = coords.matrix_coefficients(ctx, (True,), reps.decompose(D))
         for w in probe_monomials(ctx, 2):
             M = D.evaluate_word(w)
             for i in range(2):
@@ -424,13 +423,12 @@ class TestMatrixCoefficients:
     def _coefficient_family(ctx):
         V = reps.vector_rep(ctx)
         funcs = [GqElement.one(ctx)]
-        mc = coords.matrix_coefficients(ctx, (False,), reps.decompose(V), 0)
+        mc, = coords.matrix_coefficients(ctx, (False,), reps.decompose(V))
         funcs += [mc[i][j] for i in range(V.dim) for j in range(V.dim)]
         square = reps.tensor_rep(V, V)
         summands = reps.decompose(square)
-        for which, s in enumerate(summands):
-            mc = coords.matrix_coefficients(
-                ctx, (False, False), summands, which)
+        grids = coords.matrix_coefficients(ctx, (False, False), summands)
+        for s, mc in zip(summands, grids):
             funcs += [mc[i][j] for i in range(s.dim) for j in range(s.dim)]
         return funcs
 

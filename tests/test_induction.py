@@ -230,13 +230,19 @@ class TestBorelWeil:
         assert rep.image(gen_K(1)).entries == {(0, 0): QINV, (1, 1): ONE}
 
     def test_weights_match_monomial_content(self):
-        ctx = ctx_of((2, 1))
-        rep, words = build_induced(ctx, 2, barred=True)
-        for wt, w in zip(rep.weights, words):
-            acc = [0] * ctx.N
-            for l in w:
-                acc[l.index - 1] += 1
-            assert wt == tuple(acc)
+        # The weights are read off the K_a images that left translation
+        # builds; the oracle is the monomial content, barred index
+        # counts minus plain ones.
+        for size in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+            ctx = ctx_of(size)
+            for k in range(4):
+                for barred in (False, True):
+                    rep, words = build_induced(ctx, k, barred)
+                    for wt, w in zip(rep.weights, words):
+                        acc = [0] * ctx.N
+                        for l in w:
+                            acc[l.index - 1] += 1 if l.barred else -1
+                        assert wt == tuple(acc)
 
     def test_action_stays_in_degree_block(self):
         # build_induced raises if any generator image leaves the span.

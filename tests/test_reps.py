@@ -9,8 +9,9 @@ from math import factorial
 import pytest
 
 from glq.coeff import ONE, QINV, ZERO, q_int
-from glq.graded import Echelon, GradingContext, rank, solve
+from glq.graded import Echelon, GradedMap, GradingContext, rank, solve
 from glq.reps import (
+    Representation,
     check_relations,
     decompose,
     dual_gram,
@@ -31,7 +32,7 @@ from glq.reps import (
     vector_rep,
     unitarity_check,
 )
-from glq.uq import all_generators
+from glq.uq import all_generators, gen_K, gen_Kinv
 
 SIZES = [(1, 1), (2, 1), (1, 2), (2, 2)]
 
@@ -87,6 +88,46 @@ def test_tensor_rep_weights_add(ctx):
             wt = sq.weights[i * N + j]
             assert wt == tuple(pi.weights[i][a] + pi.weights[j][a]
                                for a in range(N))
+
+
+class TestWeightsReadOffCartan:
+    """A Representation reads its weights off the K_a images, and every
+    K_a^{+-1} must be the diagonal map q^{+-sigma_a w_a} of them."""
+
+    @staticmethod
+    def _with(ctx, g, entries):
+        V = vector_rep(ctx)
+        images = dict(V.images)
+        images[g] = GradedMap(V.space, V.space, entries)
+        return V.space, images
+
+    def test_weights_read_off_k(self, ctx):
+        V = vector_rep(ctx)
+        again = Representation(ctx, V.space, dict(V.images))
+        assert again.weights == [ctx.eps(a) for a in range(1, ctx.N + 1)]
+
+    def test_non_diagonal_k_rejected(self):
+        ctx = GradingContext(1, 1)
+        space, images = self._with(ctx, gen_K(1), {
+            (0, 0): q_int(1), (1, 1): ONE, (0, 1): ONE})
+        with pytest.raises(ValueError, match=r"\('K', 1\)"):
+            Representation(ctx, space, images)
+
+    @pytest.mark.parametrize("entry", [q_int(1) + q_int(1), -q_int(1)],
+                             ids=["2q", "-q"])
+    def test_k_entry_not_a_q_power_rejected(self, entry):
+        ctx = GradingContext(1, 1)
+        space, images = self._with(ctx, gen_K(1), {(0, 0): entry,
+                                                   (1, 1): ONE})
+        with pytest.raises(ValueError, match=r"\('K', 1\)"):
+            Representation(ctx, space, images)
+
+    def test_kinv_not_the_inverse_diagonal_rejected(self):
+        ctx = GradingContext(1, 1)
+        space, images = self._with(ctx, gen_Kinv(1), {(0, 0): q_int(1),
+                                                      (1, 1): ONE})
+        with pytest.raises(ValueError, match=r"\('Kinv', 1\)"):
+            Representation(ctx, space, images)
 
 
 def _same_module(rep, fresh):
@@ -490,7 +531,7 @@ def test_adjoint_pair_is_exact_over_the_field():
     ctx = GradingContext(1, 1)
     pi = vector_rep(ctx)
     assert is_adjoint_pair(pi, vector_gram(ctx), 1)
-    assert not is_adjoint_pair(pi, vector_gram(ctx), 2, q0=Fraction(3, 2))
+    assert not is_adjoint_pair(pi, vector_gram(ctx), 2)
 
 
 class TestClassifyWeight:
