@@ -194,16 +194,22 @@ def cmd_decompose(args):
 
     ctx = GradingContext(args.m, args.n)
     rep = reps_mod.profile_rep(ctx, (args.word == "Ed",) * args.power)
-    summands = reps_mod.decompose(rep)
+    try:
+        summands = reps_mod.decompose(rep)
+    except ValueError as exc:
+        summands = []
+        checks = [_check("summands-certified", False, error=str(exc))]
+    else:
+        checks = [
+            _check("dimensions-sum",
+                   sum(s.dim for s in summands)
+                   == (args.m + args.n) ** args.power,
+                   total=rep.dim),
+            _check("summands-nonempty", bool(summands) or rep.dim == 0),
+        ]
     listed = [{"dim": s.dim,
                "highest_weight": [int(x) for x in s.highest_weight]}
               for s in summands]
-    checks = [
-        _check("dimensions-sum",
-               sum(s.dim for s in summands) == (args.m + args.n) ** args.power,
-               total=rep.dim),
-        _check("summands-nonempty", bool(summands) or rep.dim == 0),
-    ]
     suite = _suite("decomposition", checks, summands=listed)
     return {"parameters": {"m": args.m, "n": args.n, "power": args.power,
                            "word": args.word},
@@ -336,11 +342,17 @@ def _coords_peterweyl_suite(ctx):
     from .coords import GqElement
     from .uq import pbw_probe_expressions
 
+    name = "matrix-coefficients-independent"
     funcs = [GqElement.one(ctx)]
-    for profile in ((False,), (False, False)):
-        summands = reps_mod.decompose(reps_mod.profile_rep(ctx, profile))
-        for grid in coords_mod.matrix_coefficients(ctx, profile, summands):
-            funcs += [entry for row in grid for entry in row]
+    try:
+        for profile in ((False,), (False, False)):
+            summands = reps_mod.decompose(reps_mod.profile_rep(ctx, profile))
+            for grid in coords_mod.matrix_coefficients(ctx, profile,
+                                                       summands):
+                funcs += [entry for row in grid for entry in row]
+    except ValueError as exc:
+        # Without certified summands there are no coefficients to rank.
+        return _suite("peterweyl", [_check(name, False, error=str(exc))])
     expected = len(funcs)
     table = coords_mod.pairing_table(
         ctx, ((fi, w, c) for fi, f in enumerate(funcs)
@@ -350,8 +362,7 @@ def _coords_peterweyl_suite(ctx):
         for fi, v in coords_mod.pair_table(table, x).items():
             vecs[fi][pi] = v
     measured = rank(vecs)
-    checks = [_check("matrix-coefficients-independent",
-                     measured == expected,
+    checks = [_check(name, measured == expected,
                      expected=expected, measured=measured)]
     return _suite("peterweyl", checks)
 
@@ -416,9 +427,11 @@ def cmd_induce(args):
     except ValueError as exc:
         # Without a module the remaining checks and the reciprocity
         # suite have nothing to examine.
-        if isinstance(exc, induction_mod.RelationError):
+        failed = {induction_mod.RelationError: "defining-relations",
+                  reps_mod.WeightError: "cartan-weights"}.get(type(exc))
+        if failed:
             checks = [_check("span-stable", True),
-                      _check("defining-relations", False, error=str(exc))]
+                      _check(failed, False, error=str(exc))]
         else:
             checks = [_check("span-stable", False, error=str(exc))]
         return {"parameters": parameters,
@@ -428,9 +441,14 @@ def cmd_induce(args):
                        for j in range(min(ctx.m, k) + 1))
     checks.append(_check("dimension", rep.dim == expected_dim,
                          expected=expected_dim, measured=rep.dim))
-    summands = reps_mod.decompose(rep)
-    checks.append(_check("irreducible", len(summands) == 1,
-                         summands=len(summands)))
+    try:
+        summands = reps_mod.decompose(rep)
+    except ValueError as exc:
+        summands = []
+        checks.append(_check("irreducible", False, error=str(exc)))
+    else:
+        checks.append(_check("irreducible", len(summands) == 1,
+                             summands=len(summands)))
     if barred:
         # The barred span is headed by the one-column diagram of size k.
         want = reps_mod.partition_weight(ctx, (1,) * k)

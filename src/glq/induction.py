@@ -12,7 +12,10 @@ per degree — the realized induced modules — whose dimensions, highest
 weights, irreducibility, and reciprocity dimensions (both counted by
 `hom_dimension`) `glq induce` checks.  The weights are measured, not
 asserted from monomial content: `Representation` reads them off the
-K_a images that left translation builds.
+K_a images that left translation builds.  Since K_a^{+-1} then act
+diagonally by the weights, a module map is a weight-preserving map,
+and `hom_dimension` solves only the E equations on the entries that
+join basis vectors of one weight.
 
 Left translation makes the coordinate algebra a module superalgebra:
 g.(a w) = sum (-1)^{|x''||a|} (x'.a)(x''.w) over Delta^op(g) = sum
@@ -33,7 +36,7 @@ rewriting system in `superspace` itself needs only Q(q) and the grading.
 from __future__ import annotations
 
 from .coeff import ZERO, ONE, add_term, q_int
-from .graded import GradedMap, GradedSpace, nullspace
+from .graded import GradedMap, GradedSpace, nullspace, rank
 from .uq import (
     UqExpression,
     all_generators,
@@ -387,25 +390,34 @@ def build_induced(ctx, k, barred):
 def hom_dimension(rep_w, rep_h):
     """Dimension of the space of maps rep_w -> rep_h over the coefficient
     field (no parity restriction) that intertwine every generator on
-    which rep_h is defined."""
-    dw, dh = rep_w.dim, rep_h.dim
+    which rep_h is defined.
+
+    Every K_a^{+-1} of a ``Representation`` acts by q^{+-sigma_a w_a} on
+    the weights read off K, so a map commutes with the torus exactly
+    when it preserves weights.  The unknowns are the entries f[i, j] with
+    row i of rep_h and row j of rep_w of one weight, and only the E
+    generators give equations, (M_H f - f M_W)[i, j] = 0, built from the
+    sparse entries of both maps."""
+    w_blocks = rep_w.weight_blocks()
+    h_blocks = rep_h.weight_blocks()
+    unknown = {}
+    for mu, hs in h_blocks.items():
+        for j in w_blocks.get(mu, ()):
+            for i in hs:
+                unknown[i, j] = len(unknown)
     rows = []
     for g, MH in rep_h.images.items():
-        MW = rep_w.image(g)
-        for i in range(dh):
-            for j in range(dw):
-                row = {}
-                for kk in range(dw):
-                    v = MW.get(kk, j)
-                    if v:
-                        add_term(row, i * dw + kk, v)
-                for kk in range(dh):
-                    v = MH.get(i, kk)
-                    if v:
-                        add_term(row, kk * dw + j, -v)
-                if row:
-                    rows.append(row)
-    return len(nullspace(rows, dh * dw))
+        if g[0] != "E":
+            continue
+        eqs = {}
+        for (i, kk), v in MH.entries.items():
+            for j in w_blocks.get(rep_h.weights[kk], ()):
+                add_term(eqs.setdefault((i, j), {}), unknown[kk, j], v)
+        for (kk, j), v in rep_w.image(g).entries.items():
+            for i in h_blocks.get(rep_w.weights[kk], ()):
+                add_term(eqs.setdefault((i, j), {}), unknown[i, kk], -v)
+        rows.extend(eqs.values())
+    return len(unknown) - rank(rows)
 
 
 def reciprocity_character(ctx, k, side):

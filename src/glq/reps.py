@@ -78,6 +78,10 @@ def cartan_images(ctx, space, weights):
     return images
 
 
+class WeightError(ValueError):
+    """A K_a^{+-1} image is not the diagonal map of the weights read off K."""
+
+
 class Representation:
     """Images of the generators on a graded weight basis, the weights
     read off the K_a images."""
@@ -91,8 +95,8 @@ class Representation:
             for a in range(1, ctx.N + 1)) for i in range(space.dim)]
         for g, mat in cartan_images(ctx, space, weights).items():
             if images.get(g) != mat:
-                raise ValueError("%s does not act by q^(sigma_a w_a) on the "
-                                 "weights read off K" % (g,))
+                raise WeightError("%s does not act by q^(sigma_a w_a) on "
+                                  "the weights read off K" % (g,))
         self.ctx = ctx
         self.space = space
         self.images = images

@@ -402,11 +402,8 @@ def defining_relations(ctx):
                      ("lowering", lambda a: _E(ctx, a + 1, a))):
         for a in range(1, N):
             for b in range(a + 2, N):
-                x, y = mk(a), mk(b)
-                sign = x.parity() * y.parity()
-                yx = y * x
                 rels.append(("distant_%s[%d,%d]" % (kind, a, b),
-                             x * y - (yx if sign % 2 == 0 else yx.scale(-1))))
+                             graded_commutator(mk(a), mk(b))))
 
     qplus = q_int(1) + q_int(-1)
     for kind, mk in (("raising", lambda a: _E(ctx, a, a + 1)),
@@ -444,16 +441,10 @@ def composite_root_vector(ctx, i, j):
         raise ValueError("invalid root vector indices (%d, %d)" % (i, j))
     if abs(i - j) == 1:
         return _E(ctx, i, j)
-    if i < j:
-        c = j - 1
-        left = composite_root_vector(ctx, i, c)
-        right = composite_root_vector(ctx, c, j)
-        coeff = q_int(-ctx.sigma(c))
-    else:
-        c = i - 1
-        left = composite_root_vector(ctx, i, c)
-        right = composite_root_vector(ctx, c, j)
-        coeff = q_int(ctx.sigma(c))
+    c = max(i, j) - 1
+    left = composite_root_vector(ctx, i, c)
+    right = composite_root_vector(ctx, c, j)
+    coeff = q_int(-ctx.sigma(c) if i < j else ctx.sigma(c))
     return left * right - (right * left).scale(coeff)
 
 
@@ -462,25 +453,25 @@ def composite_root_vector(ctx, i, j):
 # ---------------------------------------------------------------------------
 
 
+def _multisets(items, odd, maxlen):
+    """Non-decreasing words of length <= maxlen over ``items``, in which
+    an item with odd(item) true appears at most once.  Ordered by
+    (length, position), the empty word first."""
+    words = [()]
+    for length in range(1, maxlen + 1):
+        # Repeats of an item sit next to each other in a non-decreasing
+        # word.
+        words += [w for w in itertools.combinations_with_replacement(
+            items, length) if not any(
+                a == b and odd(a) for a, b in zip(w, w[1:]))]
+    return words
+
+
 def probe_monomials(ctx, degree):
     """Non-decreasing words of length <= degree over the generator
     alphabet (Cartan first, then raising, then lowering), with each odd
     generator appearing at most once.  Ordered by (length, position)."""
-    alpha = all_generators(ctx)
-    odd = [gen_parity(ctx, g) for g in alpha]
-    words = [()]
-    for length in range(1, degree + 1):
-        for combo in itertools.combinations_with_replacement(
-                range(len(alpha)), length):
-            skip = False
-            for idx in set(combo):
-                if odd[idx] and combo.count(idx) > 1:
-                    skip = True
-                    break
-            if skip:
-                continue
-            words.append(tuple(alpha[i] for i in combo))
-    return words
+    return _multisets(all_generators(ctx), partial(gen_parity, ctx), degree)
 
 
 def pbw_probe_expressions(ctx, degree):
@@ -497,35 +488,24 @@ def pbw_probe_expressions(ctx, degree):
     lowering = [(i, j) for j in range(1, N + 1) for i in range(j + 1, N + 1)]
     raising = [(i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1)]
 
-    def root_words(roots, maxlen):
-        words = [()]
-        for length in range(1, maxlen + 1):
-            for combo in itertools.combinations_with_replacement(
-                    roots, length):
-                ok = True
-                for r in set(combo):
-                    if (combo.count(r) > 1
-                            and (ctx.parity(r[0]) + ctx.parity(r[1])) % 2):
-                        ok = False
-                        break
-                if ok:
-                    words.append(combo)
-        return words
+    def odd_root(r):
+        return (ctx.parity(r[0]) + ctx.parity(r[1])) % 2
 
     cartan = [gen_K(a) for a in range(1, N + 1)]
     cartan += [gen_Kinv(a) for a in range(1, N + 1)]
-    cartan_words = [()]
-    for length in range(1, degree + 1):
-        cartan_words.extend(
-            itertools.combinations_with_replacement(cartan, length))
+    cartan_words = _multisets(cartan, lambda g: False, degree)
+    raising_words = _multisets(raising, odd_root, degree)
 
     out = []
-    for lw in root_words(lowering, degree):
+    for lw in _multisets(lowering, odd_root, degree):
         for cw in cartan_words:
-            if len(lw) + len(cw) > degree:
+            rest = degree - len(lw) - len(cw)
+            if rest < 0:
                 continue
-            for rw in root_words(raising, degree - len(lw) - len(cw)):
-                expr = UqExpression.from_word(ctx, tuple(cw))
+            for rw in raising_words:
+                if len(rw) > rest:
+                    break
+                expr = UqExpression.from_word(ctx, cw)
                 for r in lw:
                     expr = expr * composite_root_vector(ctx, r[0], r[1])
                 for r in rw:

@@ -466,6 +466,22 @@ class TestReports:
         assert len(checks) == 7
         assert all(c["ok"] is True for c in checks)
 
+    @pytest.mark.parametrize("side", ["bar", "unbar"])
+    def test_induce_frontier_fourth_degree_at_4_4(self, capsys, side):
+        # 35 + 80 + 60 + 16 + 1 = 192 monomials of degree 4 on either
+        # side: the four letters of index <= m are odd and appear at most
+        # once, the other four repeat freely.
+        start = time.perf_counter()
+        code, _, report = run_cli(
+            capsys, ["induce", "--m", "4", "--n", "4", "--k", "4",
+                     "--side", side])
+        assert time.perf_counter() - start < 20
+        assert code == 0 and report["ok"] is True
+        checks = [c for s in report["suites"] for c in s["checks"]]
+        assert all(c["ok"] is True for c in checks)
+        by_name = {c["name"]: c for c in checks}
+        assert by_name["dimension"]["measured"] == 192
+
     def test_induce_reports_a_relation_failure(self, capsys, monkeypatch):
         from glq import induction
 
@@ -495,6 +511,58 @@ class TestReports:
         assert by_name["span-stable"]["ok"] is False
         assert "leaves the degree-1 span" in by_name["span-stable"]["error"]
         assert "defining-relations" not in by_name
+
+    def test_induce_reports_a_cartan_mismatch(self, capsys, monkeypatch):
+        # K_a built as K_a^{-1}: the weights read off K disagree with the
+        # K_a^{-1} images, a failed check and not a crash.
+        from glq import induction
+        from glq.reps import Representation
+        from glq.uq import gen_Kinv
+
+        def k_inverted(ctx, space, images, name=""):
+            images = dict(images)
+            for a in range(1, ctx.N + 1):
+                images[gen_K(a)] = images[gen_Kinv(a)]
+            return Representation(ctx, space, images, name)
+
+        monkeypatch.setattr(induction, "Representation", k_inverted)
+        code, _, report = run_cli(
+            capsys, ["induce", "--m", "2", "--n", "1", "--k", "2",
+                     "--side", "bar"])
+        assert code == 1 and report["ok"] is False
+        (borel,) = report["suites"]
+        assert [(c["name"], c["ok"]) for c in borel["checks"]] == [
+            ("span-stable", True), ("cartan-weights", False)]
+        assert borel["checks"][1]["error"] == (
+            "('Kinv', 1) does not act by q^(sigma_a w_a) on the weights "
+            "read off K")
+
+    @pytest.mark.parametrize("argv,check", [
+        (["decompose", "--word", "E", "--power", "2"], "summands-certified"),
+        (["induce", "--k", "2", "--side", "bar"], "irreducible"),
+        (["coords", "--check", "peterweyl"],
+         "matrix-coefficients-independent"),
+    ])
+    def test_uncertified_decomposition_is_a_failed_check(
+            self, capsys, monkeypatch, argv, check):
+        # With no lowering generators each summand closes on its seed
+        # alone, and reps.decompose rejects the sum as not exhaustive.
+        from glq import reps
+
+        monkeypatch.setattr(reps, "lowering_generators", lambda ctx: [])
+        code, _, report = run_cli(capsys, argv + ["--m", "2", "--n", "1"])
+        assert code == 1 and report["ok"] is False
+        by_name = {c["name"]: c for c in report["suites"][0]["checks"]}
+        assert by_name[check]["ok"] is False
+        assert by_name[check]["error"].startswith(
+            "decomposition does not exhaust the module: ")
+        failed = [c["name"] for s in report["suites"] for c in s["checks"]
+                  if not c["ok"]]
+        if argv[0] == "induce":
+            assert failed == ["irreducible", "highest-weight"]
+            assert by_name["highest-weight"]["measured"] is None
+        else:
+            assert failed == [check]
 
     def test_crash_exits_3_without_a_report(self, capsys, monkeypatch):
         from glq import cli

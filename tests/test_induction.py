@@ -8,8 +8,9 @@ import itertools
 
 import pytest
 
-from glq.coeff import ZERO, ONE, Q, QINV, q_int
-from glq.graded import GradingContext
+from glq.coeff import ZERO, ONE, Q, QINV, add_term, q_int
+from glq.graded import (GradedMap, GradedSpace, GradingContext,
+                        nullspace)
 from glq import induction
 from glq.uq import (
     UqExpression,
@@ -23,8 +24,10 @@ from glq.uq import (
 )
 from glq.coords import functional_witness
 from glq.reps import (
+    Representation,
     decompose,
     partition_weight,
+    profile_rep,
     submodule_rep,
     tensor_rep,
     trivial_rep,
@@ -363,7 +366,72 @@ def _test_modules(ctx):
     return mods
 
 
+def _dense_hom_dimension(rep_w, rep_h):
+    """Oracle of ``hom_dimension``: every entry f[i, j] of a map
+    rep_w -> rep_h is an unknown, and every generator of rep_h, K_a^{+-1}
+    included, gives one equation (M_H f - f M_W)[i, j] = 0 per entry,
+    with f[i, j] at column i * dim W + j."""
+    dw, dh = rep_w.dim, rep_h.dim
+    rows = []
+    for g, MH in rep_h.images.items():
+        MW = rep_w.image(g)
+        for i in range(dh):
+            for j in range(dw):
+                row = {}
+                for kk in range(dw):
+                    v = MW.get(kk, j)
+                    if v:
+                        add_term(row, i * dw + kk, v)
+                for kk in range(dh):
+                    v = MH.get(i, kk)
+                    if v:
+                        add_term(row, kk * dw + j, -v)
+                if row:
+                    rows.append(row)
+    return len(nullspace(rows, dh * dw))
+
+
+def _character_line(ctx, k, side):
+    """The line ``parabolic_hom_dimension`` maps into."""
+    line = GradedSpace((0,))
+    return Representation(ctx, line, {
+        g: GradedMap(line, line, {(0, 0): phi})
+        for g, phi in reciprocity_character(ctx, k, side).items()})
+
+
 class TestFrobenius:
+    @pytest.mark.parametrize("size", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_hom_dimension_matches_the_dense_solve(self, size):
+        # Sources: the profile modules of at most two legs and the
+        # induced modules; targets: the induced modules and the
+        # character lines, k = 0..3 on both sides.  240 pairs per size.
+        ctx = ctx_of(size)
+        induced = [build_induced(ctx, k, barred)[0]
+                   for k in range(4) for barred in (False, True)]
+        sources = [profile_rep(ctx, p) for legs in range(3)
+                   for p in itertools.product((False, True), repeat=legs)]
+        targets = induced + [_character_line(ctx, k, side) for k in range(4)
+                             for side in ("lower", "upper")]
+        nonzero = 0
+        for W in sources + induced:
+            for H in targets:
+                want = _dense_hom_dimension(W, H)
+                assert hom_dimension(W, H) == want, (W, H)
+                nonzero += want > 0
+        assert nonzero == 40
+
+    @pytest.mark.parametrize("m,n,k", [(1, 1, 2), (2, 1, 3), (2, 2, 2),
+                                       (2, 2, 3), (3, 2, 3)])
+    @pytest.mark.parametrize("barred", [False, True])
+    def test_reciprocity_against_the_tensor_power(self, m, n, k, barred):
+        # The plain-side module is headed by (0, ..., 0, -k), a summand of
+        # the k-th power of the dual; the barred one by the one-column
+        # label, a summand of the k-th power of the vector module.
+        ctx = GradingContext(m, n)
+        rep_h, _ = build_induced(ctx, k, barred)
+        power = profile_rep(ctx, (not barred,) * k)
+        assert frobenius_dims(ctx, power, rep_h, k, barred) == (1, 1)
+
     def test_hom_dimension_schur(self):
         ctx = ctx_of((1, 1))
         V = vector_rep(ctx)
