@@ -37,8 +37,7 @@ for k in range(4):
 V = reps.vector_rep(ctx)
 square = reps.tensor_rep(V, V)
 tests = [("trivial", reps.trivial_rep(ctx)), ("vector", V)]
-tests += [("square[%s]" % (s.highest_weight,),
-           reps.submodule_rep(square, s.basis, name="summand"))
+tests += [("square[%s]" % (s.highest_weight,), s.rep)
           for s in reps.decompose(square)]
 print("reciprocity grid (only nonzero dimension counts shown):")
 for k in range(3):

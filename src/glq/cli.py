@@ -281,8 +281,10 @@ def _coords_antipode_suite(ctx, probe_degree):
     m = ctx.m
     if 1 <= m < N:
         # The odd simple pair: two odd letters that degree-2 probes see,
-        # so the reversal sign of S shows at every size.
-        words.append((t_(m, m + 1), t_(m + 1, m)))
+        # so the reversal sign of S shows at every size.  An odd letter
+        # before an even one meets the Koszul sign of the word layout.
+        words += [(t_(m, m + 1), t_(m + 1, m)),
+                  (t_(m, m + 1), t_(m + 1, m + 1))]
     # <S f_i, x> against <f_i, S x>, every f_i keyed in one table.
     plain = coords_mod.pairing_table(
         ctx, ((i, w, ONE) for i, w in enumerate(words)))

@@ -16,17 +16,20 @@ Provided constructions:
     Koszul sign on the column index:
         M-bar(g)[r, c] = (-1)^{|g| p(c)} M(S(g))[c, r];
   * graded tensor products via the coproduct and Koszul matrix tensor;
-  * the trivial representation; submodule representations on an explicit
-    basis;
+  * the trivial representation; the submodule generated by a
+    highest-weight vector (``submodule_rep``), with its basis;
   * `profile_rep`, the one cache of the tensor products of vector and
     dual legs, each built once per size and leg profile.
 
 Decomposition finds all joint highest-weight vectors (kernels of the
 raising operators, one weight block at a time) and closes each under the
-lowering generators.  Each summand has one highest-weight line, so it is
-irreducible and the summands form a direct sum (see ``decompose``); their
-dimensions add up to the whole.  The lowest weight of each summand is
-recorded, which drives the dual-label computation.
+lowering generators; the closure's echelon gives the summand's basis and
+the coordinates of its generator images at once, and only the raising
+images are checked against the span.  Each summand has one
+highest-weight line, so it is irreducible and the summands form a direct
+sum (see ``decompose``); their dimensions add up to the whole.  Each
+summand keeps the module it was certified on, and its lowest weight,
+which drives the dual-label computation.
 
 Weight classification: the labels attached to tensor powers of the
 vector representation are exactly the weights read off hook-bounded
@@ -224,67 +227,6 @@ def profile_rep(ctx, profile):
     return rep
 
 
-def _unit_pivots(basis):
-    """For each basis vector, an index where it is 1 and every other
-    basis vector is 0 (the smallest such index).  Reduced echelon bases,
-    as returned by ``Echelon.basis()``, always have one."""
-    owners = {}
-    for v in basis:
-        for i in v:
-            owners[i] = owners.get(i, 0) + 1
-    pivots = []
-    for j, v in enumerate(basis):
-        piv = min((i for i, x in v.items() if owners[i] == 1 and x == ONE),
-                  default=None)
-        if piv is None:
-            raise ValueError("basis vector %d has no unit pivot" % j)
-        pivots.append(piv)
-    return pivots
-
-
-def submodule_rep(rep, basis, name="sub"):
-    """Restriction of rep to the span of an explicit ordered basis.
-
-    The basis must have unit pivots (see ``_unit_pivots``), as the
-    reduced echelon bases from ``Echelon.basis()`` do.  The coordinates
-    of each E image are read off at the pivots, and the image minus
-    their combination must vanish exactly, or the span is not invariant
-    and ValueError is raised.  K_a^{+-1} only scale the weight-homogeneous
-    basis vectors, so they are the ``cartan_images`` of their weights."""
-    ctx = rep.ctx
-    pivots = _unit_pivots(basis)
-    parities = []
-    weights = []
-    for v in basis:
-        ps = {rep.space.parities[i] for i in v}
-        ws = {rep.weights[i] for i in v}
-        if len(ps) != 1 or len(ws) != 1:
-            raise ValueError("basis vectors must be parity- and "
-                             "weight-homogeneous")
-        parities.append(ps.pop())
-        weights.append(ws.pop())
-    space = GradedSpace(tuple(parities))
-    row_of = {piv: r for r, piv in enumerate(pivots)}
-    images = cartan_images(ctx, space, weights)
-    for g in raising_generators(ctx) + lowering_generators(ctx):
-        mat = rep.image(g)
-        entries = {}
-        for j, v in enumerate(basis):
-            target = mat.apply(v)
-            residual = target
-            # Only the pivots in the image's support can carry a
-            # coordinate; they are read in basis order.
-            for r in sorted(row_of[i] for i in target if i in row_of):
-                x = target[pivots[r]]
-                entries[(r, j)] = x
-                residual = vec_sub_scaled(residual, basis[r], x)
-            if residual:
-                raise ValueError("span is not invariant under %s: the image "
-                                 "of basis vector %d leaves it" % (g, j))
-        images[g] = GradedMap(space, space, entries)
-    return Representation(ctx, space, images, name=name)
-
-
 def check_relations(rep):
     """Evaluate every defining relation; list of (name, vanished)."""
     return [(name, rep.evaluate_expr(expr).is_zero())
@@ -327,37 +269,83 @@ def highest_weight_vectors(rep):
     return _joint_kernel_in_blocks(rep, raising_generators(rep.ctx))
 
 
-def generated_submodule(rep, seed):
-    """Echelon basis of the submodule U.v = U^-.v (U = U^- U^0 U^+)
-    generated by a highest-weight vector v: only the lowering generators
-    are applied.  ``submodule_rep`` still checks the span against every
-    generator."""
+def submodule_rep(rep, seed, name="sub"):
+    """The submodule U.v = U^-.v (U = U^- U^0 U^+) generated by a
+    highest-weight vector v, as (echelon basis, Representation).
+
+    Only the lowering generators are applied, and the span they close is
+    invariant under them by construction: every vector the echelon
+    accepts is queued, and each of its lowering images is reduced
+    against the span.  A reduced echelon row is 1 at its own pivot and 0
+    at every other pivot, so an image in the span has its coordinates at
+    the pivots.  The closure does not build the raising images: each
+    image minus its coordinates' combination must vanish exactly, or the
+    span is not invariant and ValueError is raised.  K_a^{+-1} only scale
+    the weight-homogeneous basis vectors, so they are the
+    ``cartan_images`` of their weights."""
+    ctx = rep.ctx
+    raising = raising_generators(ctx)
+    lowering = lowering_generators(ctx)
     if len({rep.weights[i] for i, x in seed.items() if x}) != 1:
         raise ValueError("the seed must be a nonzero weight vector")
-    if any(rep.image(g).apply(seed) for g in raising_generators(rep.ctx)):
+    if any(rep.image(g).apply(seed) for g in raising):
         raise ValueError("the seed must be a highest-weight vector")
     ech = Echelon()
     ech.add(seed)
     queue = [seed]
-    mats = [rep.image(g) for g in lowering_generators(rep.ctx)]
     while queue:
         v = queue.pop()
-        for mat in mats:
-            w = mat.apply(v)
+        for g in lowering:
+            w = rep.image(g).apply(v)
             if w and ech.add(w):
                 queue.append(w)
-    return ech.basis()
+    pivots = sorted(ech.rows)
+    basis = [ech.rows[p] for p in pivots]
+    parities = []
+    weights = []
+    for v in basis:
+        ps = {rep.space.parities[i] for i in v}
+        ws = {rep.weights[i] for i in v}
+        if len(ps) != 1 or len(ws) != 1:
+            raise ValueError("basis vectors must be parity- and "
+                             "weight-homogeneous")
+        parities.append(ps.pop())
+        weights.append(ws.pop())
+    space = GradedSpace(tuple(parities))
+    row_of = {piv: r for r, piv in enumerate(pivots)}
+    images = cartan_images(ctx, space, weights)
+    for g in raising + lowering:
+        mat = rep.image(g)
+        entries = {}
+        for j, v in enumerate(basis):
+            target = mat.apply(v)
+            # Lowering images lie in the span: only raising ones are checked.
+            residual = target if g in raising else None
+            # Only the pivots in the image's support carry a coordinate;
+            # they are read in basis order.
+            for r in sorted(row_of[i] for i in target if i in row_of):
+                x = entries[(r, j)] = target[pivots[r]]
+                if residual is not None:
+                    residual = vec_sub_scaled(residual, basis[r], x)
+            if residual:
+                raise ValueError("span is not invariant under %s: the image "
+                                 "of basis vector %d leaves it" % (g, j))
+        images[g] = GradedMap(space, space, entries)
+    return basis, Representation(ctx, space, images, name=name)
 
 
 class Summand:
-    """One irreducible constituent of a decomposed representation."""
+    """One irreducible constituent of a decomposed representation: its
+    basis in the ambient module and the module ``decompose`` certified
+    on it (``rep``, one generator image per generator on that basis)."""
 
-    __slots__ = ("highest_weight", "lowest_weight", "dim", "basis")
+    __slots__ = ("highest_weight", "lowest_weight", "dim", "basis", "rep")
 
-    def __init__(self, highest_weight, lowest_weight, basis):
+    def __init__(self, highest_weight, lowest_weight, basis, rep):
         self.highest_weight = highest_weight
         self.lowest_weight = lowest_weight
         self.basis = basis
+        self.rep = rep
         self.dim = len(basis)
 
     @property
@@ -372,18 +360,18 @@ class Summand:
 
 def decompose(rep):
     """Split into the submodules U^-.v of a basis of highest-weight
-    vectors v, each required to have one lowest- and one highest-weight
-    line.  Each is then irreducible, and the sum is direct: a summand's
-    intersection with the direct sum of the earlier ones is a submodule,
-    so if nonzero it holds v, whose components in the earlier summands
-    are highest-weight vectors of v's weight; v would then lie in the
-    span of earlier highest-weight vectors, which are independent of it.
-    Dimensions adding up to dim(rep) make the sum exhaust it."""
+    vectors v (``submodule_rep``), each required to have one lowest- and
+    one highest-weight line, and each kept with its module.  Each is then
+    irreducible, and the sum is direct: a summand's intersection with the
+    direct sum of the earlier ones is a submodule, so if nonzero it holds
+    v, whose components in the earlier summands are highest-weight
+    vectors of v's weight; v would then lie in the span of earlier
+    highest-weight vectors, which are independent of it.  Dimensions
+    adding up to dim(rep) make the sum exhaust it."""
     summands = []
     total = 0
     for weight, vec in highest_weight_vectors(rep):
-        basis = generated_submodule(rep, vec)
-        sub = submodule_rep(rep, basis, name="hw=%s" % (weight,))
+        basis, sub = submodule_rep(rep, vec, name="hw=%s" % (weight,))
         lows = _joint_kernel_in_blocks(sub, lowering_generators(rep.ctx))
         if len(lows) != 1:
             raise ValueError("summand at %s has %d lowest-weight lines; "
@@ -393,7 +381,7 @@ def decompose(rep):
         if len(highs) != 1:  # the seed's line comes first
             raise ValueError("highest-weight closures overlap at %s"
                              % (highs[1][0],))
-        summands.append(Summand(weight, lows[0][0], basis))
+        summands.append(Summand(weight, lows[0][0], basis, sub))
         total += len(basis)
     if total != rep.dim:
         raise ValueError("decomposition does not exhaust the module: "

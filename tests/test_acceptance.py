@@ -384,9 +384,7 @@ def test_criterion_12_reciprocity():
         square = reps.tensor_rep(V, V)
         summands = reps.decompose(square)
         tests = [("trivial", reps.trivial_rep(ctx)), ("vector", V)]
-        tests += [("square:%s" % (s.highest_weight,),
-                   reps.submodule_rep(square, s.basis,
-                                      name="summand"))
+        tests += [("square:%s" % (s.highest_weight,), s.rep)
                   for s in summands]
         for k in range(0, 3):
             for barred in (False, True):

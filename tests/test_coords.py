@@ -379,9 +379,8 @@ class TestMatrixCoefficients:
         summands = reps.decompose(square)
         grids = coords.matrix_coefficients(ctx, (False, False), summands)
         for s, mc in zip(summands, grids):
-            sub = reps.submodule_rep(square, s.basis, name="s")
             for w in probe_monomials(ctx, 2):
-                M = sub.evaluate_word(w)
+                M = s.rep.evaluate_word(w)
                 for i in range(s.dim):
                     for j in range(s.dim):
                         assert coords.evaluate(ctx, mc[i][j], w) == M.get(i, j)

@@ -28,7 +28,6 @@ from glq.reps import (
     decompose,
     partition_weight,
     profile_rep,
-    submodule_rep,
     tensor_rep,
     trivial_rep,
     vector_rep,
@@ -360,9 +359,7 @@ def _test_modules(ctx):
     mods = [("trivial", trivial_rep(ctx)), ("vector", V)]
     square = tensor_rep(V, V)
     for s in decompose(square):
-        mods.append(
-            ("square-%s" % (s.highest_weight,),
-             submodule_rep(square, s.basis, name=str(s.highest_weight))))
+        mods.append(("square-%s" % (s.highest_weight,), s.rep))
     return mods
 
 

@@ -6,6 +6,10 @@ every named check at ``"ok": false``.  A check that no planted defect can
 turn false would be a check that earns nothing (DeMillo, Lipton and
 Sayward, "Hints on test data selection", 1978).
 
+``test_every_report_check_is_earned_or_listed`` runs twelve reports at
+(2|1) and requires every check name they emit to be in some row's
+must-fail set, or in ``UNEARNED`` with the reason no row reaches it.
+
 The module caches (`reps.profile_rep`, the dual-power decompositions and
 the `coords` word layouts) are swapped for empty dicts before each report,
 so a mutant's report builds its own modules and none of them outlives the
@@ -62,6 +66,26 @@ def _star_of_e12_without_kinv(monkeypatch):
             else (word, sign)
 
     monkeypatch.setattr(uq, "_star_gen", short)
+
+
+def _sign_on_e12_only(monkeypatch):
+    true_gen = uq._star_gen
+
+    def signed(ctx, g, theta):
+        word, sign = true_gen(ctx, g, theta)
+        return word, sign + (g == E12)
+
+    monkeypatch.setattr(uq, "_star_gen", signed)
+
+
+def _antipode_of_e12_without_cartan(monkeypatch):
+    true_gen = uq._antipode_gen
+
+    def bare(g):
+        word, c = true_gen(g)
+        return ((g,), c) if g == E12 else (word, c)
+
+    monkeypatch.setattr(uq, "_antipode_gen", bare)
 
 
 def _drop_koszul_sign_of_layout(monkeypatch):
@@ -123,8 +147,8 @@ MUTANTS = {
         {"coproduct-intertwiner", "braid-relation", "exchange-identity"}),
     "antipode-sign-of-e12-flipped": (
         _flip_antipode_sign_of_e12, VERIFY,
-        {"defining-relations-dual", "antipode-axiom-vector",
-         "unitary-dual"}),
+        {"defining-relations-dual", "defining-relations-vector(x)dual",
+         "antipode-axiom-vector", "unitary-dual"}),
     # Weak spot: only unitary-dual sees this sign.  star-involutive-type-2
     # applies the sign twice, and it squares away.
     "star-theta2-sign-dropped": (
@@ -133,6 +157,13 @@ MUTANTS = {
     # the exchange identity never build the flip.
     "graded-flip-koszul-sign-dropped": (
         _drop_koszul_sign_of_flip, RMATRIX, {"braid-relation"}),
+    "star-sign-on-e12-only": (
+        _sign_on_e12_only, VERIFY,
+        {"star-involutive-type-1", "star-involutive-type-2",
+         "unitary-vector"}),
+    "antipode-of-e12-without-cartan": (
+        _antipode_of_e12_without_cartan, VERIFY,
+        {"antipode-squared-vector", "antipode-squared-dual"}),
     # Weak spot: only unitary-dual sees a star of E_12 without its
     # K_2^{-1}.  Applied twice, that star sends E_12 to K_1 K_1^{-1} K_2
     # E_12, and star-involutive-type-θ compares the two only in the
@@ -140,12 +171,14 @@ MUTANTS = {
     "star-of-e12-without-kinv": (
         _star_of_e12_without_kinv, VERIFY, {"unitary-dual"}),
     # Every coordinate pairing reads its Koszul sign from word_layout.
-    # Weak spot: `coords --check antipode` and `--check peterweyl` at
-    # (2|1) stay ok without it.  At (2|1) the antipode suite pairs only
-    # words whose sign is 0, and matrix_coefficients folds into its
-    # coefficients the very sign that the pairing takes out again.
+    # Weak spot: `coords --check peterweyl` stays ok without it, because
+    # matrix_coefficients folds into its coefficients the very sign that
+    # the pairing takes out again.
     "layout-koszul-sign-dropped/rmatrix": (
         _drop_koszul_sign_of_layout, RMATRIX, {"exchange-identity"}),
+    "layout-koszul-sign-dropped/coords-antipode": (
+        _drop_koszul_sign_of_layout, COORDS + ["antipode"],
+        {"antipode-dual-to-enveloping"}),
     "layout-koszul-sign-dropped/induce-bar": (
         _drop_koszul_sign_of_layout, INDUCE + ["bar"],
         {"defining-relations"}),
@@ -216,26 +249,6 @@ def test_antipode_mutant_names_its_witness(capsys, monkeypatch):
                for g in w)
 
 
-def _sign_on_e12_only(monkeypatch):
-    true_gen = uq._star_gen
-
-    def signed(ctx, g, theta):
-        word, sign = true_gen(ctx, g, theta)
-        return word, sign + (g == E12)
-
-    monkeypatch.setattr(uq, "_star_gen", signed)
-
-
-def _antipode_of_e12_without_cartan(monkeypatch):
-    true_gen = uq._antipode_gen
-
-    def bare(g):
-        word, c = true_gen(g)
-        return ((g,), c) if g == E12 else (word, c)
-
-    monkeypatch.setattr(uq, "_antipode_gen", bare)
-
-
 @pytest.mark.parametrize("plant, name", [
     (_sign_on_e12_only, "star-involutive-type-1"),
     (_sign_on_e12_only, "star-involutive-type-2"),
@@ -257,3 +270,65 @@ def test_failed_probe_loop_names_a_witness(capsys, monkeypatch, plant, name):
 def test_passing_probe_loops_carry_no_witness(capsys, monkeypatch):
     _, report = _report(capsys, monkeypatch, VERIFY)
     assert not any("witness" in c for c in _checks(report).values())
+
+
+# ---------------------------------------------------------------------------
+# Guard: every check the reports emit is earned by some row, or says why not.
+# ---------------------------------------------------------------------------
+
+AT_2_1 = ["--m", "2", "--n", "1"]
+REPORTS = [
+    VERIFY,
+    ["decompose"] + AT_2_1 + ["--word", "E", "--power", "2"],
+    ["decompose"] + AT_2_1 + ["--word", "Ed", "--power", "2"],
+    *(["rmatrix"] + AT_2_1 + ["--kind", kind]
+      for kind in ("pp", "bb", "mixed")),
+    *(COORDS + [check] for check in ("antipode", "star", "peterweyl")),
+    INDUCE + ["bar"],
+    ["induce"] + AT_2_1 + ["--k", "3", "--side", "unbar"],
+    ["normalform"] + AT_2_1 + ["zb[2]*z[1]"],
+]
+
+UNPLANTED = ("no row plants a defect in what it reads: the vector module, "
+             "the coproduct of a generator or the defining relations")
+DERIVED = ("true whenever the report is written: reps.decompose raises "
+           "first, reported as summands-certified (ROADMAP item 9)")
+VACUOUS = ("compares 0 = 0 or 1 = 1 at (2|1), k = 2 and 3 (ROADMAP "
+           "item 3)")
+INDUCED = ("no row plants a defect that keeps the induced module's "
+           "relations and weights but changes its span or its summands")
+
+UNEARNED = {
+    "coassociativity": UNPLANTED,
+    "counit-axiom": UNPLANTED,
+    "defining-relations-vector": UNPLANTED,
+    "defining-relations-vector(x)vector": UNPLANTED,
+    "antipode-squared-weight-ratio": ("S^2 applies a coordinate sign "
+                                      "twice, and it squares away"),
+    "matrix-coefficients-independent": ("matrix_coefficients folds in the "
+                                        "layout sign that the pairing "
+                                        "takes out again"),
+    "dimensions-sum": DERIVED,
+    "summands-nonempty": DERIVED,
+    "span-stable": ("false only when build_induced raises an error other "
+                    "than a relation or weight error; no row plants one"),
+    "dimension": INDUCED,
+    "highest-weight": INDUCED,
+    "irreducible": INDUCED,
+    "reciprocity-trivial": VACUOUS,
+    "reciprocity-vector": VACUOUS,
+    "round-trip": ("no row plants a defect in the normal-form parser or "
+                   "formatter"),
+}
+
+
+def test_every_report_check_is_earned_or_listed(capsys, monkeypatch):
+    emitted = set()
+    for argv in REPORTS:
+        _, report = _report(capsys, monkeypatch, argv)
+        emitted |= set(_checks(report))
+    earned = set().union(*(must_fail for _, _, must_fail in MUTANTS.values()))
+    assert sorted(earned - emitted) == [], "earned, not emitted"
+    assert sorted(emitted - earned - set(UNEARNED)) == [], "unearned, unlisted"
+    assert sorted(set(UNEARNED) & earned) == [], "listed, now earned"
+    assert sorted(set(UNEARNED) - emitted) == [], "listed, not emitted"

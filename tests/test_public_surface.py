@@ -1,11 +1,14 @@
 """The public surface: every exported name and every library entry point
-that the README names imports and does what its name says, and every
+that the README names imports and does what its name says, every
 function of `src/glq` that no subcommand reaches is listed with the
-reason it stays."""
+reason it stays, and every function that the benchmark tracer's
+per-layer metrics are named after exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import pathlib
 
 import glq
@@ -135,3 +138,50 @@ def test_every_unreached_function_is_listed_with_a_reason():
     unreached = _unreached_functions()
     assert sorted(unreached - set(UNREACHED)) == [], "unreached, not listed"
     assert sorted(set(UNREACHED) - unreached) == [], "listed, now reached"
+
+
+# ---------------------------------------------------------------------------
+# Tracer names: a renamed function would turn its per-layer metric to 0.
+# ---------------------------------------------------------------------------
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+UNTRACED = {
+    "coords.evaluate_word": ("gone since coords pairs words through "
+                             "tables; the benchmark change of ROADMAP "
+                             "item 2 drops the name"),
+}
+
+
+def _tracer_constant(name):
+    """A literal module-level constant of bench/tracer.py, read without
+    importing it."""
+    for stmt in ast.parse(TRACER.read_text()).body:
+        if (isinstance(stmt, ast.Assign)
+                and [getattr(t, "id", None) for t in stmt.targets] == [name]):
+            return ast.literal_eval(stmt.value)
+    raise LookupError(name)
+
+
+def _traceable(key):
+    """Whether the tracer can wrap `layer.function`, a public function
+    defined in glq.layer, or `layer.Class.method`, a method defined on
+    the class and listed in the tracer's METHODS."""
+    layer, *path = key.split(".")
+    module = importlib.import_module("glq." + layer)
+    if len(path) == 1:
+        fn = vars(module).get(path[0])
+        return (not path[0].startswith("_") and inspect.isfunction(fn)
+                and fn.__module__ == module.__name__)
+    cls_name, name = path
+    cls = vars(module).get(cls_name)
+    listed = _tracer_constant("METHODS").get(layer, {}).get(cls_name, ())
+    return (inspect.isclass(cls) and name in listed
+            and inspect.isfunction(vars(cls).get(name)))
+
+
+def test_every_tracer_name_resolves():
+    unresolved = {k for k in _tracer_constant("REQUIRED")
+                  if not _traceable(k)}
+    assert sorted(unresolved - set(UNTRACED)) == [], "unresolved, not listed"
+    assert sorted(set(UNTRACED) - unresolved) == [], "listed, now resolves"

@@ -9,15 +9,16 @@ from math import factorial
 import pytest
 
 from glq.coeff import ONE, QINV, ZERO, q_int
-from glq.graded import Echelon, GradedMap, GradingContext, rank, solve
+from glq.graded import (Echelon, GradedMap, GradedSpace, GradingContext,
+                        rank, solve)
 from glq.reps import (
     Representation,
+    cartan_images,
     check_relations,
     decompose,
     dual_gram,
     dual_label_of,
     dual_rep,
-    generated_submodule,
     highest_weight_vectors,
     hook_partitions,
     in_first_family,
@@ -32,7 +33,7 @@ from glq.reps import (
     vector_rep,
     unitarity_check,
 )
-from glq.uq import all_generators, gen_K, gen_Kinv
+from glq.uq import all_generators, gen_E, gen_K, gen_Kinv
 
 SIZES = [(1, 1), (2, 1), (1, 2), (2, 2)]
 
@@ -278,29 +279,27 @@ def test_generated_submodule_needs_only_the_e_generators(size):
     vectors = highest_weight_vectors(rep)
     assert vectors
     for _, vec in vectors:
-        assert generated_submodule(rep, vec) == \
-            _closure_under_every_generator(rep, vec)
+        basis, _ = submodule_rep(rep, vec)
+        assert basis == _closure_under_every_generator(rep, vec)
 
 
 def test_generated_submodule_rejects_a_seed_of_two_weights():
     V = vector_rep(GradingContext(1, 1))
     with pytest.raises(ValueError, match="weight vector"):
-        generated_submodule(V, {0: ONE, 1: ONE})
+        submodule_rep(V, {0: ONE, 1: ONE})
 
 
 def test_generated_submodule_rejects_a_seed_that_is_not_highest():
     V = vector_rep(GradingContext(1, 1))
     with pytest.raises(ValueError, match="highest-weight vector"):
-        generated_submodule(V, {1: ONE})
+        submodule_rep(V, {1: ONE})
 
 
 def test_summand_subreps_satisfy_relations():
     ctx = GradingContext(2, 1)
     V = vector_rep(ctx)
-    rep = tensor_rep(V, V)
-    for s in decompose(rep):
-        sub = submodule_rep(rep, s.basis)
-        assert all(ok for _, ok in check_relations(sub))
+    for s in decompose(tensor_rep(V, V)):
+        assert all(ok for _, ok in check_relations(s.rep))
 
 
 def _solved_image(rep, basis, g):
@@ -318,39 +317,59 @@ def _solved_image(rep, basis, g):
     return entries
 
 
-@pytest.mark.parametrize("size,dual", [((2, 1), False), ((1, 2), True)],
-                         ids=["V3-m2n1", "Vbar3-m1n2"])
-def test_submodule_rep_matches_solved_coordinates(size, dual):
+@pytest.mark.parametrize("size,profile", [
+    ((2, 1), (False,) * 3), ((1, 2), (True,) * 3), ((2, 2), (False,) * 3)],
+    ids=["V3-m2n1", "Vbar3-m1n2", "V3-m2n2"])
+def test_submodule_rep_matches_solved_coordinates(size, profile):
     ctx = GradingContext(*size)
-    base = vector_rep(ctx)
-    if dual:
-        base = dual_rep(base)
-    rep = tensor_rep(tensor_rep(base, base), base)
+    rep = profile_rep(ctx, profile)
     for s in decompose(rep):
-        sub = submodule_rep(rep, s.basis)
         for g in all_generators(ctx):
-            assert sub.image(g).entries == _solved_image(rep, s.basis, g), g
+            assert s.rep.image(g).entries == \
+                _solved_image(rep, s.basis, g), g
+
+
+def test_submodule_rep_matches_solved_coordinates_beyond_a_direct_sum():
+    """V (x) V (x) V-bar at (2|1) is not the direct sum of its closures,
+    which ``decompose`` rejects; each closure is still a submodule."""
+    ctx = GradingContext(2, 1)
+    rep = profile_rep(ctx, (False, False, True))
+    with pytest.raises(ValueError, match="overlap"):
+        decompose(rep)
+    for _, vec in highest_weight_vectors(rep):
+        basis, sub = submodule_rep(rep, vec)
+        for g in all_generators(ctx):
+            assert sub.image(g).entries == _solved_image(rep, basis, g), g
+
+
+def _hand_built(ctx, weights, e_entries):
+    """An even module on the given weights whose E generators have the
+    given entries, every other E acting by 0."""
+    space = GradedSpace((0,) * len(weights))
+    images = cartan_images(ctx, space, weights)
+    for g in all_generators(ctx):
+        if g[0] == "E":
+            images[g] = GradedMap(space, space, e_entries.get(g, {}))
+    return Representation(ctx, space, images)
 
 
 def test_submodule_rep_rejects_non_invariant_span():
-    ctx = GradingContext(2, 1)
-    V = vector_rep(ctx)
-    rep = tensor_rep(V, V)
-    v1_v2 = {1: ONE}  # row-major index of v_1 (x) v_2
-    with pytest.raises(ValueError, match="not invariant"):
-        submodule_rep(rep, [v1_v2])
+    """E_21 sends v0 to v1 and E_12 sends v1 to v2: the lowering closure
+    of the highest-weight v0 is span(v0, v1), and E_12 leaves it."""
+    ctx = GradingContext(2, 0)
+    rep = _hand_built(ctx, [(1, 0), (0, 1), (1, 0)], {
+        gen_E(2, 1): {(1, 0): ONE}, gen_E(1, 2): {(2, 1): ONE}})
+    with pytest.raises(ValueError, match="not invariant under"):
+        submodule_rep(rep, {0: ONE})
 
 
-def test_submodule_rep_rejects_basis_without_unit_pivots():
-    ctx = GradingContext(2, 1)
-    V = vector_rep(ctx)
-    rep = tensor_rep(V, V)
-    basis = max(decompose(rep), key=lambda s: s.dim).basis
-    b0, b1 = basis[0], basis[1]
-    b0_plus_b1 = {i: b0.get(i, ZERO) + b1.get(i, ZERO)
-                  for i in set(b0) | set(b1)}
-    with pytest.raises(ValueError, match="basis vector 1 has no unit pivot"):
-        submodule_rep(rep, [b0_plus_b1, b1] + basis[2:])
+def test_submodule_rep_rejects_an_image_of_two_weights():
+    ctx = GradingContext(2, 0)
+    rep = _hand_built(ctx, [(1, 0), (0, 1), (1, 0)], {
+        gen_E(2, 1): {(1, 0): ONE, (2, 0): ONE}})
+    with pytest.raises(ValueError,
+                       match="parity- and weight-homogeneous"):
+        submodule_rep(rep, {0: ONE})
 
 
 def test_highest_weight_vector_count(ctx):
