@@ -41,6 +41,7 @@ from .uq import (
     UqExpression,
     all_generators,
     coproduct_opposite,
+    defining_relations,
     gen_E,
     gen_K,
     gen_Kinv,
@@ -357,7 +358,13 @@ def build_induced(ctx, k, barred):
     read the actions of another.  Verifies block stability (the action
     lands exactly in the span, else ValueError) and the defining
     relations (else RelationError); returns the Representation and its
-    basis."""
+    basis.
+
+    Only the relations with an E generator in them are evaluated.  The
+    others (k_inverse, k_inverse_flip, cartan_commute) hold by
+    construction: ``Representation`` raises WeightError unless every
+    K_a^{+-1} is the diagonal map q^{+-sigma_a w_a} of the weights, and
+    such diagonal maps commute and are mutually inverse."""
     words = barred_monomials(ctx, k) if barred else plain_monomials(ctx, k)
     index = {w: i for i, w in enumerate(words)}
     parities = tuple(
@@ -376,7 +383,9 @@ def build_induced(ctx, k, barred):
         images[g] = GradedMap(space, space, ent)
     name = "induced(%s, k=%d)" % ("barred" if barred else "plain", k)
     rep = Representation(ctx, space, images, name)
-    bad = [nm for nm, ok in check_relations(rep) if not ok]
+    with_e = [(nm, r) for nm, r in defining_relations(ctx)
+              if any(g[0] == "E" for w in r.terms for g in w)]
+    bad = [nm for nm, ok in check_relations(rep, with_e) if not ok]
     if bad:
         raise RelationError("induced module violates relations: %s" % bad)
     return rep, words

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import sys
 
-from .coeff import _POLY_ONE, ONE, RatFunc
+from .coeff import _POLY_ONE, ONE, RatFunc, add_term
 from .superspace import (
     SuperspaceElement,
     multi_index_of,
@@ -192,10 +192,8 @@ class _Parser:
         return value
 
     def add(self, a, b, negate):
-        if isinstance(a, RatFunc) and isinstance(b, RatFunc):
-            return a + (-b if negate else b)
-        a, b = self.embed(a), self.embed(b)
-        return a - b if negate else a + b
+        """The sum or difference of two scalars."""
+        return a + (-b if negate else b)
 
     def mul(self, a, b):
         if isinstance(a, RatFunc):
@@ -249,9 +247,18 @@ class _Parser:
         while self.peek()[0] in ("PLUS", "MINUS"):
             op = self.advance()
             term = self.term()
+            negate = op[0] == "MINUS"
+            if isinstance(value, RatFunc) and isinstance(term, RatFunc):
+                value = self.add(value, term, negate)
+            else:
+                # Every element that term() returns is new and held
+                # nowhere else, so the sum takes each later term in
+                # place: t terms cost O(t), not a copy per term.
+                value = self.embed(value)
+                for w, c in self.embed(term).terms.items():
+                    add_term(value.terms, w, -c if negate else c)
             # Only the coefficients at the new term's words can change.
-            value = _checked(self.add(value, term, op[0] == "MINUS"), op[2],
-                             getattr(term, "terms", ((),)))
+            _checked(value, op[2], getattr(term, "terms", ((),)))
         return value
 
     def term(self):

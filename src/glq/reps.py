@@ -227,10 +227,13 @@ def profile_rep(ctx, profile):
     return rep
 
 
-def check_relations(rep):
-    """Evaluate every defining relation; list of (name, vanished)."""
+def check_relations(rep, relations=None):
+    """Evaluate the (name, element) pairs of ``relations``, by default
+    every defining relation; list of (name, vanished)."""
+    if relations is None:
+        relations = defining_relations(rep.ctx)
     return [(name, rep.evaluate_expr(expr).is_zero())
-            for name, expr in defining_relations(rep.ctx)]
+            for name, expr in relations]
 
 
 # ---------------------------------------------------------------------------

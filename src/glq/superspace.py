@@ -26,6 +26,12 @@ is an identity of coordinate functionals, which the test-suite checks
 by pairing both sides against probe elements of the enveloping
 superalgebra.
 
+Words are tuples of letters everywhere except inside `normal_form`.
+There each word is spelled as a string with one character per letter,
+the table is restated on those strings once per (m, n), and one
+compiled alternation of its pair keys finds the leftmost redex; the
+words are read back into tuples on the way out.
+
 The rewriting system needs only Q(q) and the grading.  The map to
 coordinate functions, the co-action and the invariant subalgebra live
 in `induction`, so `glq normalform` loads no algebra layer.
@@ -34,6 +40,7 @@ in `induction`, so `glq normalform` loads no algebra layer.
 from __future__ import annotations
 
 import random
+import re
 from collections import namedtuple
 
 from .coeff import Combination, ONE, add_term, q_int
@@ -143,27 +150,60 @@ def _rules(ctx):
     return table
 
 
-def _redexes(table, word):
-    return [i for i, pair in enumerate(zip(word, word[1:])) if pair in table]
-
-
-def _splice(table, word, i):
-    head, tail = word[:i], word[i + 2:]
-    return {head + mid + tail: c for mid, c in table[word[i:i + 2]].items()}
-
-
 def redexes(ctx, word):
     """The positions i at which the pair word[i], word[i + 1] rewrites."""
-    return _redexes(_rules(ctx), word)
+    table = _rules(ctx)
+    return [i for i, pair in enumerate(zip(word, word[1:])) if pair in table]
 
 
 def apply_rule(ctx, word, i):
     """Replace the pair at position i, returning {word: coeff}."""
-    return _splice(_rules(ctx), word, i)
+    head, tail = word[:i], word[i + 2:]
+    return {head + mid + tail: c
+            for mid, c in _rules(ctx)[word[i:i + 2]].items()}
 
 
 def is_normal(ctx, word):
     return not redexes(ctx, word)
+
+
+class _Spelling(dict):
+    """letter -> chr(2 * index + barred), filled on first use."""
+
+    def __missing__(self, letter):
+        char = self[letter] = chr(2 * letter.index + letter.barred)
+        return char
+
+
+_CHARS = _Spelling()
+
+
+def _spell(word):
+    """The word as a string of one character per letter: slicing,
+    joining and hashing a string is cheaper than on a tuple of letters.
+    ``_read`` inverts it."""
+    return "".join(map(_CHARS.__getitem__, word))
+
+
+def _read(spelled):
+    return tuple([SpaceLetter(bool(o & 1), o >> 1)
+                  for o in map(ord, spelled)])
+
+
+_spelled_tables = {}
+
+
+def _spelled_rules(ctx):
+    """The table of _rules(ctx) on spelled words, each pair key mapping
+    to its [(replacement, coeff)], and the alternation of the keys,
+    whose first match in a word starts at its leftmost redex."""
+    spelled = _spelled_tables.get(ctx)
+    if spelled is None:
+        table = {_spell(pair): [(_spell(w), c) for w, c in out.items()]
+                 for pair, out in _rules(ctx).items()}
+        pattern = re.compile("|".join(map(re.escape, table)))
+        spelled = _spelled_tables[ctx] = table, pattern
+    return spelled
 
 
 def normal_form(ctx, element, strategy="leftmost", seed=0,
@@ -177,31 +217,40 @@ def normal_form(ctx, element, strategy="leftmost", seed=0,
     """
     if strategy not in ("leftmost", "rightmost", "random"):
         raise ValueError("unknown strategy %r" % strategy)
-    table = _rules(ctx)
+    table, pattern = _spelled_rules(ctx)
     rng = random.Random(seed)
-    work = dict(element.terms)
+    work = {_spell(w): c for w, c in element.terms.items()}
     done = {}
     steps = 0
     while work:
         word, coeff = work.popitem()
-        reds = _redexes(table, word)
-        if not reds:
+        if strategy == "leftmost":
+            found = pattern.search(word)
+            i = found.start() if found else None
+        else:
+            reds = [i for i in range(len(word) - 1)
+                    if word[i:i + 2] in table]
+            if not reds:
+                i = None
+            elif strategy == "rightmost":
+                i = reds[-1]
+            else:
+                i = reds[rng.randrange(len(reds))]
+        if i is None:
             add_term(done, word, coeff)
             continue
-        if strategy == "leftmost":
-            i = reds[0]
-        elif strategy == "rightmost":
-            i = reds[-1]
-        else:
-            i = reds[rng.randrange(len(reds))]
         steps += 1
-        before = measure(ctx, word) if instrument else None
-        for new_word, c in _splice(table, word, i).items():
+        head, tail = word[:i], word[i + 2:]
+        before = measure(ctx, _read(word)) if instrument else None
+        for mid, c in table[word[i:i + 2]]:
+            new_word = head + mid + tail
             if instrument:
-                assert measure(ctx, new_word) < before, (
-                    "measure failed to decrease", i, word, new_word)
+                assert measure(ctx, _read(new_word)) < before, (
+                    "measure failed to decrease", i, _read(word),
+                    _read(new_word))
             add_term(work, new_word, coeff * c)
-    return SuperspaceElement(ctx, done), steps
+    normal = {_read(w): c for w, c in done.items()}
+    return SuperspaceElement(ctx, normal), steps
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ expression parser, and the normal-form printer."""
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -62,6 +63,71 @@ class TestParser:
             ctx, (z_(1), zb_(2))).scale(ONE + ONE)
             + SuperspaceElement.from_word(ctx, (z_(2),)))
         assert parsed == expected
+
+    @pytest.mark.parametrize("text", [
+        "z[1] - z[1]",
+        "z[1] + zb[2] - z[1] - zb[2]",
+        "2 + q*z[1] - 2 - z[1]*q",
+        "(z[1] + z[2]) - (z[2] + z[1])",
+    ])
+    def test_sum_that_cancels_is_zero(self, capsys, text):
+        ctx = GradingContext(1, 1)
+        parsed = parse_superspace(ctx, text)
+        assert parsed.is_zero() and parsed.terms == {}
+        code, _, report = run_cli(capsys, ["normalform", text])
+        assert code == 0 and report["suites"][0]["normal_form"] == "0"
+
+    def test_sum_does_not_change_its_terms(self):
+        """Adding in place must not reach into an element that the sum's
+        first term was built from: the sum of a product of two sums and
+        a letter, and of a power of a sum and a letter."""
+        ctx = GradingContext(2, 1)
+        z1 = SuperspaceElement.from_word(ctx, (z_(1),))
+        z2 = SuperspaceElement.from_word(ctx, (z_(2),))
+        want = (z1 + z2) * (z1 + z2) + z1
+        for text in ("(z[1]+z[2])*(z[1]+z[2]) + z[1]",
+                     "(z[1]+z[2])^2 + z[1]"):
+            got = parse_superspace(ctx, text)
+            assert list(got.terms.items()) == list(want.terms.items())
+        assert list(want.terms) == [(z_(1), z_(1)), (z_(1), z_(2)),
+                                    (z_(2), z_(1)), (z_(2), z_(2)),
+                                    (z_(1),)]
+
+    def test_long_sum_equals_its_pairwise_sum(self):
+        """A sum of 300 terms parses to the element that adding its terms
+        two at a time gives, in the same term order."""
+        ctx = GradingContext(2, 1)
+        rng = random.Random(2301)
+        terms = []
+        for _ in range(300):
+            letters = ["%s[%d]" % (rng.choice(("z", "zb")), rng.randint(1, 3))
+                       for _ in range(rng.randint(0, 3))]
+            terms.append("*".join([rng.choice(("1", "2", "q", "q^-1"))]
+                                  + letters))
+        signs = [rng.choice("+-") for _ in terms]
+        text = terms[0] + "".join(" %s %s" % (sign, term) for sign, term
+                                  in zip(signs[1:], terms[1:]))
+        want = parse_superspace(ctx, terms[0])
+        for sign, term in zip(signs[1:], terms[1:]):
+            part = parse_superspace(ctx, term)
+            want = want + part if sign == "+" else want - part
+        got = parse_superspace(ctx, text)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert len(got.terms) > 50
+
+    def test_digit_limit_in_a_long_sum_names_its_operator(self):
+        """A coefficient that outgrows the digit limit in the middle of a
+        long sum is reported at the operator that made it grow."""
+        ctx = GradingContext(1, 1)
+        limit = sys.get_int_max_str_digits()
+        head = " + ".join("z[%d]" % (i % 2 + 1) for i in range(200))
+        big = "9" * limit + "*z[1]"
+        text = head + " + " + big + " + zb[1] + z[2]"
+        with pytest.raises(ParseError) as info:
+            parse_superspace(ctx, text)
+        assert info.value.position == len(head) + 1
+        assert info.value.message == "an integer has more than %d digits" % (
+            limit)
 
     def test_multi_index_orders_barred_descending(self):
         ctx = GradingContext(2, 1)
@@ -345,6 +411,23 @@ class TestReports:
             "message": "an integer has more than %d digits"
             % sys.get_int_max_str_digits(), "position": position}
 
+    @pytest.mark.parametrize("text,steps", [
+        ("(z[1]+z[2])^16", 65536), ("z[1]^10000", 1)],
+        ids=["power-of-a-sum", "power-of-a-letter"])
+    def test_large_normalform_input_finishes(self, capsys, text, steps):
+        """Inputs of ROADMAP item 6 whose cost grows with the exponent,
+        each under a time bound.  The 2^16 free words of the first are
+        rewritten one by one (about 1 s here); the second is one word of
+        10000 odd letters, which one step sends to 0.  Both letters are
+        odd at (2|1), so both powers vanish."""
+        start = time.perf_counter()
+        code, _, report = run_cli(
+            capsys, ["normalform", "--m", "2", "--n", "1", text])
+        assert time.perf_counter() - start < 10
+        assert code == 0 and report["ok"] is True
+        suite = report["suites"][0]
+        assert suite["normal_form"] == "0" and suite["steps"] == steps
+
     @pytest.mark.parametrize("text", ["(9*q+9)^%d*z[1]",
                                       "((9*q+9)*z[1])^%d"],
                              ids=["scalar", "one-term-element"])
@@ -486,7 +569,7 @@ class TestReports:
         from glq import induction
 
         monkeypatch.setattr(induction, "check_relations",
-                            lambda rep: [("forced", False)])
+                            lambda rep, relations: [("forced", False)])
         code, _, report = run_cli(
             capsys, ["induce", "--k", "1", "--side", "bar"])
         assert code == 1 and report["ok"] is False

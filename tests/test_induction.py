@@ -246,6 +246,33 @@ class TestBorelWeil:
                             acc[l.index - 1] += 1 if l.barred else -1
                         assert wt == tuple(acc)
 
+    @pytest.mark.parametrize("size", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_relations_without_e_hold_by_construction(self, size,
+                                                      monkeypatch):
+        """build_induced evaluates only the relations with an E in them.
+        Evaluating all of them finds no failure either, and the ones it
+        leaves out are exactly the k_inverse, k_inverse_flip and
+        cartan_commute families."""
+        ctx = ctx_of(size)
+        evaluated = []
+        full = induction.check_relations
+
+        def spy(rep, relations=None):
+            out = full(rep, relations)
+            evaluated.append(out)
+            return out
+
+        monkeypatch.setattr(induction, "check_relations", spy)
+        for k in (2, 3):
+            for barred in (False, True):
+                rep, _ = build_induced(ctx, k, barred)
+                assert all(ok for _, ok in full(rep)), (k, barred)
+        names = {name for name, _ in full(rep)}
+        left_out = names - {name for name, _ in evaluated[-1]}
+        assert {name.split("[")[0] for name in left_out} == {
+            "k_inverse", "k_inverse_flip", "cartan_commute"}
+        assert len(left_out) == 2 * ctx.N + comb(2 * ctx.N, 2)
+
     def test_action_stays_in_degree_block(self):
         # build_induced raises if any generator image leaves the span.
         ctx = ctx_of((1, 2))

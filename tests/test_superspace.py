@@ -1,17 +1,22 @@
 """Rewriting system of the quantum projective superspace: functional
 soundness of every rule, instrumented termination, strategy-independent
-normal forms, the inhomogeneous sphere identity, and linear independence
-of the normal monomials."""
+normal forms, the rewrite loop against a tuple-word oracle, the
+inhomogeneous sphere identity, and linear independence of the normal
+monomials."""
 
+import importlib.util
 import itertools
 import math
+import pathlib
 import random
 
 import pytest
 
-from glq.coeff import ONE, q_int
+from glq import superspace
+from glq.coeff import ONE, add_term, q_int
 from glq.graded import GradingContext, rank
 from glq.coords import GqElement, evaluate, functional_witness
+from glq.parser import parse_superspace
 from glq.superspace import (
     SuperspaceElement,
     apply_rule,
@@ -209,6 +214,98 @@ def test_confluence_on_sphere_overlaps(ctx):
         nf_left, _ = normal_form(ctx, e, "leftmost", instrument=True)
         nf_right, _ = normal_form(ctx, e, "rightmost", instrument=True)
         assert nf_left == nf_right, word
+
+
+# ---------------------------------------------------------------------------
+# The rewrite loop against a tuple-word oracle.
+# ---------------------------------------------------------------------------
+
+
+def _tuple_normal_form(ctx, element, strategy="leftmost", seed=0):
+    """Oracle of ``normal_form``: the same loop stated on tuples of
+    letters, listing every redex by a scan of the adjacent pairs."""
+    table = superspace._rules(ctx)
+    rng = random.Random(seed)
+    work = dict(element.terms)
+    done = {}
+    steps = 0
+    while work:
+        word, coeff = work.popitem()
+        reds = [i for i, pair in enumerate(zip(word, word[1:]))
+                if pair in table]
+        if not reds:
+            add_term(done, word, coeff)
+            continue
+        if strategy == "leftmost":
+            i = reds[0]
+        elif strategy == "rightmost":
+            i = reds[-1]
+        else:
+            i = reds[rng.randrange(len(reds))]
+        steps += 1
+        head, tail = word[:i], word[i + 2:]
+        for mid, c in table[word[i:i + 2]].items():
+            add_term(work, head + mid + tail, coeff * c)
+    return SuperspaceElement(ctx, done), steps
+
+
+def _assert_same_rewrite(ctx, element, strategy="leftmost", seed=0):
+    got, steps = normal_form(ctx, element, strategy, seed=seed)
+    want, want_steps = _tuple_normal_form(ctx, element, strategy, seed)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert steps == want_steps
+
+
+@pytest.mark.parametrize("size", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)],
+                         ids=lambda s: "m%dn%d" % s)
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost", "random"])
+def test_rewrite_matches_the_tuple_word_oracle(size, strategy):
+    """Same normal form, term order and step count, on seeded sums of up
+    to three words whose coefficients can merge and cancel."""
+    ctx = GradingContext(*size)
+    rng = random.Random("oracle-%d-%d-%s" % (size + (strategy,)))
+    letters = _alphabet(ctx)
+    for trial in range(25):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            word = tuple(rng.choice(letters)
+                         for _ in range(rng.randrange(0, 8)))
+            add_term(terms, word,
+                     rng.choice((ONE, -ONE)) * q_int(rng.randint(-2, 2)))
+        _assert_same_rewrite(ctx, SuperspaceElement(ctx, terms), strategy,
+                             seed=trial)
+
+
+def _benchmark_workloads():
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location(
+        "workloads", path / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rewrite_jobs_match_the_tuple_word_oracle(seed):
+    """The twelve products of linear forms that the benchmark's rewrite
+    workload sends through ``glq normalform``."""
+    for argv in _benchmark_workloads().rewrite_jobs(seed):
+        ctx = GradingContext(int(argv[argv.index("--m") + 1]),
+                             int(argv[argv.index("--n") + 1]))
+        _assert_same_rewrite(ctx, parse_superspace(ctx, argv[-1]))
+
+
+def test_instrument_catches_a_rule_that_raises_the_measure(monkeypatch):
+    """A rule sending z_2 z_1 to zbar_1 z_1 adds a cross pair, and
+    instrument=True stops at that step."""
+    ctx = GradingContext(2, 1)
+    table = dict(superspace._rules(ctx))
+    table[z_(2), z_(1)] = {(zb_(1), z_(1)): ONE}
+    monkeypatch.setattr(superspace, "_rules", lambda c: table)
+    monkeypatch.setattr(superspace, "_spelled_tables", {})
+    element = SuperspaceElement.from_word(ctx, (z_(2), z_(1)))
+    with pytest.raises(AssertionError, match="measure failed to decrease"):
+        normal_form(ctx, element, instrument=True)
 
 
 def test_normal_form_is_idempotent(ctx):
