@@ -464,9 +464,8 @@ def reverse_word(word, letter_map, parity=None):
 class Combination:
     """A Q(q)-linear combination of words: {word: nonzero RatFunc}.
 
-    Subclasses fix what a word is.  The product here concatenates words
-    with no sign; a subclass whose product needs one overrides
-    ``__mul__``.  Elements are mutable and therefore unhashable."""
+    Subclasses fix what a word is; the product concatenates words with
+    no sign.  Elements are mutable and therefore unhashable."""
 
     __slots__ = ("ctx", "terms")
 
@@ -478,19 +477,17 @@ class Combination:
         """An element of the same kind as self with the given terms."""
         return type(self)(self.ctx, terms)
 
-    # Keyword terms: a subclass whose constructor takes more than
-    # (ctx, terms) gets a TypeError here rather than a wrong element.
     @classmethod
     def zero(cls, ctx):
-        return cls(ctx, terms=None)
+        return cls(ctx)
 
     @classmethod
     def one(cls, ctx):
-        return cls(ctx, terms={(): ONE})
+        return cls(ctx, {(): ONE})
 
     @classmethod
     def from_word(cls, ctx, word, coeff=ONE):
-        return cls(ctx, terms={tuple(word): coeff})
+        return cls(ctx, {tuple(word): coeff})
 
     def is_zero(self):
         return not self.terms

@@ -174,14 +174,18 @@ def left_translation(ctx, x, element):
 
 
 def right_translation(ctx, x, element):
-    """x o f = sum f_(1) (-1)^{|x|(|f| + |x|)} <f_(2), x>."""
-    x = _as_expression(ctx, x)
-    # The sign is -1 exactly when x is odd and the term of f is even.
-    odd = x.is_homogeneous() and x.parity()
+    """x o f = sum f_(1) (-1)^{|x|(|f| + |x|)} <f_(2), x>, one word of x
+    at a time, each signed by its own parity."""
     table = pairing_table(ctx, (
-        (wl, wr, -c if odd and not coord_word_parity(ctx, wl + wr) else c)
+        ((wl, coord_word_parity(ctx, wl + wr)), wr, c)
         for (wl, wr), c in coords_coproduct(element).items()))
-    return GqElement(ctx, pair_table(table, x))
+    terms = {}
+    for w, c in _as_expression(ctx, x).terms.items():
+        odd = word_parity(ctx, w)
+        for (wl, odd_f), v in pair_table(table, w).items():
+            # The sign is -1 exactly when w is odd and the term of f even.
+            add_term(terms, wl, -c * v if odd and not odd_f else c * v)
+    return GqElement(ctx, terms)
 
 
 def dot_action_on_word(ctx, x, word):
@@ -202,7 +206,7 @@ def _signed_opposite_legs(ctx, g, letter):
     coefficient carrying the sign (-1)^{|x''||a|} of moving x'' past the
     letter a."""
     odd = space_letter_parity(ctx, letter)
-    legs = coproduct_opposite(UqExpression.from_gen(ctx, g)).terms
+    legs = coproduct_opposite(UqExpression.from_gen(ctx, g))
     return [(x1, x2, -c if odd and word_parity(ctx, x2) else c)
             for (x1, x2), c in legs.items()]
 

@@ -180,12 +180,13 @@ def dual_rep(rep):
     return Representation(ctx, space, images, name="(%s)~" % rep.name)
 
 
-def eval_tensor_pair(r1, r2, texpr):
-    """Evaluate an arity-2 tensor expression in r1 (x) r2, Koszul matrix
-    conventions."""
+def eval_tensor_pair(r1, r2, terms):
+    """Evaluate a tensor of two words, {(w1, w2): coeff} as returned by
+    uq.coproduct, in r1 (x) r2 under the Koszul matrix conventions of
+    GradedMap.tensor."""
     space = r1.space.tensor(r2.space)
     out = GradedMap.zero(space, space)
-    for (w1, w2), c in texpr.terms.items():
+    for (w1, w2), c in terms.items():
         out = out + r1.evaluate_word(w1).tensor(
             r2.evaluate_word(w2)).scale(c)
     return out

@@ -18,10 +18,12 @@ Hopf structure on generators:
     S(E_{a+1,a}) = -K_a K_{a+1}^{-1} E_{a+1,a},  S(K^{+-1}) = K^{-+1}
 
 extended to words by `coeff.split_word` (Delta) and `coeff.reverse_word`
-(S, with its reversal sign).  The square of the antipode is conjugation
-by the group-like element K_{2 rho} (see GradingContext.k2rho_exponents),
-which also realises the inverse antipode as
-S^{-1}(x) = K_{2 rho}^{-1} S(x) K_{2 rho}.
+(S, with its reversal sign).  Delta and its opposite are plain dicts
+{(left word, right word): coeff}, the form of `coords.coproduct`; a
+tensor of two words is evaluated by `reps.eval_tensor_pair`.  The square
+of the antipode is conjugation by the group-like element K_{2 rho} (see
+GradingContext.k2rho_exponents), which also realises the inverse
+antipode as S^{-1}(x) = K_{2 rho}^{-1} S(x) K_{2 rho}.
 
 Two star operations are provided (type 1 and type 2), both antilinear
 anti-automorphisms extended by `coeff.reverse_word` without a sign.  They
@@ -34,8 +36,7 @@ from __future__ import annotations
 import itertools
 from functools import partial
 
-from .coeff import (Combination, ZERO, ONE, add_term, q_int, reverse_word,
-                    sign_pow, split_word)
+from .coeff import Combination, ZERO, ONE, q_int, reverse_word, sign_pow
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +87,6 @@ class UqExpression(Combination):
     @staticmethod
     def from_gen(ctx, g):
         return UqExpression(ctx, {(g,): ONE})
-
-    def is_homogeneous(self):
-        ps = {word_parity(self.ctx, w) for w in self.terms}
-        return len(ps) <= 1
 
     def parity(self):
         ps = {word_parity(self.ctx, w) for w in self.terms}
@@ -214,117 +211,17 @@ def s_inverse(expr):
     return k2rho(ctx, inverse=True) * antipode(expr) * k2rho(ctx)
 
 
-class TensorExpression(Combination):
-    """A Q(q)-linear combination of tensors of free words.
-
-    Multiplication follows the Koszul rule: the product of decomposable
-    tensors (a_1 (x) ... (x) a_l)(b_1 (x) ... (x) b_l) carries the sign
-    (-1)^{sum_{i<j} |b_i||a_j|} on a_1 b_1 (x) ... (x) a_l b_l.
-    """
-
-    __slots__ = ("arity",)
-
-    def __init__(self, ctx, arity, terms=None):
-        super().__init__(ctx, terms)
-        self.arity = arity
-
-    def _new(self, terms):
-        return TensorExpression(self.ctx, self.arity, terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorExpression):
-            return NotImplemented
-        return self.arity == other.arity and super().__eq__(other)
-
-    def __mul__(self, other):
-        if self.arity != other.arity:
-            raise ValueError("tensor arity mismatch")
-        ctx = self.ctx
-        out = {}
-        for ws1, c1 in self.terms.items():
-            p1 = [word_parity(ctx, w) for w in ws1]
-            for ws2, c2 in other.terms.items():
-                p2 = [word_parity(ctx, w) for w in ws2]
-                sign = 0
-                for i in range(self.arity):
-                    for j in range(i + 1, self.arity):
-                        sign += p2[i] * p1[j]
-                ws = tuple(w1 + w2 for w1, w2 in zip(ws1, ws2))
-                c = c1 * c2
-                add_term(out, ws, -c if sign % 2 else c)
-        return self._new(out)
-
-    def flip(self):
-        """Graded swap of the two legs (arity 2 only)."""
-        if self.arity != 2:
-            raise ValueError("flip needs arity 2")
-        ctx = self.ctx
-        out = {}
-        for (w1, w2), c in self.terms.items():
-            if (word_parity(ctx, w1) * word_parity(ctx, w2)) % 2:
-                c = -c
-            add_term(out, (w2, w1), c)
-        return TensorExpression(ctx, 2, out)
-
-    def multiply_legs(self):
-        """The multiplication map: concatenate all legs (no sign)."""
-        out = {}
-        for ws, c in self.terms.items():
-            w = ()
-            for piece in ws:
-                w = w + piece
-            add_term(out, w, c)
-        return UqExpression(self.ctx, out)
-
-    def map_leg(self, i, word_map):
-        """Substitute leg i by word_map(word) -> [(word', coeff)] (even maps
-        only: no Koszul sign is introduced)."""
-        out = {}
-        for ws, c in self.terms.items():
-            for nw, nc in word_map(ws[i]):
-                add_term(out, ws[:i] + (nw,) + ws[i + 1:], c * nc)
-        return self._new(out)
-
-    def delta_leg(self, i):
-        """Apply the coproduct to leg i, raising the arity by one."""
-        ctx = self.ctx
-        parity = partial(word_parity, ctx)
-        out = {}
-        for ws, c in self.terms.items():
-            for (wl, wr), dc in split_word(ws[i], _delta_gen, parity).items():
-                add_term(out, ws[:i] + (wl, wr) + ws[i + 1:], c * dc)
-        return TensorExpression(ctx, self.arity + 1, out)
-
-    def antipode_leg(self, i):
-        ctx = self.ctx
-        return self.map_leg(i, lambda w: [antipode_word(ctx, w)])
-
-    def counit_leg(self, i):
-        """Contract leg i with the counit, lowering the arity by one."""
-        out = {}
-        for ws, c in self.terms.items():
-            e = counit_word(ws[i])
-            if e:
-                add_term(out, ws[:i] + ws[i + 1:], c * e)
-        if self.arity == 1:
-            raise ValueError("cannot drop the last leg")
-        return TensorExpression(self.ctx, self.arity - 1, out)
-
-    def __repr__(self):
-        return ("TensorExpression(arity=%d, %d terms)"
-                % (self.arity, len(self.terms)))
-
-
 def coproduct(expr):
-    """Delta as an arity-2 TensorExpression."""
-    ctx = expr.ctx
-    return TensorExpression(
-        ctx, 2, expr.split_words(_delta_gen, partial(word_parity, ctx)))
+    """Delta as {(left word, right word): coeff}, the form of
+    coords.coproduct."""
+    return expr.split_words(_delta_gen, partial(word_parity, expr.ctx))
 
 
 def coproduct_opposite(expr):
-    """Delta' = graded flip after Delta."""
-    return coproduct(expr).flip()
+    """Delta^op: the legs of Delta swapped with the sign (-1)^{|x'||x''|}."""
+    ctx = expr.ctx
+    return {(w2, w1): -c if word_parity(ctx, w1) & word_parity(ctx, w2)
+            else c for (w1, w2), c in coproduct(expr).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -819,6 +819,9 @@ BAD_INPUTS = [
     ["verify", "--q0", "0"],
     ["verify", "--q0", "1"],
     ["verify", "--q0", "2/2"],
+    ["verify", "--q0", "1e5000"],
+    ["verify", "--q0", "1e-5000"],
+    ["verify", "--q0", "1e100000000"],
 ]
 
 

@@ -28,11 +28,13 @@ from glq.induction import left_translation, right_translation
 from glq.uq import (
     pbw_probe_expressions,
     UqExpression,
+    all_generators,
     antipode,
     gen_E,
     gen_K,
     probe_monomials,
     s_inverse,
+    word_parity,
 )
 
 SIZES = [(1, 1), (2, 1), (1, 2), (2, 2)]
@@ -203,13 +205,15 @@ def _left_translation_term_by_term(ctx, x, f):
 
 def _right_translation_term_by_term(ctx, x, f):
     """x o f = sum f_(1) (-1)^{|x|(|f| + |x|)} <f_(2), x>, one coproduct
-    term at a time; no sign when x is not homogeneous."""
-    px = x.parity() if x.is_homogeneous() else 0
+    term and one word of x at a time, each word signed by its own
+    parity."""
     out = {}
     for (wl, wr), c in coproduct(f).items():
-        v = _evaluate_term_by_term(ctx, GqElement.from_word(ctx, wr), x)
         pf = sum(ctx.parity(l.row) + ctx.parity(l.col) for l in wl + wr)
-        add_term(out, wl, sign_pow(px * (pf + px)) * c * v)
+        for w, cx in x.terms.items():
+            px = word_parity(ctx, w)
+            add_term(out, wl, sign_pow(px * (pf + px)) * c * cx
+                     * _pair_by_formula(ctx, wr, w))
     return out
 
 
@@ -238,6 +242,24 @@ def test_table_reads_match_term_by_term_pairing(size):
             _right_translation_term_by_term(ctx, x, f)
 
     check()
+
+
+@pytest.mark.parametrize("size", [(1, 1), (2, 1)])
+def test_right_translation_is_linear_in_x(size):
+    """(x + y) o f = x o f + y o f for every two generators x, y, of one
+    parity or of two, and every one- and two-letter plain word f."""
+    ctx = GradingContext(*size)
+    gens = [UqExpression.from_gen(ctx, g) for g in all_generators(ctx)]
+    letters = [t_(i, j) for i in range(1, ctx.N + 1)
+               for j in range(1, ctx.N + 1)]
+    words = [(a,) for a in letters] + list(itertools.product(letters,
+                                                              repeat=2))
+    for w in words:
+        f = GqElement.from_word(ctx, w)
+        moved = [right_translation(ctx, x, f) for x in gens]
+        for (i, x), (j, y) in itertools.combinations(enumerate(gens), 2):
+            assert right_translation(ctx, x + y, f) == moved[i] + moved[j], (
+                w, x, y)
 
 
 def test_functional_zero_detects_nonzero(ctx):

@@ -318,13 +318,13 @@ def _mismatches(*sizes):
 
 
 def _unsigned_legs(ctx, g, letter):
-    legs = coproduct_opposite(UqExpression.from_gen(ctx, g)).terms
+    legs = coproduct_opposite(UqExpression.from_gen(ctx, g))
     return [(x1, x2, c) for (x1, x2), c in legs.items()]
 
 
 def _legs_signed_by_x1(ctx, g, letter):
     odd = space_letter_parity(ctx, letter)
-    legs = coproduct_opposite(UqExpression.from_gen(ctx, g)).terms
+    legs = coproduct_opposite(UqExpression.from_gen(ctx, g))
     return [(x1, x2, -c if odd and word_parity(ctx, x1) else c)
             for (x1, x2), c in legs.items()]
 

@@ -124,9 +124,7 @@ def _drop_leg_sign(monkeypatch, on_uq_side):
             return true_split(word, letter_split, lambda w: 0)
         return true_split(word, letter_split, parity)
 
-    # uq holds its own binding of the name.
     monkeypatch.setattr(coeff, "split_word", unsigned)
-    monkeypatch.setattr(uq, "split_word", unsigned)
 
 
 def _drop_reversal_sign(monkeypatch, on_uq_side):

@@ -37,6 +37,25 @@ def test_readme_entry_points_parse_into_their_algebras():
     assert parse_superspace(ctx, format_normal_form(ctx, x)) == x
 
 
+def test_every_import_is_used():
+    """Each name that a module of src/glq imports is used in that module,
+    or, in the package's __init__, exported through glq.__all__."""
+    unused = []
+    for path in sorted(pathlib.Path(glq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        if path.stem == "__init__":
+            used |= set(glq.__all__)
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append("%s: %s" % (path.stem, name))
+    assert unused == []
+
+
 # ---------------------------------------------------------------------------
 # Reachability: functions that no `glq` subcommand reaches.
 # ---------------------------------------------------------------------------
@@ -69,7 +88,6 @@ UNREACHED = {
     "dual_label": LABELS,
     "equivariance_defects": EQUIVARIANCE,
     "right_translation": EQUIVARIANCE,
-    "is_homogeneous": EQUIVARIANCE,
     "functional_witness": EQUIVARIANCE,
     "coaction": COACTION,
     "coaction_pair": COACTION,

@@ -4,16 +4,18 @@ matrix representations at every desk size."""
 
 import pytest
 
-from glq.coeff import ONE, q_int, sign_pow
-from glq.graded import GradingContext, GradedMap
+from glq.coeff import ONE, add_term, q_int, sign_pow
+from glq.graded import GradingContext, GradedMap, graded_flip
 from glq.uq import (
     UqExpression,
     all_generators,
     antipode,
+    antipode_word,
     composite_root_vector,
     coproduct,
     coproduct_opposite,
     counit,
+    counit_word,
     defining_relations,
     gen_E,
     gen_K,
@@ -28,6 +30,7 @@ from glq.uq import (
 from glq.reps import (
     check_relations,
     dual_rep,
+    eval_tensor_pair,
     tensor_rep,
     vector_rep,
 )
@@ -95,32 +98,54 @@ def test_odd_generator_squares_vanish(ctx):
 # ---------------------------------------------------------------------------
 
 
+def _coproduct_of_word(ctx, word):
+    return coproduct(UqExpression.from_word(ctx, word))
+
+
 def test_coassociativity_on_generators(ctx):
+    """(Delta (x) id) Delta = (id (x) Delta) Delta on {(legs): coeff}."""
     for g in all_generators(ctx):
-        d = coproduct(UqExpression.from_gen(ctx, g))
-        assert d.delta_leg(0) == d.delta_leg(1)
+        left, right = {}, {}
+        for (w1, w2), c in coproduct(UqExpression.from_gen(ctx, g)).items():
+            for (a, b), dc in _coproduct_of_word(ctx, w1).items():
+                add_term(left, (a, b, w2), c * dc)
+            for (a, b), dc in _coproduct_of_word(ctx, w2).items():
+                add_term(right, (w1, a, b), c * dc)
+        assert left == right
+
+
+def _koszul_product(ctx, d1, d2):
+    """(a1 (x) a2)(b1 (x) b2) = (-1)^{|a2||b1|} a1 b1 (x) a2 b2."""
+    out = {}
+    for (a1, a2), c1 in d1.items():
+        for (b1, b2), c2 in d2.items():
+            c = c1 * c2
+            if word_parity(ctx, a2) & word_parity(ctx, b1):
+                c = -c
+            add_term(out, (a1 + b1, a2 + b2), c)
+    return out
 
 
 def test_coproduct_is_an_algebra_map_on_generator_pairs(ctx):
     """Delta(xy) = Delta(x) Delta(y): the leg-collection sign of
-    coeff.split_word on the left against the Koszul product of
-    TensorExpression on the right, two statements of one sign rule."""
+    coeff.split_word on the left against the Koszul product of two leg
+    dicts on the right, two statements of one sign rule."""
     gens = [UqExpression.from_gen(ctx, g) for g in all_generators(ctx)]
     for x in gens:
         for y in gens:
-            assert coproduct(x * y) == coproduct(x) * coproduct(y)
+            assert coproduct(x * y) == _koszul_product(
+                ctx, coproduct(x), coproduct(y))
 
 
 def test_counit_axiom_on_generators(ctx):
-    from glq.uq import TensorExpression
-
+    """(eps (x) id) Delta = id = (id (x) eps) Delta."""
     for g in all_generators(ctx):
         e = UqExpression.from_gen(ctx, g)
-        as_single_leg = TensorExpression(
-            ctx, 1, {(w,): c for w, c in e.terms.items()})
-        d = coproduct(e)
-        assert d.counit_leg(0) == as_single_leg
-        assert d.counit_leg(1) == as_single_leg
+        left, right = {}, {}
+        for (w1, w2), c in coproduct(e).items():
+            add_term(left, w2, c * counit_word(w1))
+            add_term(right, w1, c * counit_word(w2))
+        assert left == e.terms == right
 
 
 def test_counit_is_algebra_map_on_probes(ctx):
@@ -133,9 +158,18 @@ def test_counit_is_algebra_map_on_probes(ctx):
 
 
 def test_opposite_coproduct_is_graded_flip(ctx):
-    for g in all_generators(ctx):
-        e = UqExpression.from_gen(ctx, g)
-        assert coproduct_opposite(e) == coproduct(e).flip()
+    """Delta^op x on r1 (x) r2 is Delta x on r2 (x) r1 conjugated by
+    graded.graded_flip: the swap sign of coproduct_opposite against the
+    Koszul sign of the flip matrix, two statements of one sign rule."""
+    V = vector_rep(ctx)
+    Vbar = dual_rep(V)
+    for r1, r2 in ((V, V), (Vbar, V), (V, Vbar)):
+        there = graded_flip(r1.space, r2.space)
+        back = graded_flip(r2.space, r1.space)
+        for word in probe_monomials(ctx, 2):
+            x = UqExpression.from_word(ctx, word)
+            assert eval_tensor_pair(r1, r2, coproduct_opposite(x)) == (
+                back @ eval_tensor_pair(r2, r1, coproduct(x)) @ there)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +180,11 @@ def test_opposite_coproduct_is_graded_flip(ctx):
 def _antipode_axiom_defect(ctx, rep, word):
     """rep(m (S (x) id) Delta(x)) - counit(x) * identity."""
     x = UqExpression.from_word(ctx, word)
-    collapsed = coproduct(x).antipode_leg(0).multiply_legs()
-    lhs = rep.evaluate_expr(collapsed)
+    collapsed = {}
+    for (w1, w2), c in coproduct(x).items():
+        sw, sc = antipode_word(ctx, w1)
+        add_term(collapsed, sw + w2, c * sc)
+    lhs = rep.evaluate_expr(UqExpression(ctx, collapsed))
     rhs = GradedMap.identity(rep.space).scale(counit(x))
     return lhs - rhs
 
@@ -265,7 +302,7 @@ def test_composite_root_vector_parity(ctx):
             if i == j:
                 continue
             x = composite_root_vector(ctx, i, j)
-            assert x.is_homogeneous()
+            # parity() raises on an expression that is not homogeneous.
             assert x.parity() == (ctx.parity(i) + ctx.parity(j)) % 2
 
 
