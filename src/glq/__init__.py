@@ -12,10 +12,9 @@ projective superspace (`superspace`), parabolically induced modules
 
 from __future__ import annotations
 
-__version__ = "0.1.0"
+from importlib import import_module
 
-from .coeff import RatFunc, ZERO, ONE, Q, QINV, q_int
-from .graded import GradingContext
+__version__ = "0.1.0"
 
 __all__ = [
     "RatFunc",
@@ -26,3 +25,13 @@ __all__ = [
     "q_int",
     "GradingContext",
 ]
+
+
+def __getattr__(name):
+    """Import an export's layer on first use (PEP 562), so that importing
+    glq loads no layer: ``glq --help`` runs on ``glq.cli`` alone."""
+    if name not in __all__:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    layer = ".graded" if name == "GradingContext" else ".coeff"
+    return getattr(import_module(layer, __name__), name)

@@ -57,6 +57,7 @@ _NAMES = sorted([*_ARITY, "q"], key=len, reverse=True)
 _PUNCTUATION = {"+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
                 "^": "CARET", "(": "LPAREN", ")": "RPAREN",
                 "[": "LBRACK", "]": "RBRACK", ",": "COMMA", ";": "SEMI"}
+_DIGITS = "0123456789"  # not str.isdigit, which holds for "²" and "٣"
 
 
 _UNPRINTABLE = {}
@@ -121,9 +122,9 @@ def _tokenize(text):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             digits = text[i:j].lstrip("0") or "0"
             limit = sys.get_int_max_str_digits()

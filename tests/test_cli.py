@@ -162,6 +162,21 @@ class TestParser:
                 parse_superspace(ctx, text)
         assert info.value.position == position
 
+    @pytest.mark.parametrize("text,position", [
+        ("z[1]^\u00b2", 5), ("z[\u0661]", 2), ("\u0663*z[1]", 0)],
+        ids=["superscript-exponent", "arabic-index", "arabic-scalar"])
+    def test_only_ascii_digits_are_numbers(self, capsys, text, position):
+        """str.isdigit holds for a superscript two and for Arabic-Indic
+        digits, which int() rejects or reads as 1 and 3; each is bad
+        input at its offset, not a crash or another number."""
+        with pytest.raises(ParseError) as info:
+            parse_superspace(GradingContext(1, 1), text)
+        assert str(info.value) == ("unexpected character %r (at position "
+                                   "%d)" % (text[position], position))
+        code, _, report = run_cli(capsys, ["normalform", text])
+        assert code == 2
+        assert report["error"]["position"] == position
+
     def test_empty_index_group_needs_an_empty_block(self):
         """An empty group of Z[...] is read only when its block has size
         0, so Z[;1] at (1|1) still misses an index."""
@@ -648,12 +663,12 @@ class TestReports:
             assert failed == [check]
 
     def test_crash_exits_3_without_a_report(self, capsys, monkeypatch):
-        from glq import cli
+        from glq import reports
 
         def crash(args):
             raise RuntimeError("forced crash")
 
-        monkeypatch.setattr(cli, "cmd_verify", crash)
+        monkeypatch.setitem(reports.COMMANDS, "verify", crash)
         code = main(["verify"])
         captured = capsys.readouterr()
         assert code == 3
@@ -668,22 +683,69 @@ class TestReports:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["suites"][0]["normal_form"] == "-q^2 * Z[1;0] Zb[1;0]"
+        # The help, which loads no layer, at the width COLUMNS=80 sets.
+        for argv, text in ((["--help"], MAIN_HELP),
+                           (["induce", "--help"], INDUCE_HELP)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "glq.cli"] + argv, capture_output=True,
+                text=True, env=dict(os.environ, COLUMNS="80"))
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == text
 
 
-# The glq modules each subcommand loads: the command line, Q(q) and the
-# grading always, and beyond them only the layers the job runs.
-_BASE = {"glq", "glq.cli", "glq.coeff", "glq.graded"}
+MAIN_HELP = """\
+usage: glq [-h] {verify,decompose,rmatrix,coords,normalform,induce} ...
+
+Exact verification suites for the quantum general linear supergroup apparatus.
+
+positional arguments:
+  {verify,decompose,rmatrix,coords,normalform,induce}
+    verify              defining relations, Hopf axioms, star structure,
+                        antipode square
+    decompose           summands of a tensor power of the vector module or its
+                        dual
+    rmatrix             intertwiner, braid, and exchange-identity suites for
+                        one R-matrix kind
+    coords              coordinate-algebra checks
+    normalform          normal form of a superspace expression
+    induce              induced-module and reciprocity suites
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+INDUCE_HELP = """\
+usage: glq induce [-h] [--m M] [--n N] --k K --side {bar,unbar}
+
+options:
+  -h, --help          show this help message and exit
+  --m M               number of even rows (default 1)
+  --n N               number of odd rows (default 1)
+  --k K               degree of the induced module, at least 0
+  --side {bar,unbar}  which of the two degree-k modules: bar builds the module
+                      on plain z-monomials, unbar the one on barred zb-
+                      monomials
+"""
+
+
+# The glq modules each job loads: the command line always; the report
+# suites, Q(q) and the grading once the arguments are accepted; and
+# beyond them only the layers the job runs.
+_CLI = {"glq", "glq.cli"}
+_BASE = _CLI | {"glq.reports", "glq.coeff", "glq.graded"}
 _ENVELOPING = {"glq.reps", "glq.uq"}
 _COORDINATES = _ENVELOPING | {"glq.coords"}
 LAYER_ROWS = [
-    (["--help"], _BASE),
-    (["normalform", "zb[1]*z[1]"], _BASE | {"glq.parser", "glq.superspace"}),
-    (["verify"], _BASE | _ENVELOPING),
-    (["decompose", "--word", "E", "--power", "2"], _BASE | _ENVELOPING),
-    (["coords", "--check", "star"], _BASE | _COORDINATES),
-    (["rmatrix", "--kind", "pp"], _BASE | _COORDINATES | {"glq.rmatrix"}),
+    (["--help"], _CLI, 0),
+    (["verify", "--m", "-1", "--n", "2"], _CLI, 2),
+    (["normalform", "zb[1]*z[1]"], _BASE | {"glq.parser", "glq.superspace"},
+     0),
+    (["verify"], _BASE | _ENVELOPING, 0),
+    (["decompose", "--word", "E", "--power", "2"], _BASE | _ENVELOPING, 0),
+    (["coords", "--check", "star"], _BASE | _COORDINATES, 0),
+    (["rmatrix", "--kind", "pp"], _BASE | _COORDINATES | {"glq.rmatrix"}, 0),
     (["induce", "--k", "1", "--side", "bar"],
-     _BASE | _COORDINATES | {"glq.induction", "glq.superspace"}),
+     _BASE | _COORDINATES | {"glq.induction", "glq.superspace"}, 0),
 ]
 
 _RUN_JOB = """import sys
@@ -699,22 +761,24 @@ sys.exit(code)
 """
 
 
-def _loaded_glq_modules(code, argv=()):
+def _loaded_glq_modules(code, argv=(), exit_code=0):
     """The glq.* names in sys.modules after ``code`` runs in a fresh
-    interpreter that imports glq from this checkout."""
+    interpreter that imports glq from this checkout and exits with
+    ``exit_code``."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     proc = subprocess.run(
         [sys.executable, "-c", code + _WRITE_LOADED] + list(argv),
         capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.split())
+    assert proc.returncode == exit_code, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
 
 
-@pytest.mark.parametrize("argv,expected", LAYER_ROWS,
-                         ids=[argv[0] for argv, _ in LAYER_ROWS])
-def test_each_subcommand_loads_only_its_layers(argv, expected):
-    assert _loaded_glq_modules(_RUN_JOB, argv) == expected
+@pytest.mark.parametrize("argv,expected,exit_code", LAYER_ROWS,
+                         ids=[argv[0] if code == 0 else "rejected"
+                              for argv, _, code in LAYER_ROWS])
+def test_each_subcommand_loads_only_its_layers(argv, expected, exit_code):
+    assert _loaded_glq_modules(_RUN_JOB, argv, exit_code) == expected
 
 
 @pytest.mark.parametrize("module", ["glq.superspace", "glq.parser"])
@@ -822,6 +886,9 @@ BAD_INPUTS = [
     ["verify", "--q0", "1e5000"],
     ["verify", "--q0", "1e-5000"],
     ["verify", "--q0", "1e100000000"],
+    ["verify", "--m", "\u0662"],
+    ["decompose", "--word", "E", "--power", "\u0662"],
+    ["verify", "--q0", "\u0663/\u0662"],
 ]
 
 

@@ -118,10 +118,11 @@ def _unreached_functions():
     """Names of the functions in src/glq that no subcommand reaches.
 
     The walk goes by name: it starts from the functions of glq.cli, the
-    module-level code of every module and the dunder methods (which run
-    on import or through an operator), and a reached body reaches every
-    function, in any module, named like a name or attribute it
-    mentions."""
+    module-level code of every module (such as the command table of
+    glq.reports) and the dunder functions and methods (which run on
+    import, through an operator, or, for a module's __getattr__, on an
+    attribute lookup), and a reached body reaches every function, in
+    any module, named like a name or attribute it mentions."""
     bodies = {}
     roots = set()
     for path in sorted(pathlib.Path(glq.__file__).parent.glob("*.py")):
@@ -131,7 +132,8 @@ def _unreached_functions():
                 bodies.setdefault(node.name, []).append(node)
         for stmt in tree.body:
             if isinstance(stmt, ast.FunctionDef):
-                if path.stem == "cli":
+                if path.stem == "cli" or (stmt.name.startswith("__")
+                                          and stmt.name.endswith("__")):
                     roots.add(stmt.name)
                 continue
             parts = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
