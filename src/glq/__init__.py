@@ -7,7 +7,8 @@ Hopf structure and star operations (`uq`), tensor representations and
 decomposition (`reps`), R-matrices and RTT relations (`rmatrix`), the
 coordinate superalgebra of the quantum supergroup (`coords`), quantum
 projective superspace (`superspace`), parabolically induced modules
-(`induction`), and a JSON-emitting command line (`cli`).
+(`induction`), and a JSON-emitting command line (`cli`) with one report
+module per subcommand (`reports`).
 """
 
 from __future__ import annotations

@@ -19,7 +19,9 @@ of q, embed into it, and a letter of any other algebra is an error.
 Division and negative powers need a scalar, that is, a subexpression
 with no letter in it, and a literal, sum, product or power holding an
 integer that ``str`` refuses to print (``sys.get_int_max_str_digits``)
-is an error.  Errors carry the 0-based offset where they were detected.
+is an error, as is a product, power or ``Z``/``Zb`` monomial with a word
+of more than ``MAX_WORD_LENGTH`` letters, which is rejected before it is
+built.  Errors carry the 0-based offset where they were detected.
 """
 
 from __future__ import annotations
@@ -63,6 +65,13 @@ _DIGITS = "0123456789"  # not str.isdigit, which holds for "²" and "٣"
 _UNPRINTABLE = {}
 _TOO_LONG = "an integer has more than %d digits"
 
+# The most letters a word of a parsed value may hold.  A product
+# concatenates words, so each square of a one-term power doubles its
+# word: without this budget z[1]^99999999999999999999 would build words
+# until memory ran out.
+MAX_WORD_LENGTH = 10 ** 6
+_TOO_MANY_LETTERS = "a word has more than %d letters" % MAX_WORD_LENGTH
+
 
 def _unprintable(limit):
     """10**L, the least integer that str() refuses to print at digit
@@ -86,6 +95,19 @@ def _checked(value, at, words=None):
                             and -bound < c.numerator < bound):
                         raise ParseError(_TOO_LONG % limit, at)
     return value
+
+
+def _longest_word(value):
+    """The number of letters in the longest word of the value, 0 for a
+    scalar."""
+    if isinstance(value, RatFunc):
+        return 0
+    return max(map(len, value.terms), default=0)
+
+
+def _reject_long_word(length, at):
+    if length > MAX_WORD_LENGTH:
+        raise ParseError(_TOO_MANY_LETTERS, at)
 
 
 def _reject_dense_power(base, exponent, at):
@@ -196,17 +218,22 @@ class _Parser:
         """The sum or difference of two scalars."""
         return a + (-b if negate else b)
 
-    def mul(self, a, b):
+    def mul(self, a, b, at):
+        """The product, rejected at ``at`` before it is built when its
+        longest word would pass the budget."""
         if isinstance(a, RatFunc):
             return a * b if isinstance(b, RatFunc) else b.scale(a)
-        return a.scale(b) if isinstance(b, RatFunc) else a * b
+        if isinstance(b, RatFunc):
+            return a.scale(b)
+        _reject_long_word(_longest_word(a) + _longest_word(b), at)
+        return a * b
 
     def div(self, a, b, at):
         if not isinstance(b, RatFunc):
             raise ParseError("division by a non-scalar", at)
         if not b:
             raise ParseError("division by zero", at)
-        return self.mul(a, b.inverse())
+        return self.mul(a, b.inverse(), at)
 
     def power(self, base, exponent, at):
         if exponent < 0:
@@ -215,12 +242,13 @@ class _Parser:
             if not base:
                 raise ParseError("zero to a negative power", at)
             base, exponent = base.inverse(), -exponent
+        _reject_long_word(exponent * _longest_word(base), at)
         out = ONE
         if not isinstance(base, RatFunc) and len(base.terms) > 1:
             # One factor at a time: the term order of the product sets
             # the order in which normal_form rewrites it.
             for _ in range(exponent):
-                out = self.mul(out, base)
+                out = self.mul(out, base, at)
             return _checked(out, at)
         # A scalar or a one-term element has one term order, so it is
         # powered by squaring.  Each square is checked, so 2^99999999
@@ -228,10 +256,10 @@ class _Parser:
         _reject_dense_power(base, exponent, at)
         while exponent:
             if exponent & 1:
-                out = _checked(self.mul(out, base), at)
+                out = _checked(self.mul(out, base, at), at)
             exponent >>= 1
             if exponent:
-                base = _checked(self.mul(base, base), at)
+                base = _checked(self.mul(base, base, at), at)
         return out
 
     # -- grammar ------------------------------------------------------------
@@ -268,12 +296,12 @@ class _Parser:
             tok = self.peek()
             if tok[0] == "STAR":
                 self.advance()
-                value = self.mul(value, self.factor())
+                value = self.mul(value, self.factor(), tok[2])
             elif tok[0] == "SLASH":
                 self.advance()
                 value = self.div(value, self.factor(), tok[2])
             elif tok[0] in ("INT", "NAME", "LPAREN"):
-                value = self.mul(value, self.factor())
+                value = self.mul(value, self.factor(), tok[2])
             else:
                 return value
             _checked(value, tok[2])
@@ -285,7 +313,7 @@ class _Parser:
             inner = self.factor()
             if tok[0] == "PLUS":
                 return inner
-            return self.mul(-ONE, inner)
+            return self.mul(-ONE, inner, tok[2])
         value = self.atom()
         if self.peek()[0] == "CARET":
             at = self.advance()[2]
@@ -380,6 +408,7 @@ class _Parser:
             if v < 0:
                 raise ParseError("exponent must be non-negative", p)
         index = (tuple(v for v, _ in first), tuple(v for v, _ in second))
+        _reject_long_word(sum(index[0]) + sum(index[1]), at)
         zero = ((0,) * ctx.m, (0,) * ctx.n)
         if name == "Z":
             word = word_of_multi_index(ctx, index, zero)

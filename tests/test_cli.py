@@ -1,10 +1,12 @@
 """Command-line contract: deterministic JSON reports, exit codes, the
 expression parser, and the normal-form printer."""
 
+import importlib
 import itertools
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -25,6 +27,11 @@ from glq.parser import (
 )
 from glq.superspace import SuperspaceElement, normal_form, z_, zb_
 from glq.uq import UqExpression, gen_E, gen_K
+
+
+# The sources of this checkout, for the jobs run in a fresh interpreter.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def run_cli(capsys, argv):
@@ -443,6 +450,44 @@ class TestReports:
         suite = report["suites"][0]
         assert suite["normal_form"] == "0" and suite["steps"] == steps
 
+    @pytest.mark.parametrize("m,n,text,position", [
+        (1, 1, "z[1]^99999999999999999999", 4),
+        (2, 1, "z[1]^99999999999999999999", 4),
+        (2, 1, "(z[1]+zb[2])^99999999999999999999", 12),
+        (2, 1, "zb[3]*(z[1]^700000)*z[2]^400000", 19),
+        (1, 1, "Zb[0;99999999999]", 0),
+    ], ids=["power-1-1", "power-2-1", "power-of-a-sum", "product",
+            "monomial"])
+    def test_word_past_the_budget_is_bad_input(self, m, n, text, position):
+        """A power, product or Z/Zb monomial whose word would pass
+        MAX_WORD_LENGTH letters is rejected at its operator (or letter)
+        before it is built.  Each square of a one-term power doubles its
+        word, so a parser without the budget grows memory without bound
+        on the first rows: the job runs in a child with a time limit and
+        a 1 GiB address-space limit."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "glq.cli", "normalform", "--m", str(m),
+             "--n", str(n), text], capture_output=True, text=True,
+            timeout=10, env=dict(os.environ, PYTHONPATH=_SRC),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (1 << 30, 1 << 30)))
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout)["error"] == {
+            "message": "a word has more than %d letters"
+            % parser.MAX_WORD_LENGTH, "position": position}
+
+    def test_word_at_the_budget_is_accepted(self, capsys):
+        # z[2] is the even letter at (1|1), so its power is normal, and
+        # the printed form parses back within the budget.
+        power = "z[2]^%d" % parser.MAX_WORD_LENGTH
+        code, _, report = run_cli(capsys, ["normalform", power])
+        assert code == 0 and report["ok"] is True
+        assert report["suites"][0]["normal_form"] == "Z[0;%d]" \
+            % parser.MAX_WORD_LENGTH
+        code, _, report = run_cli(capsys, ["normalform", power + "*z[2]"])
+        assert code == 2
+        assert report["error"]["position"] == len(power)
+
     @pytest.mark.parametrize("text", ["(9*q+9)^%d*z[1]",
                                       "((9*q+9)*z[1])^%d"],
                              ids=["scalar", "one-term-element"])
@@ -663,12 +708,12 @@ class TestReports:
             assert failed == [check]
 
     def test_crash_exits_3_without_a_report(self, capsys, monkeypatch):
-        from glq import reports
+        from glq.reports import verify
 
         def crash(args):
             raise RuntimeError("forced crash")
 
-        monkeypatch.setitem(reports.COMMANDS, "verify", crash)
+        monkeypatch.setattr(verify, "report", crash)
         code = main(["verify"])
         captured = capsys.readouterr()
         assert code == 3
@@ -728,9 +773,10 @@ options:
 """
 
 
-# The glq modules each job loads: the command line always; the report
-# suites, Q(q) and the grading once the arguments are accepted; and
-# beyond them only the layers the job runs.
+# The glq modules each job loads: the command line always; the shared
+# report helpers, Q(q) and the grading once the arguments are accepted;
+# and beyond them only the job's own report module and the layers it runs.
+# No row loads traceback, which glq.cli imports on its crash path only.
 _CLI = {"glq", "glq.cli"}
 _BASE = _CLI | {"glq.reports", "glq.coeff", "glq.graded"}
 _ENVELOPING = {"glq.reps", "glq.uq"}
@@ -738,14 +784,18 @@ _COORDINATES = _ENVELOPING | {"glq.coords"}
 LAYER_ROWS = [
     (["--help"], _CLI, 0),
     (["verify", "--m", "-1", "--n", "2"], _CLI, 2),
-    (["normalform", "zb[1]*z[1]"], _BASE | {"glq.parser", "glq.superspace"},
-     0),
-    (["verify"], _BASE | _ENVELOPING, 0),
-    (["decompose", "--word", "E", "--power", "2"], _BASE | _ENVELOPING, 0),
-    (["coords", "--check", "star"], _BASE | _COORDINATES, 0),
-    (["rmatrix", "--kind", "pp"], _BASE | _COORDINATES | {"glq.rmatrix"}, 0),
+    (["normalform", "zb[1]*z[1]"],
+     _BASE | {"glq.reports.normalform", "glq.parser", "glq.superspace"}, 0),
+    (["verify"], _BASE | {"glq.reports.verify"} | _ENVELOPING, 0),
+    (["decompose", "--word", "E", "--power", "2"],
+     _BASE | {"glq.reports.decompose"} | _ENVELOPING, 0),
+    (["coords", "--check", "star"],
+     _BASE | {"glq.reports.coords"} | _COORDINATES, 0),
+    (["rmatrix", "--kind", "pp"],
+     _BASE | {"glq.reports.rmatrix", "glq.rmatrix"} | _COORDINATES, 0),
     (["induce", "--k", "1", "--side", "bar"],
-     _BASE | _COORDINATES | {"glq.induction", "glq.superspace"}, 0),
+     _BASE | {"glq.reports.induce", "glq.induction", "glq.superspace"}
+     | _COORDINATES, 0),
 ]
 
 _RUN_JOB = """import sys
@@ -756,20 +806,20 @@ except SystemExit as exc:
     code = exc.code
 """
 _WRITE_LOADED = """
-sys.stderr.write(" ".join(m for m in sys.modules if m.startswith("glq")))
+sys.stderr.write(" ".join(m for m in sys.modules
+                          if m.startswith("glq") or m == "traceback"))
 sys.exit(code)
 """
 
 
-def _loaded_glq_modules(code, argv=(), exit_code=0):
-    """The glq.* names in sys.modules after ``code`` runs in a fresh
-    interpreter that imports glq from this checkout and exits with
-    ``exit_code``."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+def _loaded_modules(code, argv=(), exit_code=0):
+    """The glq.* names in sys.modules, and traceback if it is there,
+    after ``code`` runs in a fresh interpreter that imports glq from
+    this checkout and exits with ``exit_code``."""
     proc = subprocess.run(
         [sys.executable, "-c", code + _WRITE_LOADED] + list(argv),
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=dict(os.environ,
+                                                 PYTHONPATH=_SRC))
     assert proc.returncode == exit_code, proc.stderr
     return set(proc.stderr.splitlines()[-1].split())
 
@@ -778,13 +828,32 @@ def _loaded_glq_modules(code, argv=(), exit_code=0):
                          ids=[argv[0] if code == 0 else "rejected"
                               for argv, _, code in LAYER_ROWS])
 def test_each_subcommand_loads_only_its_layers(argv, expected, exit_code):
-    assert _loaded_glq_modules(_RUN_JOB, argv, exit_code) == expected
+    assert _loaded_modules(_RUN_JOB, argv, exit_code) == expected
+
+
+def test_subcommands_and_report_modules_match():
+    """main imports glq.reports.<subcommand> and calls its report(args),
+    so each subcommand has exactly one report module and each report
+    module one subcommand."""
+    import pkgutil
+
+    import glq.reports
+    from glq.cli import build_arg_parser
+
+    commands = next(a for a in build_arg_parser()._actions
+                    if a.dest == "command").choices
+    modules = {m.name for m in pkgutil.iter_modules(glq.reports.__path__)}
+    assert sorted(modules) == sorted(commands)
+    for name in modules:
+        module = importlib.import_module("glq.reports." + name)
+        assert callable(module.report), name
 
 
 @pytest.mark.parametrize("module", ["glq.superspace", "glq.parser"])
 def test_rewriting_and_parsing_load_no_algebra_layer(module):
-    loaded = _loaded_glq_modules("import sys, %s\ncode = 0\n" % module)
-    assert not loaded & {"glq.coords", "glq.uq", "glq.reps"}, loaded
+    loaded = _loaded_modules("import sys, %s\ncode = 0\n" % module)
+    assert not loaded & {"glq.coords", "glq.uq", "glq.reps",
+                         "glq.graded"}, loaded
 
 
 # Every accepted option must reach the run: changing its value either

@@ -37,14 +37,22 @@ def test_readme_entry_points_parse_into_their_algebras():
     assert parse_superspace(ctx, format_normal_form(ctx, x)) == x
 
 
+PACKAGE = pathlib.Path(glq.__file__).parent
+
+
+def _modules():
+    """The source files of glq and of its subpackages."""
+    return sorted(PACKAGE.rglob("*.py"))
+
+
 def test_every_import_is_used():
     """Each name that a module of src/glq imports is used in that module,
     or, in the package's __init__, exported through glq.__all__."""
     unused = []
-    for path in sorted(pathlib.Path(glq.__file__).parent.glob("*.py")):
+    for path in _modules():
         tree = ast.parse(path.read_text())
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        if path.stem == "__init__":
+        if path == PACKAGE / "__init__.py":
             used |= set(glq.__all__)
         for node in ast.walk(tree):
             if (isinstance(node, (ast.Import, ast.ImportFrom))
@@ -52,7 +60,8 @@ def test_every_import_is_used():
                 for alias in node.names:
                     name = (alias.asname or alias.name).split(".")[0]
                     if name not in used:
-                        unused.append("%s: %s" % (path.stem, name))
+                        unused.append("%s: %s" % (
+                            path.relative_to(PACKAGE), name))
     assert unused == []
 
 
@@ -117,23 +126,25 @@ def _names(node):
 def _unreached_functions():
     """Names of the functions in src/glq that no subcommand reaches.
 
-    The walk goes by name: it starts from the functions of glq.cli, the
-    module-level code of every module (such as the command table of
-    glq.reports) and the dunder functions and methods (which run on
-    import, through an operator, or, for a module's __getattr__, on an
-    attribute lookup), and a reached body reaches every function, in
-    any module, named like a name or attribute it mentions."""
+    The walk goes by name, over glq and its subpackages: it starts from
+    the functions of glq.cli, the module-level code of every module and
+    the dunder functions and methods (which run on import, through an
+    operator, or, for a module's __getattr__, on an attribute lookup),
+    and a reached body reaches every function, in any module, named like
+    a name or attribute it mentions.  So glq.cli's call of report(args)
+    reaches the report function of every module of glq.reports."""
     bodies = {}
     roots = set()
-    for path in sorted(pathlib.Path(glq.__file__).parent.glob("*.py")):
+    for path in _modules():
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
                 bodies.setdefault(node.name, []).append(node)
         for stmt in tree.body:
             if isinstance(stmt, ast.FunctionDef):
-                if path.stem == "cli" or (stmt.name.startswith("__")
-                                          and stmt.name.endswith("__")):
+                if path == PACKAGE / "cli.py" or (
+                        stmt.name.startswith("__")
+                        and stmt.name.endswith("__")):
                     roots.add(stmt.name)
                 continue
             parts = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
