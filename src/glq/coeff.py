@@ -21,7 +21,8 @@ negation of polynomials test ``den is _POLY_ONE`` and build the result
 dict directly, so they never reach the gcd or the general constructor
 ``RatFunc(num, den)``, which takes any two dicts.  Values and their dicts
 are never mutated, so ``q_int(e)`` hands out one shared instance per
-exponent and ``add_term`` stores a coefficient as it is.
+exponent, ``add_term`` stores a coefficient as it is, and a product with
+a factor equal to 1 is the other factor itself, not a copy.
 
 Specialisation substitutes an exact rational number for q, so no floating
 point enters anywhere.
@@ -321,8 +322,15 @@ class RatFunc:
     def __mul__(self, other):
         if isinstance(other, int):
             other = RatFunc.from_int(other)
-        if self.den is _POLY_ONE and other.den is _POLY_ONE:
-            return _make(_mul(self.coeffs, other.coeffs))
+        # A factor 1 hands back the other factor itself: values are
+        # never mutated.  Most products on the pairing path have one.
+        if self.den is _POLY_ONE and self.coeffs == _POLY_ONE:
+            return other
+        if other.den is _POLY_ONE:
+            if other.coeffs == _POLY_ONE:
+                return self
+            if self.den is _POLY_ONE:
+                return _make(_mul(self.coeffs, other.coeffs))
         return RatFunc(_mul(self.coeffs, other.coeffs),
                        _mul(self.den, other.den))
 

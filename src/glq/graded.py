@@ -111,7 +111,9 @@ class GradedMap:
     Entries are stored as {(row, col): RatFunc}, zeros omitted.  Vectors
     are dicts {index: RatFunc}.  Only the constructor writes ``entries``;
     every operation builds its dict first and a new map from it.  So the
-    column index that ``apply`` builds on first use never goes stale.
+    column index that ``apply`` or ``compose`` builds on first use never
+    goes stale, and a cached word image is indexed once however many
+    letters extend it.
     """
 
     __slots__ = ("domain", "codomain", "entries", "_by_col")
@@ -180,10 +182,12 @@ class GradedMap:
         """self after other."""
         if other.codomain != self.domain:
             raise ValueError("composition domain mismatch")
-        # Only apply stores the index: the word images that
-        # Representation caches are composed, not applied, and an index
-        # on each of them would only cost memory.
-        by_col = self._by_col or self._columns()
+        # The left factor keeps its column index, as in apply: a word
+        # image in Representation's cache is composed with every letter
+        # that extends it.
+        if self._by_col is None:
+            self._by_col = self._columns()
+        by_col = self._by_col
         out = {}
         for (r2, c2), v2 in other.entries.items():
             for r1, v1 in by_col.get(r2, ()):

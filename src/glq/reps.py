@@ -46,7 +46,7 @@ representation, its dual, and their tensor products are provided.
 
 from __future__ import annotations
 
-from .coeff import ONE, q_int
+from .coeff import ONE, add_term, q_int
 from .graded import (
     Echelon,
     GradedMap,
@@ -124,10 +124,11 @@ class Representation:
         return mat
 
     def evaluate_expr(self, expr):
-        out = GradedMap.zero(self.space, self.space)
+        out = {}
         for w, c in expr.terms.items():
-            out = out + self.evaluate_word(w).scale(c)
-        return out
+            for rc, v in self.evaluate_word(w).entries.items():
+                add_term(out, rc, v * c)
+        return GradedMap(self.space, self.space, out)
 
     def weight_blocks(self):
         """Weight -> sorted list of basis indices, deterministic order."""
@@ -185,11 +186,12 @@ def eval_tensor_pair(r1, r2, terms):
     uq.coproduct, in r1 (x) r2 under the Koszul matrix conventions of
     GradedMap.tensor."""
     space = r1.space.tensor(r2.space)
-    out = GradedMap.zero(space, space)
+    out = {}
     for (w1, w2), c in terms.items():
-        out = out + r1.evaluate_word(w1).tensor(
-            r2.evaluate_word(w2)).scale(c)
-    return out
+        pair = r1.evaluate_word(w1).tensor(r2.evaluate_word(w2))
+        for rc, v in pair.entries.items():
+            add_term(out, rc, v * c)
+    return GradedMap(space, space, out)
 
 
 def tensor_rep(r1, r2):

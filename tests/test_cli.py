@@ -849,6 +849,38 @@ def test_subcommands_and_report_modules_match():
         assert callable(module.report), name
 
 
+# One report per subcommand at (2|1), run in one process.
+ALIASING_JOBS = [
+    ["verify", "--m", "2", "--n", "1"],
+    ["decompose", "--m", "2", "--n", "1", "--word", "E", "--power", "2"],
+    ["rmatrix", "--m", "2", "--n", "1", "--kind", "mixed"],
+    ["coords", "--m", "2", "--n", "1", "--check", "antipode"],
+    ["normalform", "--m", "2", "--n", "1", "zb[1]*z[1]"],
+    ["induce", "--m", "2", "--n", "1", "--k", "2", "--side", "bar"],
+]
+
+
+def test_reports_mutate_no_shared_value(capsys):
+    """A product with 1 hands back its other factor, so 1, every shared
+    q^e and the polynomial denominator are held by many values: one edit
+    in place would change all of them."""
+    from glq import coeff
+    from glq.cli import build_arg_parser
+
+    commands = next(a for a in build_arg_parser()._actions
+                    if a.dest == "command").choices
+    assert sorted(argv[0] for argv in ALIASING_JOBS) == sorted(commands)
+    for argv in ALIASING_JOBS:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert coeff._POLY_ONE == {0: 1}, argv
+        assert ONE.coeffs == {0: 1} and ONE.den is coeff._POLY_ONE, argv
+        assert coeff.ZERO.coeffs == {}, argv
+        assert coeff._Q_POWERS, argv
+        for e, x in coeff._Q_POWERS.items():
+            assert x.coeffs == {e: 1} and x.den is coeff._POLY_ONE, argv
+
+
 @pytest.mark.parametrize("module", ["glq.superspace", "glq.parser"])
 def test_rewriting_and_parsing_load_no_algebra_layer(module):
     loaded = _loaded_modules("import sys, %s\ncode = 0\n" % module)

@@ -102,6 +102,23 @@ def test_int_mixing_and_equality():
     assert 1 - QINV == (Q - ONE) * QINV
 
 
+def test_a_product_with_one_is_the_other_factor():
+    # Values are never mutated, so a product with a factor 1 hands back
+    # the other factor itself, in its canonical form, whichever instance
+    # of 1 (or the int 1) it meets.
+    values = [RatFunc({0: 3, 2: -1}, {0: 1}),
+              RatFunc({1: Fraction(1, 2), 0: 2}, {0: 1}),
+              RatFunc({1: 1}, {0: 1, 2: 1}),  # q / (1 + q^2)
+              ZERO]
+    assert [type(c) for c in values[0].coeffs.values()] == [int, int]
+    assert values[0].den is _POLY_ONE and values[2].den == {0: 1, 2: 1}
+    ones = [ONE, q_int(0), RatFunc.from_int(1), RatFunc({2: 3}, {2: 3}), 1]
+    for x in values:
+        for one in ones:
+            assert x * one is x and one * x is x
+    assert ONE * ONE is ONE
+
+
 def _random_laurent(rng, maxterms=3):
     d = {}
     for _ in range(rng.randint(0, maxterms)):

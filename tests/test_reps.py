@@ -2,6 +2,7 @@
 decomposition into highest-weight summands, the two label families, and
 contravariant forms / unitarity at generic rational points."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -19,6 +20,7 @@ from glq.reps import (
     dual_gram,
     dual_label_of,
     dual_rep,
+    eval_tensor_pair,
     highest_weight_vectors,
     hook_partitions,
     in_first_family,
@@ -33,7 +35,8 @@ from glq.reps import (
     vector_rep,
     unitarity_check,
 )
-from glq.uq import all_generators, gen_E, gen_K, gen_Kinv
+from glq.uq import (UqExpression, all_generators, coproduct,
+                    defining_relations, gen_E, gen_K, gen_Kinv)
 
 SIZES = [(1, 1), (2, 1), (1, 2), (2, 2)]
 
@@ -156,6 +159,61 @@ def test_profile_rep_matches_fresh_builds(size):
                         tensor_rep(tensor_rep(V, V), V))
     assert _same_module(profile_rep(ctx, (False, True)),
                         tensor_rep(V, dual_rep(V)))
+
+
+def _random_terms(rng, make_key, relations):
+    """Random terms under keys from make_key(), with the terms of two of
+    the relations (dicts that evaluate to zero) shuffled in, so that
+    entries cancel part way through a sum."""
+    coeffs = [ONE, -ONE, q_int(1), q_int(-2), ONE + q_int(1),
+              ONE / (ONE + q_int(2))]
+    items = [(make_key(), rng.choice(coeffs))
+             for _ in range(rng.randint(1, 6))]
+    for rel in rng.sample(relations, 2):
+        items.extend(rel.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+def _assert_folded_order(got, pieces):
+    """got has the entries, in order, of a zero map plus each piece in
+    turn; returns whether an entry was dropped and added again on the
+    way, which moves it behind the entries first seen after it."""
+    want = sum(pieces, GradedMap.zero(got.domain, got.codomain))
+    assert list(got.entries.items()) == list(want.entries.items())
+    seen = dict.fromkeys(rc for p in pieces for rc in p.entries)
+    return [rc for rc in seen if rc in want.entries] != list(want.entries)
+
+
+@pytest.mark.parametrize("size", [(2, 1), (1, 2)])
+def test_word_sums_keep_the_term_by_term_entry_order(size):
+    # Entry order feeds min(entries) witnesses and echelon pivots, so
+    # evaluate_expr and eval_tensor_pair, which add into one dict, must
+    # give the entry order of the old fold of one scaled map per term.
+    ctx = GradingContext(*size)
+    rng = random.Random(27)
+    gens = all_generators(ctx)
+    relations = [rel for _, rel in defining_relations(ctx)]
+    V = profile_rep(ctx, (False,))
+    D = profile_rep(ctx, (True,))
+
+    def word():
+        return tuple(rng.choice(gens) for _ in range(rng.randint(0, 3)))
+
+    moved = 0
+    for _ in range(12):
+        expr = UqExpression(ctx, _random_terms(
+            rng, word, [rel.terms for rel in relations]))
+        for rep in (V, D):
+            moved += _assert_folded_order(rep.evaluate_expr(expr), [
+                rep.evaluate_word(w).scale(c) for w, c in expr.terms.items()])
+        pairs = _random_terms(rng, lambda: (word(), word()),
+                              [coproduct(rel) for rel in relations])
+        moved += _assert_folded_order(eval_tensor_pair(V, D, pairs), [
+            V.evaluate_word(w1).tensor(D.evaluate_word(w2)).scale(c)
+            for (w1, w2), c in pairs.items()])
+    # The order of a re-added entry is what a plain union would get wrong.
+    assert moved
 
 
 # ---------------------------------------------------------------------------

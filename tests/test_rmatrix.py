@@ -3,6 +3,7 @@ classical limit, and element-level exchange relations against the
 coordinate generating matrices."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -281,6 +282,31 @@ def test_passing_report_has_no_witness(capsys):
     (rtt,) = [s for s in report["suites"] if s["name"] == "rtt"]
     assert rtt["checks"] == [{"degree": 3, "name": "exchange-identity",
                               "ok": True}]
+
+
+def test_compose_indexes_each_left_factor_once(capsys, monkeypatch):
+    # A map's column index is built on its first compose (or apply) and
+    # kept, so a word image that many letters extend is indexed once.
+    indexed = []
+    left = []
+    columns = GradedMap._columns
+    compose = GradedMap.compose
+
+    def counting_columns(self):
+        indexed.append(self)
+        return columns(self)
+
+    def counting_compose(self, other):
+        left.append(self)
+        return compose(self, other)
+
+    monkeypatch.setattr(GradedMap, "_columns", counting_columns)
+    monkeypatch.setattr(GradedMap, "compose", counting_compose)
+    assert main(["rmatrix", "--m", "2", "--n", "2", "--kind", "pp"]) == 0
+    capsys.readouterr()
+    # Both lists hold their maps, so no id is reused while they live.
+    assert indexed and max(Counter(map(id, indexed)).values()) == 1
+    assert max(Counter(map(id, left)).values()) > 1
 
 
 class TestKindWrappers:
