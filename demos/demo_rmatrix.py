@@ -22,11 +22,12 @@ for (r, c) in sorted(R.entries):
     print("  entry (%d, %d) = %s" % (r, c, R.entries[(r, c)]))
 
 # The intertwining identity holds for every generator, for all three
-# kinds, and the braid relation for the two like-type kinds.
+# kinds, and the braid relation for the two like-type kinds.  Each check
+# returns where it fails first, or None when it holds.
 for kind in ("pp", "bb", "mixed"):
-    inter = rmatrix.check_intertwiner(ctx, kind)
-    braid = rmatrix.check_braid(ctx, kind)
-    braid_text = "n/a (mixed pair)" if braid is None else braid
+    inter = rmatrix.check_intertwiner(ctx, kind) is None
+    braid_text = ("n/a (mixed pair)" if kind == "mixed"
+                  else rmatrix.check_braid(ctx, kind) is None)
     print("kind %-5s  intertwiner: %s   braid: %s" % (kind, inter, braid_text))
 
 # The classical limit: at q = 1 each operator degenerates to the
@@ -39,5 +40,5 @@ print("classical limit is the identity:",
 # operator is kept in element form here, with the displayed matrix-unit
 # coefficients; the coordinate legs supply the grading signs.
 for kind in ("pp", "bb", "mixed"):
-    ok = rmatrix.check_rtt(ctx, kind, 3)
+    ok = rmatrix.check_rtt(ctx, kind, 3) is None
     print("exchange identity (%s) on probes of degree <= 3: %s" % (kind, ok))

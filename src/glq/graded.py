@@ -246,6 +246,16 @@ class GradedMap:
                 % (self.codomain.dim, self.domain.dim, len(self.entries)))
 
 
+def first_difference(lhs, rhs):
+    """None when the two maps are equal; else the smallest (row, col)
+    entry of lhs - rhs and its value there, as (entry, residual)."""
+    if lhs == rhs:
+        return None
+    diff = lhs - rhs
+    entry = min(diff.entries)
+    return entry, diff.entries[entry]
+
+
 def graded_flip(space1, space2):
     """The graded swap v (x) w -> (-1)^{|v||w|} w (x) v as a GradedMap."""
     dom = space1.tensor(space2)

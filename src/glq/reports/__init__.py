@@ -15,6 +15,15 @@ def _check(name, ok, **extra):
     return out
 
 
+def _witnessed(name, found, fields, **extra):
+    """The check that holds when found, its first witness, is None.  A
+    failed one carries found's values under the given fields as witness."""
+    if found is not None:
+        extra["witness"] = {f: _WITNESS_FORMATS.get(f, str)(v)
+                            for f, v in zip(fields, found)}
+    return _check(name, found is None, **extra)
+
+
 def _suite(name, checks, **extra):
     out = {"name": name, "checks": checks,
            "ok": all(c["ok"] for c in checks)}
@@ -32,21 +41,23 @@ def _format_word(word):
                     for g in word) or "1"
 
 
+# How _witnessed writes a witness field; any other field is a string.
+_WITNESS_FORMATS = {"probe": _format_word, "entry": list,
+                    "generator": lambda g: _format_word((g,))}
+
+
 def _probe_check(name, ctx, probe_degree, sides):
     """The check that sides(x) returns two equal maps for every probe
-    monomial x up to the probe degree, capped at 2.  A failed check
-    carries the witness of the first probe on which they differ: the
-    probe word, the smallest (row, col) entry of the difference and its
-    value there."""
+    monomial x up to the probe degree, capped at 2.  Its witness: the
+    first probe word where they differ, and their `first_difference`."""
+    from ..graded import first_difference
     from ..uq import UqExpression, probe_monomials
 
     degree = min(probe_degree, 2)
-    for word in probe_monomials(ctx, degree):
-        lhs, rhs = sides(UqExpression.from_word(ctx, word))
-        if lhs != rhs:
-            diff = lhs - rhs
-            entry = min(diff.entries)
-            return _check(name, False, degree=degree, witness={
-                "probe": _format_word(word), "entry": list(entry),
-                "residual": str(diff.entries[entry])})
-    return _check(name, True, degree=degree)
+    for word in probe_monomials(ctx, degree):  # the first word is "1"
+        found = first_difference(*sides(UqExpression.from_word(ctx, word)))
+        if found is not None:
+            found = (word,) + found
+            break
+    return _witnessed(name, found, ("probe", "entry", "residual"),
+                      degree=degree)

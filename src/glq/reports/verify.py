@@ -8,7 +8,8 @@ from ..coeff import add_term
 from ..graded import GradedMap, GradingContext
 from ..uq import (UqExpression, all_generators, antipode, antipode_word,
                   coproduct, counit, counit_word, k2rho, star)
-from . import _check, _default_probe_degree, _probe_check, _suite
+from . import (_check, _default_probe_degree, _probe_check, _suite,
+               _witnessed)
 
 
 def _suite_relations(ctx):
@@ -19,9 +20,9 @@ def _suite_relations(ctx):
     for label, profile in profiles:
         results = reps_mod.check_relations(
             reps_mod.profile_rep(ctx, profile))
-        checks.append(_check("defining-relations-" + label,
-                             all(ok for _, ok in results),
-                             relations=len(results)))
+        found = next(((name,) for name, ok in results if not ok), None)
+        checks.append(_witnessed("defining-relations-" + label, found,
+                                 ("relation",), relations=len(results)))
     return _suite("relations", checks)
 
 

@@ -484,7 +484,7 @@ def in_second_family(ctx, weight):
 def vector_gram(ctx):
     """Diagonal Gram matrix (v_a, v_a) = prod_{c<a} q_c^{-1}."""
     N = ctx.N
-    space = GradedSpace(tuple(ctx.parity(a) for a in range(1, N + 1)))
+    space = profile_rep(ctx, (False,)).space
     return GradedMap(space, space, {
         (a - 1, a - 1): q_int(-sum(ctx.sigma(c) for c in range(1, a)))
         for a in range(1, N + 1)})
@@ -493,9 +493,8 @@ def vector_gram(ctx):
 def dual_gram(ctx):
     """Gram matrix on the dual basis making the dual rep unitarisable."""
     N = ctx.N
-    space = GradedSpace(tuple(ctx.parity(a) for a in range(1, N + 1)))
     base = vector_gram(ctx)
-    return GradedMap(space, space, {
+    return GradedMap(base.domain, base.domain, {
         (a - 1, a - 1): q_int(ctx.two_rho_eps(a)) / base.get(a - 1, a - 1)
         for a in range(1, N + 1)})
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from .coeff import ONE, Q, QINV, add_term, q_int
 from .coords import CoordLetter, letter_parity, pair_table, pairing_table
-from .graded import GradedMap, graded_flip
+from .graded import GradedMap, first_difference, graded_flip
 from .reps import eval_tensor_pair, profile_rep
 from .uq import (
     UqExpression,
@@ -89,16 +89,17 @@ def r_matrix(ctx, kind):
 
 
 def intertwines(R, r1, r2):
-    """Does R (r1 (x) r2)(Delta x) = (r1 (x) r2)(Delta' x) R for every
-    generator x?"""
+    """Where R (r1 (x) r2)(Delta x) = (r1 (x) r2)(Delta' x) R first fails:
+    (generator x, entry, residual) by first_difference, or None."""
     ctx = r1.ctx
     for g in all_generators(ctx):
         x = UqExpression.from_gen(ctx, g)
-        lhs = R @ eval_tensor_pair(r1, r2, coproduct(x))
-        rhs = eval_tensor_pair(r1, r2, coproduct_opposite(x)) @ R
-        if lhs != rhs:
-            return False
-    return True
+        found = first_difference(
+            R @ eval_tensor_pair(r1, r2, coproduct(x)),
+            eval_tensor_pair(r1, r2, coproduct_opposite(x)) @ R)
+        if found is not None:
+            return (g,) + found
+    return None
 
 
 def braid_from_r(R, space1, space2):
@@ -107,11 +108,12 @@ def braid_from_r(R, space1, space2):
 
 
 def braid_relation_holds(rhat, space):
-    """Check (R^ (x) 1)(1 (x) R^)(R^ (x) 1) = (1 (x) R^)(R^ (x) 1)(1 (x) R^)."""
+    """(R^ (x) 1)(1 (x) R^)(R^ (x) 1) = (1 (x) R^)(R^ (x) 1)(1 (x) R^),
+    or where it fails: the first_difference of the two sides, or None."""
     ident = GradedMap.identity(space)
     r12 = rhat.tensor(ident)
     r23 = ident.tensor(rhat)
-    return r12 @ r23 @ r12 == r23 @ r12 @ r23
+    return first_difference(r12 @ r23 @ r12, r23 @ r12 @ r23)
 
 
 def classical_limit_is_identity(R):
@@ -208,7 +210,7 @@ def rtt_exchange_witness(ctx, kind, probe_words):
 
 
 # ---------------------------------------------------------------------------
-# Report-style wrappers over the kinds.
+# The checks of `glq rmatrix` by kind: each returns its first witness or None.
 # ---------------------------------------------------------------------------
 
 _KIND_ALIASES = {"pp": "vv", "bb": "dd", "mixed": "dv",
@@ -235,30 +237,24 @@ def build_r_matrix(ctx, kind):
 
 
 def check_intertwiner(ctx, kind):
-    """Does the R-matrix of this kind intertwine the coproduct with its
-    opposite on the corresponding module pair?"""
+    """Where the R-matrix of this kind fails to intertwine the coproduct
+    with its opposite on its module pair, as in `intertwines`, or None."""
     R, r1, r2 = build_r_matrix(ctx, kind)
     return intertwines(R, r1, r2)
 
 
 def check_braid(ctx, kind):
-    """Does the braid operator of this kind satisfy the braid relation?
-    Only the equal-factor kinds define one; mixed returns None."""
-    kind = resolve_kind(kind)
-    if kind == "dv":
-        return None
+    """Where the braid operator of this kind fails the braid relation, as
+    in `braid_relation_holds`, or None.  Only the equal-factor kinds
+    define one: the mixed kind raises ValueError."""
+    if resolve_kind(kind) == "dv":
+        raise ValueError("the mixed kind defines no braid operator")
     R, r1, r2 = build_r_matrix(ctx, kind)
     rhat = braid_from_r(R, r1.space, r2.space)
     return braid_relation_holds(rhat, r1.space)
 
 
 def check_rtt(ctx, kind, probe_degree):
-    """Does the exchange identity hold on every coordinate probe word up
-    to the given degree?"""
-    return rtt_witness(ctx, kind, probe_degree) is None
-
-
-def rtt_witness(ctx, kind, probe_degree):
     """The first failure of the exchange identity on the coordinate probe
     words up to the given degree, as in `rtt_exchange_witness`, or None."""
     return rtt_exchange_witness(ctx, resolve_kind(kind),

@@ -148,7 +148,7 @@ def test_criterion_04_intertwiners():
     for size in DESK_SIZES:
         ctx = GradingContext(*size)
         for kind in ("pp", "bb", "mixed"):
-            if not rmatrix.check_intertwiner(ctx, kind):
+            if rmatrix.check_intertwiner(ctx, kind) is not None:
                 failures.append((size, kind))
     _report(4, "r-matrix-intertwiners", failures)
 
@@ -163,7 +163,7 @@ def test_criterion_05_braid_relation():
     for size in [(1, 1), (2, 1)]:
         ctx = GradingContext(*size)
         for kind in ("pp", "bb"):
-            if rmatrix.check_braid(ctx, kind) is not True:
+            if rmatrix.check_braid(ctx, kind) is not None:
                 failures.append((size, kind))
     _report(5, "braid-relation", failures)
 
@@ -178,7 +178,7 @@ def test_criterion_06_exchange_identity():
     for size, degree in (((1, 1), 4), ((2, 1), 3)):
         ctx = GradingContext(*size)
         for kind in ("pp", "bb", "mixed"):
-            if not rmatrix.check_rtt(ctx, kind, degree):
+            if rmatrix.check_rtt(ctx, kind, degree) is not None:
                 failures.append((size, kind, degree))
     _report(6, "exchange-identity", failures)
 

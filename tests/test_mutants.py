@@ -9,6 +9,9 @@ Sayward, "Hints on test data selection", 1978).
 ``test_every_report_check_is_earned_or_listed`` runs twelve reports at
 (2|1) and requires every check name they emit to be in some row's
 must-fail set, or in ``UNEARNED`` with the reason no row reaches it.
+``test_every_failing_mutant_check_names_a_witness`` requires every
+must-fail check of every row to carry a ``witness`` under its mutant, or
+to be in ``BARE`` with the reason it does not.
 
 The module caches (`reps.profile_rep`, the dual-power decompositions and
 the `coords` word layouts) are swapped for empty dicts before each report,
@@ -270,6 +273,65 @@ def test_passing_probe_loops_carry_no_witness(capsys, monkeypatch):
     assert not any("witness" in c for c in _checks(report).values())
 
 
+def test_intertwiner_mutant_names_its_witness(capsys, monkeypatch):
+    """At (2|1) the flipped coefficient is that of e_12 (x) e_21, so R
+    loses 2 c D with c = q - q^{-1} and D = e_12 (x) e_21, which sends
+    v_2 (x) v_1 (index 3) to v_1 (x) v_2 (index 1).  The Cartan
+    generators come first and commute with D, which keeps the weight.
+    For E_12, Delta = E_12 (x) K_1 K_2^{-1} + 1 (x) E_12, so the
+    difference of the sides is 2 c (Delta'(E_12) D - D Delta(E_12)).
+    D Delta(E_12) lives in row 1.  Delta'(E_12) D sends v_2 (x) v_1 to
+    K_1 K_2^{-1} v_1 (x) E_12 v_2 = q v_1 (x) v_1 (index 0).  So the
+    smallest entry is (0, 3), and the residual is 2 c q = 2 q^2 - 2."""
+    _flip_first_off_diagonal(monkeypatch)
+    _, report = _report(capsys, monkeypatch, RMATRIX)
+    check = _checks(report)["coproduct-intertwiner"]
+    assert check["witness"] == {"generator": "E[1,2]", "entry": [0, 3],
+                                "residual": "2*q^2 - 2"}
+
+
+RMATRIX_WITNESSES = [
+    ("r-element-off-diagonal-flipped", "coproduct-intertwiner",
+     {"generator", "entry", "residual"}),
+    ("r-element-off-diagonal-flipped", "braid-relation",
+     {"entry", "residual"}),
+    ("r-element-off-diagonal-flipped", "exchange-identity",
+     {"probe", "entry", "residual"}),
+    ("graded-flip-koszul-sign-dropped", "braid-relation",
+     {"entry", "residual"}),
+]
+
+
+@pytest.mark.parametrize("mutant, name, fields", RMATRIX_WITNESSES,
+                         ids=["%s/%s" % row[:2] for row in RMATRIX_WITNESSES])
+def test_failed_rmatrix_check_names_a_witness(capsys, monkeypatch, mutant,
+                                              name, fields):
+    plant, argv, _ = MUTANTS[mutant]
+    plant(monkeypatch)
+    _, report = _report(capsys, monkeypatch, argv)
+    check = _checks(report)[name]
+    assert check["ok"] is False
+    witness = check["witness"]
+    assert set(witness) == fields
+    assert witness["residual"] != "0"
+    # A (row, col) of a map, or the (i, j, k, l) of R T1 T2 - T2 T1 R.
+    assert len(witness["entry"]) == (4 if name == "exchange-identity" else 2)
+
+
+def test_failed_relations_check_names_the_first_relation(capsys,
+                                                         monkeypatch):
+    """defining-relations-dual names the first defining relation that
+    does not vanish in the dual module."""
+    _flip_antipode_sign_of_e12(monkeypatch)
+    _, report = _report(capsys, monkeypatch, VERIFY)
+    check = _checks(report)["defining-relations-dual"]
+    dual = reps.profile_rep(GradingContext(2, 1), (True,))
+    results = reps.check_relations(dual)
+    assert check["witness"] == {
+        "relation": next(name for name, ok in results if not ok)}
+    assert check["relations"] == len(results)
+
+
 # ---------------------------------------------------------------------------
 # Guard: every check the reports emit is earned by some row, or says why not.
 # ---------------------------------------------------------------------------
@@ -318,6 +380,39 @@ UNEARNED = {
     "round-trip": ("no row plants a defect in the normal-form parser or "
                    "formatter"),
 }
+
+
+# Must-fail checks that report a bare false, with the reason.
+COORDS_BARE = ("a coords check: its witness waits for the next step of "
+               "ROADMAP item 12")
+UNITARY_BARE = ("reports the star types and the positivity that make it, "
+                "not where adjointness fails")
+BARE = {
+    "unitary-vector": UNITARY_BARE,
+    "unitary-dual": UNITARY_BARE,
+    "antipode-dual-to-enveloping": COORDS_BARE,
+    "star-coproduct-type-1": COORDS_BARE,
+    "star-coproduct-type-2": COORDS_BARE,
+    "defining-relations": ("an induce check: its error message names "
+                           "every relation the induced module violates"),
+}
+
+
+def test_every_failing_mutant_check_names_a_witness(capsys, monkeypatch):
+    """Every must-fail check of every row carries a witness under its
+    mutant, or is in BARE with the reason it does not."""
+    bare = set()
+    witnessed = set()
+    for plant, argv, must_fail in MUTANTS.values():
+        with monkeypatch.context() as m:
+            plant(m)
+            _, report = _report(capsys, m, argv)
+        checks = _checks(report)
+        for name in must_fail:
+            (witnessed if "witness" in checks[name] else bare).add(name)
+    assert sorted(bare - set(BARE)) == [], "bare, unlisted"
+    assert sorted(set(BARE) & witnessed) == [], "listed, now witnessed"
+    assert sorted(set(BARE) - bare) == [], "listed, never failed"
 
 
 def test_every_report_check_is_earned_or_listed(capsys, monkeypatch):

@@ -59,7 +59,7 @@ def _operators(ctx):
 
 def test_intertwining(ctx):
     for kind, R, r1, r2 in _operators(ctx):
-        assert intertwines(R, r1, r2), kind
+        assert intertwines(R, r1, r2) is None, kind
 
 
 def test_inverses_are_exact(ctx):
@@ -83,8 +83,8 @@ def test_braid_relation(size):
     V, D = pi.space, pibar.space
     rhat_vv = braid_from_r(r_matrix(ctx, "vv"), V, V)
     rhat_dd = braid_from_r(r_matrix(ctx, "dd"), D, D)
-    assert braid_relation_holds(rhat_vv, V)
-    assert braid_relation_holds(rhat_dd, D)
+    assert braid_relation_holds(rhat_vv, V) is None
+    assert braid_relation_holds(rhat_dd, D) is None
 
 
 def test_vv_operator_frozen_at_1_1():
@@ -329,7 +329,30 @@ class TestKindWrappers:
     @pytest.mark.parametrize("kind", ["pp", "bb", "mixed"])
     def test_reports(self, kind):
         ctx = GradingContext(1, 1)
-        assert check_intertwiner(ctx, kind) is True
-        expected_braid = None if kind == "mixed" else True
-        assert check_braid(ctx, kind) is expected_braid
-        assert check_rtt(ctx, kind, 2) is True
+        assert check_intertwiner(ctx, kind) is None
+        if kind == "mixed":
+            with pytest.raises(ValueError):
+                check_braid(ctx, kind)
+        else:
+            assert check_braid(ctx, kind) is None
+        assert check_rtt(ctx, kind, 2) is None
+
+
+def test_failed_report_runs_the_exchange_check_once(capsys, monkeypatch):
+    # The witness of a failed exchange identity comes from the one pass
+    # that decided it.
+    calls = []
+    true_witness = rmatrix.rtt_exchange_witness
+
+    def counting(*args):
+        calls.append(args)
+        return true_witness(*args)
+
+    _flip_first_off_diagonal(monkeypatch)
+    monkeypatch.setattr(rmatrix, "rtt_exchange_witness", counting)
+    assert main(["rmatrix", "--m", "2", "--n", "1", "--kind", "pp",
+                 "--probe-degree", "2"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    (rtt,) = [s for s in report["suites"] if s["name"] == "rtt"]
+    assert "witness" in rtt["checks"][0]
+    assert len(calls) == 1
