@@ -353,6 +353,27 @@ class RatFunc:
         r = _canon(r)
         return _make(_scale(self.coeffs, r), self.den) if r else ZERO
 
+    def signed_q_power(self):
+        """(e, c) when self is the unit c * q^e with c = 1 or -1, else
+        None."""
+        if self.den is _POLY_ONE and len(self.coeffs) == 1:
+            (e, c), = self.coeffs.items()
+            if c == 1 or c == -1:
+                return e, c
+        return None
+
+    def times_unit(self, e, negate=False):
+        """self * q^e, negated when asked.  Units live in the numerator,
+        so shifting its exponents keeps the value canonical over the same
+        den: no product and no gcd."""
+        if negate:
+            return _make({k + e: -c for k, c in self.coeffs.items()},
+                         self.den)
+        if e:
+            return _make({k + e: c for k, c in self.coeffs.items()},
+                         self.den)
+        return self
+
     # -- specialisation --------------------------------------------------
 
     def evaluate(self, q0):

@@ -151,6 +151,9 @@ class GradedMap:
                 and self.entries == other.entries)
 
     def __add__(self, other):
+        if (other.domain != self.domain
+                or other.codomain != self.codomain):
+            raise ValueError("sum of maps between different spaces")
         out = dict(self.entries)
         for rc, v in other.entries.items():
             add_term(out, rc, v)

@@ -236,6 +236,13 @@ class _Parser:
         return self.mul(a, b.inverse(), at)
 
     def power(self, base, exponent, at):
+        unit = isinstance(base, RatFunc) and base.signed_q_power()
+        if unit:
+            # (c q^e)^k = c^k q^(ek) for c = +-1, in one step: a printed
+            # normal form holds many q^-k.
+            e, c = unit
+            return _checked(RatFunc.q_power(e * exponent,
+                                            c if exponent % 2 else 1), at)
         if exponent < 0:
             if not isinstance(base, RatFunc):
                 raise ParseError("negative power of a non-scalar", at)

@@ -30,7 +30,11 @@ Words are tuples of letters everywhere except inside `normal_form`.
 There each word is spelled as a string with one character per letter,
 the table is restated on those strings once per (m, n), and one
 compiled alternation of its pair keys finds the leftmost redex; the
-words are read back into tuples on the way out.
+words are read back into tuples on the way out.  Most rules have one
+replacement with a unit coefficient +-q^e, and the word it makes is
+rewritten next, so `normal_form` follows such a chain with the shift e
+and the sign summed as ints and builds the Q(q) coefficient once, where
+the chain ends.
 
 The rewriting system needs only Q(q) and the grading.  The map to
 coordinate functions, the co-action and the invariant subalgebra live
@@ -195,14 +199,21 @@ _spelled_tables = {}
 
 def _spelled_rules(ctx):
     """The table of _rules(ctx) on spelled words, each pair key mapping
-    to its [(replacement, coeff)], and the alternation of the keys,
-    whose first match in a word starts at its leftmost redex."""
+    to its [(replacement, coeff)]; the alternation of the keys, whose
+    first match in a word starts at its leftmost redex; and the unit
+    rules, each pair whose one replacement has a coefficient +-q^e
+    mapping to (replacement, e, negated)."""
     spelled = _spelled_tables.get(ctx)
     if spelled is None:
         table = {_spell(pair): [(_spell(w), c) for w, c in out.items()]
                  for pair, out in _rules(ctx).items()}
         pattern = re.compile("|".join(map(re.escape, table)))
-        spelled = _spelled_tables[ctx] = table, pattern
+        units = {}
+        for pair, out in table.items():
+            unit = len(out) == 1 and out[0][1].signed_q_power()
+            if unit:
+                units[pair] = out[0][0], unit[0], unit[1] < 0
+        spelled = _spelled_tables[ctx] = table, pattern, units
     return spelled
 
 
@@ -214,41 +225,67 @@ def normal_form(ctx, element, strategy="leftmost", seed=0,
     instrument=True, every step asserts the strict lexicographic
     decrease of the termination measure and the step count is returned.
     Returns (normal element, steps).
+
+    Each step pops the last word of the work list and pushes back what
+    its redex rewrites to, so a rule with one replacement hands the new
+    word straight back, unless it merges with a word already there.
+    Such a chain of unit rules +-q^e is followed in place: it sums the
+    exponents and signs as ints and builds the coefficient once, when
+    the chain ends.  Words, merges, steps and rng draws are those of one
+    step at a time.
     """
     if strategy not in ("leftmost", "rightmost", "random"):
         raise ValueError("unknown strategy %r" % strategy)
-    table, pattern = _spelled_rules(ctx)
+    table, pattern, units = _spelled_rules(ctx)
+    leftmost = strategy == "leftmost"
     rng = random.Random(seed)
     work = {_spell(w): c for w, c in element.terms.items()}
     done = {}
     steps = 0
     while work:
         word, coeff = work.popitem()
-        if strategy == "leftmost":
-            found = pattern.search(word)
-            i = found.start() if found else None
-        else:
-            reds = [i for i in range(len(word) - 1)
-                    if word[i:i + 2] in table]
-            if not reds:
-                i = None
-            elif strategy == "rightmost":
-                i = reds[-1]
+        shift = 0
+        negate = False
+        while True:
+            if leftmost:
+                found = pattern.search(word)
+                i = found.start() if found else None
             else:
-                i = reds[rng.randrange(len(reds))]
-        if i is None:
-            add_term(done, word, coeff)
-            continue
-        steps += 1
-        head, tail = word[:i], word[i + 2:]
-        before = measure(ctx, _read(word)) if instrument else None
-        for mid, c in table[word[i:i + 2]]:
-            new_word = head + mid + tail
+                reds = [i for i in range(len(word) - 1)
+                        if word[i:i + 2] in table]
+                if not reds:
+                    i = None
+                elif strategy == "rightmost":
+                    i = reds[-1]
+                else:
+                    i = reds[rng.randrange(len(reds))]
+            if i is None:
+                add_term(done, word, coeff.times_unit(shift, negate))
+                break
+            steps += 1
+            pair = word[i:i + 2]
+            head, tail = word[:i], word[i + 2:]
             if instrument:
-                assert measure(ctx, _read(new_word)) < before, (
-                    "measure failed to decrease", i, _read(word),
-                    _read(new_word))
-            add_term(work, new_word, coeff * c)
+                before = measure(ctx, _read(word))
+                for mid, _ in table[pair]:
+                    new_word = head + mid + tail
+                    assert measure(ctx, _read(new_word)) < before, (
+                        "measure failed to decrease", i, _read(word),
+                        _read(new_word))
+            unit = units.get(pair)
+            if unit is not None:
+                new_word = head + unit[0] + tail
+                if new_word not in work:
+                    word = new_word
+                    shift += unit[1]
+                    negate ^= unit[2]
+                    continue
+            out = table[pair]
+            if out:
+                coeff = coeff.times_unit(shift, negate)
+                for mid, c in out:
+                    add_term(work, head + mid + tail, coeff * c)
+            break
     normal = {_read(w): c for w, c in done.items()}
     return SuperspaceElement(ctx, normal), steps
 

@@ -47,6 +47,56 @@ class TestParser:
         assert parse_scalar("-3") == -(ONE + ONE + ONE)
         assert parse_scalar("q / q") == ONE
 
+    POWERS = [("q^-3", "1/(q*q*q)"),
+              ("(-q)^5", "(-q)*(-q)*(-q)*(-q)*(-q)"),
+              ("(-1)^4", "(-1)*(-1)*(-1)*(-1)"),
+              ("-q^2", "-(q*q)"),
+              ("q^0", "1"),
+              ("(q^2)^-2", "1/(q*q*q*q)"),
+              ("(2*q)^3", "(2*q)*(2*q)*(2*q)")]
+
+    @pytest.mark.parametrize("text,spelled_out", POWERS)
+    def test_powers_equal_their_spelled_out_products(self, text,
+                                                     spelled_out):
+        """Each power equals the product written out, in the stored form
+        of a Laurent polynomial."""
+        got = parse_scalar(text)
+        want = parse_scalar(spelled_out)
+        assert got == want and str(got) == str(want)
+        assert got.den is want.den is parser._POLY_ONE
+        assert all(type(c) is int for c in got.coeffs.values())
+
+    def test_only_a_non_unit_base_takes_the_dense_power_path(self,
+                                                             monkeypatch):
+        """A unit base +-q^e is powered in one step; (2*q)^3 still goes
+        through the dense-power pre-check and the squaring loop."""
+        dense = []
+        monkeypatch.setattr(parser, "_reject_dense_power",
+                            lambda base, *args: dense.append(str(base)))
+        for text, _ in self.POWERS:
+            parse_scalar(text)
+        assert dense == ["2*q"]
+
+    def test_digit_limit_still_bounds_a_unit_power(self):
+        """At the smallest digit limit, q^(10^640 - 1) is a valid power;
+        (q^2)^(10^640 - 1) has an exponent of 641 digits and is rejected
+        at its '^', and a 641-digit exponent at its first digit."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        nines = "9" * 640
+        try:
+            assert parse_scalar("q^" + nines) == parse_scalar(
+                "q^%s * q^-%s * q^%s" % (nines, nines, nines))
+            for text, position in (("(q^2)^" + nines, 5),
+                                   ("(-q^-2)^-" + nines, 7),
+                                   ("q^" + nines + "9", 2)):
+                with pytest.raises(ParseError) as info:
+                    parse_scalar(text)
+                assert (info.value.message, info.value.position) == (
+                    "an integer has more than 640 digits", position)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_uq_expression(self):
         ctx = GradingContext(1, 1)
         parsed = parse_uq(ctx, "K[1]*E[1,2] - q * E[1,2]*K[1]")

@@ -13,6 +13,7 @@ from glq.graded import (
     GradedMap,
     GradedSpace,
     GradingContext,
+    first_difference,
     graded_flip,
     invert,
     nullspace,
@@ -196,6 +197,24 @@ def test_graded_map_arithmetic():
     assert s.get(1, 0) == QINV and s.get(2, 2) == ONE
     assert (a - a).is_zero()
     assert a.scale(2).get(0, 1) == Q + Q
+
+
+def test_maps_between_different_spaces_do_not_add():
+    """A sum or difference needs equal domains and equal codomains, as a
+    composite needs matching spaces: otherwise first_difference would
+    find an empty difference and no witness."""
+    even_odd = GradedMap.identity(GradedSpace((0, 1)))
+    odd_even = GradedMap.identity(GradedSpace((1, 0)))
+    for op in (lambda a, b: a + b, lambda a, b: a - b, first_difference):
+        with pytest.raises(ValueError, match="different spaces"):
+            op(even_odd, odd_even)
+    sp = GradedSpace((0, 1))
+    wider = GradedSpace((0, 1, 0))
+    with pytest.raises(ValueError, match="different spaces"):
+        GradedMap.zero(sp, sp) + GradedMap.zero(sp, wider)
+    with pytest.raises(ValueError, match="different spaces"):
+        GradedMap.zero(sp, sp) - GradedMap.zero(wider, sp)
+    assert first_difference(even_odd, even_odd) is None
 
 
 def test_transpose_and_specialize():

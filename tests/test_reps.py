@@ -4,6 +4,7 @@ contravariant forms / unitarity at generic rational points."""
 
 import random
 from collections import Counter
+from functools import lru_cache
 from fractions import Fraction
 from math import factorial
 
@@ -306,6 +307,92 @@ def test_tensor_power_follows_berele_regev(size, k):
         expected[partition_weight(ctx, diagram)] += _standard_tableaux(diagram)
     assert Counter(s.highest_weight for s in summands) == expected
     assert rank([v for s in summands for v in s.basis]) == rep.dim
+
+
+@lru_cache(maxsize=None)
+def _power_dims(m, n, k):
+    """{highest weight: dims} of the summands of V^{(x)k} at (m|n)."""
+    out = {}
+    for s in decompose(profile_rep(GradingContext(m, n), (False,) * k)):
+        out.setdefault(s.highest_weight, []).append(s.dim)
+    return out
+
+
+def _supertableaux(m, n, diagram):
+    """The number of (m|n)-semistandard supertableaux of the shape
+    (Berele-Regev): entries 1..m are even and weakly increase along rows
+    and strictly down columns, entries m+1..m+n are odd and strictly
+    increase along rows and weakly down columns.  Brute force, cell by
+    cell in row order."""
+    cells = [(i, j) for i, row in enumerate(diagram) for j in range(row)]
+    filling = {}
+
+    def fill(k):
+        if k == len(cells):
+            return 1
+        i, j = cells[k]
+        left = filling.get((i, j - 1), 0)
+        up = filling.get((i - 1, j), 0)
+        total = 0
+        for x in range(1, m + n + 1):
+            odd = x > m
+            if x < left or (x == left and odd):
+                continue
+            if x < up or (x == up and not odd):
+                continue
+            filling[i, j] = x
+            total += fill(k + 1)
+        filling.pop((i, j), None)
+        return total
+
+    return fill(0)
+
+
+def _conjugate(diagram):
+    return tuple(sum(1 for row in diagram if row > c)
+                 for c in range(diagram[0]))
+
+
+@pytest.mark.parametrize("size", [(2, 1), (1, 2), (2, 2), (3, 2)],
+                         ids=lambda s: "m%dn%d" % s)
+def test_tensor_power_summand_dims_count_supertableaux(size):
+    """Each summand of V^{(x)k}, k = 2, 3, 4, has the dimension of the
+    irreducible of its hook shape lambda: the number of (m|n)-semistandard
+    supertableaux of shape lambda (Berele-Regev, Adv. Math. 64, 1987).
+    The count is a brute-force filling, independent of any module."""
+    m, n = size
+    ctx = GradingContext(m, n)
+    for k in (2, 3, 4):
+        shapes = {partition_weight(ctx, d): d for d in hook_partitions(ctx, k)}
+        dims = _power_dims(m, n, k)
+        assert set(dims) == set(shapes)
+        for weight, found in dims.items():
+            assert set(found) == {_supertableaux(m, n, shapes[weight])}, (
+                k, shapes[weight])
+
+
+@pytest.mark.parametrize("size,k", [((2, 1), 3), ((2, 1), 4), ((3, 1), 3),
+                                    ((3, 1), 4), ((3, 2), 3), ((2, 2), 3),
+                                    ((2, 2), 4)],
+                         ids=lambda x: "m%dn%d" % x if isinstance(x, tuple)
+                         else "k%d" % x)
+def test_summand_dims_agree_under_the_super_swap(size, k):
+    """gl(m|n) and gl(n|m) are isomorphic, and the hook Schur function of
+    lambda in (m|n) variables is that of the conjugate lambda' in (n|m):
+    so dim L_(m|n)(lambda) = dim L_(n|m)(lambda').  Both sides are
+    decompositions; at (2|2) the swap pairs the summands of one module."""
+    m, n = size
+    ctx = GradingContext(m, n)
+    swapped = GradingContext(n, m)
+    here = _power_dims(m, n, k)
+    there = _power_dims(n, m, k)
+    diagrams = hook_partitions(ctx, k)
+    assert sorted(map(_conjugate, diagrams)) == sorted(
+        hook_partitions(swapped, k))
+    for diagram in diagrams:
+        dims = here[partition_weight(ctx, diagram)]
+        swapped_dims = there[partition_weight(swapped, _conjugate(diagram))]
+        assert set(dims) == set(swapped_dims), diagram
 
 
 def test_vector_times_dual_splits_off_the_trivial_line():

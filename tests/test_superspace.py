@@ -13,7 +13,7 @@ import random
 import pytest
 
 from glq import superspace
-from glq.coeff import ONE, add_term, q_int
+from glq.coeff import ONE, RatFunc, add_term, q_int
 from glq.graded import GradingContext, rank
 from glq.coords import GqElement, evaluate, functional_witness
 from glq.parser import parse_superspace
@@ -285,14 +285,80 @@ def _benchmark_workloads():
     return module
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_rewrite_jobs_match_the_tuple_word_oracle(seed):
-    """The twelve products of linear forms that the benchmark's rewrite
-    workload sends through ``glq normalform``."""
+def _rewrite_jobs(seed):
+    """(ctx, parsed element) for each of the twelve products of linear
+    forms that the benchmark's rewrite workload sends through ``glq
+    normalform``."""
     for argv in _benchmark_workloads().rewrite_jobs(seed):
         ctx = GradingContext(int(argv[argv.index("--m") + 1]),
                              int(argv[argv.index("--n") + 1]))
-        _assert_same_rewrite(ctx, parse_superspace(ctx, argv[-1]))
+        yield ctx, parse_superspace(ctx, argv[-1])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rewrite_jobs_match_the_tuple_word_oracle(seed):
+    """Under each strategy: the chains that ``normal_form`` follows in
+    place meet other words, merges and rng draws on each."""
+    for ctx, element in _rewrite_jobs(seed):
+        for strategy in ("leftmost", "rightmost", "random"):
+            _assert_same_rewrite(ctx, element, strategy, seed=seed)
+
+
+def _words(*spelled):
+    """Plain words from strings of indices: "32" is z_3 z_2."""
+    return [tuple(z_(int(ch)) for ch in text) for text in spelled]
+
+
+def test_a_unit_chain_merges_into_a_waiting_word():
+    """At (2|1) z_3 z_2 z_1 takes the unit rule q^-1 to z_2 z_3 z_1, a
+    word that is already in the work list and not yet normal.  So the
+    chain stops and merges there; the sum then rewrites once, by q^-1
+    and -q^-1 (z_1 and z_2 are odd), to z_1 z_2 z_3.  A chain that ran
+    on past the merge would rewrite z_2 z_3 z_1 twice: 5 steps, not 3.
+    With the waiting coefficient -q^-1 the merge cancels."""
+    ctx = GradingContext(2, 1)
+    waiting, crossed, normal = _words("231", "321", "123")
+    for first, want, want_steps in (
+            (ONE, {normal: -(q_int(-2) + q_int(-3))}, 3),
+            (-q_int(-1), {}, 1)):
+        element = SuperspaceElement(ctx, {waiting: first, crossed: ONE})
+        assert normal_form(ctx, element) == (
+            SuperspaceElement(ctx, want), want_steps)
+        for strategy in ("leftmost", "rightmost", "random"):
+            _assert_same_rewrite(ctx, element, strategy, seed=7)
+
+
+def test_a_unit_chain_ends_at_an_odd_square():
+    """z_2 z_1 z_1 at (2|1): leftmost, two unit swaps reach z_1 z_1 z_2,
+    whose odd square rewrites to nothing, so the word drops out and
+    z_3 stays."""
+    ctx = GradingContext(2, 1)
+    word, kept = _words("211", "3")
+    element = SuperspaceElement(ctx, {kept: q_int(2), word: -ONE})
+    assert normal_form(ctx, element) == (
+        SuperspaceElement(ctx, {kept: q_int(2)}), 3)
+    for strategy in ("leftmost", "rightmost", "random"):
+        _assert_same_rewrite(ctx, element, strategy, seed=3)
+
+
+def test_a_rewrite_chain_makes_one_product(monkeypatch):
+    """Work counter: a chain of one-replacement unit rules builds its
+    coefficient once, so the twelve seed-0 rewrite jobs make at most
+    30000 Q(q) products in ``normal_form`` over their 96050 steps; a
+    product per step would make 93809."""
+    jobs = list(_rewrite_jobs(0))
+    products = 0
+    multiply = RatFunc.__mul__
+
+    def counting(x, y):
+        nonlocal products
+        products += 1
+        return multiply(x, y)
+
+    monkeypatch.setattr(RatFunc, "__mul__", counting)
+    steps = sum(normal_form(ctx, element)[1] for ctx, element in jobs)
+    assert steps == 96050
+    assert products <= 30000
 
 
 def test_instrument_catches_a_rule_that_raises_the_measure(monkeypatch):
