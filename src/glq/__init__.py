@@ -11,8 +11,6 @@ projective superspace (`superspace`), parabolically induced modules
 module per subcommand (`reports`).
 """
 
-from __future__ import annotations
-
 from importlib import import_module
 
 __version__ = "0.1.0"

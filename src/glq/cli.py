@@ -6,6 +6,9 @@ are byte-identical.  Suites run one after another, in report order.
 Each subcommand's suites are in its own module of ``glq.reports``,
 which ``main`` imports only once the arguments are accepted: ``--help``
 and bad arguments load no layer, and a job compiles no other report.
+``json`` is imported when a report is printed, and ``fractions`` when
+verify's ``--q0`` is read, so ``--help`` and bad arguments load no
+``json``, and no ``fractions`` unless ``--q0`` was read first.
 
 Exit codes:
 
@@ -26,12 +29,8 @@ Exit codes:
      printed.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import sys
-from fractions import Fraction
 from importlib import import_module
 
 SCHEMA = "glq-report/1"
@@ -62,6 +61,8 @@ def _specialisation_point(text):
         if (limit and exponent.replace("_", "").isdecimal()
                 and int(exponent) > limit + len(text)):
             raise ValueError(exponent)
+        from fractions import Fraction
+
         value = Fraction(text)
         str(value)  # the report echoes q0
     except (ValueError, ZeroDivisionError):
@@ -149,6 +150,8 @@ def build_arg_parser():
 
 
 def _render(report):
+    import json
+
     return json.dumps(report, indent=2, sort_keys=True)
 
 

@@ -6,7 +6,10 @@ representation of Johnson, "Sparse polynomial arithmetic", 1974).  There
 is no separate polynomial type.  A coefficient is stored as an ``int``
 when it is integral and as a ``Fraction`` only when its denominator is
 greater than 1, so integer arithmetic, the common case, never builds a
-``Fraction``; every division goes through ``Fraction`` and is exact.
+``Fraction``.  Every division is exact: an integer quotient stays an
+``int``, and any other goes through ``Fraction``.  ``fractions`` is
+imported where a non-integral rational can first appear, so a job that
+meets none never loads it.
 Every value is kept in a canonical reduced form so that structural
 equality coincides with mathematical equality:
 
@@ -28,10 +31,6 @@ Specialisation substitutes an exact rational number for q, so no floating
 point enters anywhere.
 """
 
-from __future__ import annotations
-
-from fractions import Fraction
-
 
 def _canon(c):
     """The one stored form of an exact rational: an int when it is
@@ -39,13 +38,20 @@ def _canon(c):
     alike in both forms."""
     if type(c) is int:
         return c
+    from fractions import Fraction
+
     if type(c) is not Fraction:
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
 def _div(a, b):
-    """The exact quotient a / b in stored form; never a float."""
+    """The exact quotient a / b in stored form; never a float.  An exact
+    integer quotient is computed as an int and builds no Fraction."""
+    if type(a) is int and type(b) is int and b and not a % b:
+        return a // b
+    from fractions import Fraction
+
     return _canon(Fraction(a) / b)
 
 
@@ -122,6 +128,8 @@ def _scale(a, r):
 
 def _evaluate(a, q0):
     """Exact value at q = q0 (a nonzero Fraction)."""
+    from fractions import Fraction
+
     total = Fraction(0)
     for e, c in a.items():
         total += c * q0 ** e
@@ -378,6 +386,8 @@ class RatFunc:
 
     def evaluate(self, q0):
         """Exact value at q = q0; raises ZeroDivisionError on a pole."""
+        from fractions import Fraction
+
         q0 = Fraction(q0)
         if q0 == 0:
             raise ValueError("q = 0 is outside the domain")
@@ -388,6 +398,8 @@ class RatFunc:
 
     def specialize(self, q0):
         """Evaluate at a rational q0 with q0 not in {0, 1}."""
+        from fractions import Fraction
+
         q0 = Fraction(q0)
         if q0 in (0, 1):
             raise ValueError("specialisation point q0 = %s is rejected" % q0)

@@ -34,8 +34,6 @@ t_{ab} to (-1)^{(theta+|a|)(|a|+|b|)} t-bar_{ab} and back with the same
 sign, extended by `coeff.reverse_word` without a sign.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import partial
 

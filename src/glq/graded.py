@@ -18,8 +18,6 @@ tracking, nullspaces, linear solving, inverses) used throughout for
 weight-space and intertwiner computations.
 """
 
-from __future__ import annotations
-
 from .coeff import RatFunc, ZERO, ONE, add_term
 
 

@@ -33,8 +33,6 @@ holds the co-action and the invariant-subalgebra certificate.  The
 rewriting system in `superspace` itself needs only Q(q) and the grading.
 """
 
-from __future__ import annotations
-
 from .coeff import ZERO, ONE, add_term, q_int
 from .graded import GradedMap, GradedSpace, nullspace, rank
 from .uq import (

@@ -24,8 +24,6 @@ of more than ``MAX_WORD_LENGTH`` letters, which is rejected before it is
 built.  Errors carry the 0-based offset where they were detected.
 """
 
-from __future__ import annotations
-
 import sys
 
 from .coeff import _POLY_ONE, ONE, RatFunc, add_term
@@ -53,8 +51,6 @@ class ParseError(ValueError):
 # letters, so a letter of another algebra is read, then rejected.
 _ARITY = {"K": 1, "Kinv": 1, "E": 2, "t": 2, "tb": 2, "z": 1, "zb": 1,
           "Z": None, "Zb": None}
-
-_NAMES = sorted([*_ARITY, "q"], key=len, reverse=True)
 
 _PUNCTUATION = {"+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
                 "^": "CARET", "(": "LPAREN", ")": "RPAREN",
@@ -156,16 +152,14 @@ def _tokenize(text):
             i = j
             continue
         if c.isalpha():
-            for name in _NAMES:
-                if text.startswith(name, i):
-                    after = i + len(name)
-                    if after < n and text[after].isalnum():
-                        continue
-                    tokens.append(("NAME", name, i))
-                    i = after
-                    break
-            else:
+            j = i + 1
+            while j < n and text[j].isalnum():
+                j += 1
+            name = text[i:j]
+            if name not in _ARITY and name != "q":
                 raise ParseError("unknown name starting with %r" % c, i)
+            tokens.append(("NAME", name, i))
+            i = j
             continue
         if c in _PUNCTUATION:
             tokens.append((_PUNCTUATION[c], c, i))

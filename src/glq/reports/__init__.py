@@ -6,8 +6,6 @@ chosen subcommand's module only once the arguments are accepted, so a job
 compiles no other report and loads only the layers its report runs.  This
 module holds the helpers that more than one report uses."""
 
-from __future__ import annotations
-
 
 def _check(name, ok, **extra):
     out = {"name": name, "ok": bool(ok)}

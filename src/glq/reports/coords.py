@@ -1,8 +1,6 @@
 """``glq coords``: the antipode, star and Peter-Weyl checks of the
 coordinate algebra."""
 
-from __future__ import annotations
-
 from .. import coords as coords_mod
 from .. import reps as reps_mod
 from ..coeff import ONE, q_int

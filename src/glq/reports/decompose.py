@@ -1,8 +1,6 @@
 """``glq decompose``: the summands of a tensor power of the vector
 module or of its dual."""
 
-from __future__ import annotations
-
 from .. import reps as reps_mod
 from ..graded import GradingContext
 from . import _check, _suite

@@ -2,8 +2,6 @@
 expected dimension, irreducibility and highest weight, and Frobenius
 reciprocity on two test modules."""
 
-from __future__ import annotations
-
 from math import comb
 
 from .. import induction as induction_mod

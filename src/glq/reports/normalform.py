@@ -1,8 +1,6 @@
 """``glq normalform``: the normal form of a superspace expression, and
 the check that the printed form parses back to it."""
 
-from __future__ import annotations
-
 from ..graded import GradingContext
 from ..parser import ParseError, format_normal_form, parse_superspace
 from ..superspace import normal_form

@@ -1,8 +1,6 @@
 """``glq rmatrix``: the intertwiner, braid and exchange-identity suites
 of one R-matrix kind."""
 
-from __future__ import annotations
-
 from .. import rmatrix as rmatrix_mod
 from ..graded import GradingContext
 from . import _check, _default_probe_degree, _suite, _witnessed

@@ -1,8 +1,6 @@
 """``glq verify``: the defining relations, the Hopf axioms, the star
 structure and the square of the antipode."""
 
-from __future__ import annotations
-
 from .. import reps as reps_mod
 from ..coeff import add_term
 from ..graded import GradedMap, GradingContext

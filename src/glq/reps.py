@@ -44,8 +44,6 @@ every generator g.  The natural Gram matrices of the vector
 representation, its dual, and their tensor products are provided.
 """
 
-from __future__ import annotations
-
 from .coeff import ONE, add_term, q_int
 from .graded import (
     Echelon,

@@ -29,8 +29,6 @@ triple tensors, and the G_q leg is paired against probe elements.
 R T_1 T_2 = T_2 T_1 R then holds for all three leg pairings.
 """
 
-from __future__ import annotations
-
 from .coeff import ONE, Q, QINV, add_term, q_int
 from .coords import CoordLetter, letter_parity, pair_table, pairing_table
 from .graded import GradedMap, first_difference, graded_flip

@@ -41,8 +41,6 @@ coordinate functions, the co-action and the invariant subalgebra live
 in `induction`, so `glq normalform` loads no algebra layer.
 """
 
-from __future__ import annotations
-
 import random
 import re
 from collections import namedtuple

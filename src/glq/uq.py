@@ -31,8 +31,6 @@ differ by the sign (-1)^{(theta+1)} on the odd simple pair, and
 x -> (-1)^{|x|} *(x) exchanges the two types.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import partial
 

@@ -207,6 +207,10 @@ class TestParser:
         ("z[1,2]", 0),
         ("t[1]", 0),
         ("z[1]/(z[1]-z[1]+2)", 4),
+        ("Kinvx[1]", 0),
+        ("z\u00e9[1]", 0),
+        ("z\u00b2[1]", 0),
+        ("qq", 0),
     ])
     def test_errors_carry_position(self, text, position):
         ctx = GradingContext(1, 1)
@@ -233,6 +237,16 @@ class TestParser:
         code, _, report = run_cli(capsys, ["normalform", text])
         assert code == 2
         assert report["error"]["position"] == position
+
+    @pytest.mark.parametrize("text", ["Kinvx[1]", "z\u00e9[1]", "z\u00b2[1]",
+                                      "qq"])
+    def test_a_name_is_its_whole_alphanumeric_run(self, text):
+        """A letter name followed by a letter or digit, a non-ASCII one
+        included, is no name: the error names its first letter."""
+        with pytest.raises(ParseError) as info:
+            parse_superspace(GradingContext(1, 1), text)
+        assert str(info.value) == ("unknown name starting with %r (at "
+                                   "position 0)" % text[0])
 
     def test_empty_index_group_needs_an_empty_block(self):
         """An empty group of Z[...] is read only when its block has size
@@ -827,8 +841,12 @@ options:
 # report helpers, Q(q) and the grading once the arguments are accepted;
 # and beyond them only the job's own report module and the layers it runs.
 # No row loads traceback, which glq.cli imports on its crash path only.
+# Every accepted job loads json, which glq.cli imports to print the
+# report; only verify loads fractions, and decimal and numbers with it,
+# because its --q0 is the one non-integral rational of these jobs.
 _CLI = {"glq", "glq.cli"}
-_BASE = _CLI | {"glq.reports", "glq.coeff", "glq.graded"}
+_BASE = _CLI | {"glq.reports", "glq.coeff", "glq.graded", "json"}
+_RATIONALS = {"fractions", "decimal", "numbers"}
 _ENVELOPING = {"glq.reps", "glq.uq"}
 _COORDINATES = _ENVELOPING | {"glq.coords"}
 LAYER_ROWS = [
@@ -836,7 +854,8 @@ LAYER_ROWS = [
     (["verify", "--m", "-1", "--n", "2"], _CLI, 2),
     (["normalform", "zb[1]*z[1]"],
      _BASE | {"glq.reports.normalform", "glq.parser", "glq.superspace"}, 0),
-    (["verify"], _BASE | {"glq.reports.verify"} | _ENVELOPING, 0),
+    (["verify"], _BASE | {"glq.reports.verify"} | _ENVELOPING | _RATIONALS,
+     0),
     (["decompose", "--word", "E", "--power", "2"],
      _BASE | {"glq.reports.decompose"} | _ENVELOPING, 0),
     (["coords", "--check", "star"],
@@ -856,16 +875,18 @@ except SystemExit as exc:
     code = exc.code
 """
 _WRITE_LOADED = """
-sys.stderr.write(" ".join(m for m in sys.modules
-                          if m.startswith("glq") or m == "traceback"))
+sys.stderr.write(" ".join(m for m in sys.modules if m.startswith("glq")
+                          or m in ("traceback", "json", "fractions",
+                                   "decimal", "numbers")))
 sys.exit(code)
 """
 
 
 def _loaded_modules(code, argv=(), exit_code=0):
-    """The glq.* names in sys.modules, and traceback if it is there,
-    after ``code`` runs in a fresh interpreter that imports glq from
-    this checkout and exits with ``exit_code``."""
+    """The glq.* names in sys.modules, and those of traceback, json,
+    fractions, decimal and numbers that are there, after ``code`` runs
+    in a fresh interpreter that imports glq from this checkout and exits
+    with ``exit_code``."""
     proc = subprocess.run(
         [sys.executable, "-c", code + _WRITE_LOADED] + list(argv),
         capture_output=True, text=True, env=dict(os.environ,

@@ -13,7 +13,7 @@ from hypothesis import assume, given, strategies as st
 
 import pytest
 
-from glq.coeff import ONE, RatFunc, ZERO, _POLY_ONE, add_term, q_int
+from glq.coeff import ONE, RatFunc, ZERO, _POLY_ONE, _div, add_term, q_int
 
 _coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 _nonzero_coeffs = _coeffs.filter(bool)
@@ -315,6 +315,19 @@ def test_integral_values_are_stored_as_int():
     _assert_exact(y)
     assert type(RatFunc.from_int(0).evaluate(2)) is Fraction
     assert type(RatFunc.from_int(3).evaluate(1)) is Fraction
+
+
+@given(st.integers(), st.integers().filter(bool))
+def test_integer_division_is_the_exact_quotient(a, b):
+    """An exact integer quotient is an int and any other a Fraction;
+    either equals a / b, and a zero divisor raises what Fraction
+    raises."""
+    for n in (a, a * b):
+        x = _div(n, b)
+        assert x == Fraction(n, b)
+        assert (type(x) is int) == (n % b == 0)
+    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(-?\d+, 0\)$"):
+        _div(a, 0)
 
 
 def test_constructor_puts_both_dicts_into_stored_form():
