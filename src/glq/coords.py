@@ -14,7 +14,8 @@ barred one, and multi-indices are flattened row-major.  All structural
 identities of the coordinate algebra are *functional*: two elements are
 equal when they agree against every probe word up to a chosen degree.
 
-`word_layout` states where a word pairs (profile module, entry, sign).
+`word_layout` states where a word pairs (profile module, entry, sign),
+computed once per size and word (``functools.cache``).
 Every pairing is a table read: `pairing_table` groups keyed coordinate
 words by module and entry once, and `pair_table` walks only the nonzero
 entries of the probe's image in each module.  One functional is a table
@@ -35,7 +36,7 @@ sign, extended by `coeff.reverse_word` without a sign.
 """
 
 from collections import namedtuple
-from functools import partial
+from functools import cache, partial
 
 from .coeff import (Combination, ZERO, ONE, add_term, q_int, reverse_word,
                     sign_pow)
@@ -88,27 +89,22 @@ class GqElement(Combination):
 # ---------------------------------------------------------------------------
 
 
-_layouts = {}
-
-
+@cache
 def word_layout(ctx, word):
-    """Where the canonical pairing of a coordinate word reads its value:
-    (profile module, flat row, flat column, whether the sign negates),
-    computed once per (ctx, word).  The sign exponent
-    sum_{i<j} |w_j| |a_i| is counted in one pass over the letters."""
-    key = (ctx, word)
-    layout = _layouts.get(key)
-    if layout is None:
-        N = ctx.N
-        row = col = sign = rows_parity = 0
-        for letter in word:
-            sign += letter_parity(ctx, letter) * rows_parity
-            rows_parity += ctx.parity(letter.row)
-            row = row * N + (letter.row - 1)
-            col = col * N + (letter.col - 1)
-        rep = profile_rep(ctx, tuple(l.barred for l in word))
-        layout = _layouts[key] = (rep, row, col, sign % 2 == 1)
-    return layout
+    """Where the canonical pairing of a coordinate word (a tuple of
+    letters) reads its value: (profile module, flat row, flat column,
+    whether the sign negates), computed once per (ctx, word).  The sign
+    exponent sum_{i<j} |w_j| |a_i| is counted in one pass over the
+    letters."""
+    N = ctx.N
+    row = col = sign = rows_parity = 0
+    for letter in word:
+        sign += letter_parity(ctx, letter) * rows_parity
+        rows_parity += ctx.parity(letter.row)
+        row = row * N + (letter.row - 1)
+        col = col * N + (letter.col - 1)
+    rep = profile_rep(ctx, tuple(l.barred for l in word))
+    return rep, row, col, sign % 2 == 1
 
 
 def pairing_table(ctx, terms):

@@ -195,8 +195,7 @@ class GradedMap:
                 add_term(out, (r1, c2), v1 * v2)
         return GradedMap(other.domain, self.codomain, out)
 
-    def __matmul__(self, other):
-        return self.compose(other)
+    __matmul__ = compose
 
     def apply(self, vec):
         """Apply to a sparse column vector {index: RatFunc}, walking only

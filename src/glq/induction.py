@@ -21,7 +21,8 @@ Left translation makes the coordinate algebra a module superalgebra:
 g.(a w) = sum (-1)^{|x''||a|} (x'.a)(x''.w) over Delta^op(g) = sum
 x' (x) x'', for a first letter a and the rest w of a word.  That is why
 the degree-k spans are stable, and `build_induced` builds its matrices
-by this rule (`translation_rule`), with a memo that lives for one build.
+by this rule (`translation_rule`), whose action is cached
+(``functools.cache`` on the closure) for one build only.
 Words of at most two letters take the coproduct path
 (`dot_action_on_word`), which pairs the coordinate coproduct of the
 whole word, about N^k terms, with S^-1(g).  That path is the rule's base
@@ -32,6 +33,8 @@ sends superspace words to last-column coordinate words and back, and
 holds the co-action and the invariant-subalgebra certificate.  The
 rewriting system in `superspace` itself needs only Q(q) and the grading.
 """
+
+from functools import cache
 
 from .coeff import ZERO, ONE, add_term, q_int
 from .graded import GradedMap, GradedSpace, nullspace, rank
@@ -227,28 +230,22 @@ def translation_rule(ctx):
     over Delta^op(g) = sum x' (x) x''.  A word of generators acts last
     letter first.  The product concatenates the pieces, and normal_form
     reduces the sum once.  Words of at most ``COPRODUCT_BASE`` letters
-    take the coproduct path ``dot_action_on_word``.  The memo lives as
-    long as the returned function."""
+    take the coproduct path ``dot_action_on_word``.  The returned
+    function caches its values, so they live as long as it does."""
     base = COPRODUCT_BASE
-    memo = {}
 
+    @cache
     def act(g, word):
-        out = memo.get((g, word))
-        if out is not None:
-            return out
         if len(word) <= base:
-            out = dot_action_on_word(ctx, g, word).terms
-        else:
-            terms = {}
-            for x1, x2, c in _signed_opposite_legs(ctx, g, word[0]):
-                head = act_word(x1, {word[:1]: ONE})
-                tail = act_word(x2, {word[1:]: ONE}) if head else {}
-                for hw, hc in head.items():
-                    for tw, tc in tail.items():
-                        add_term(terms, hw + tw, c * hc * tc)
-            out = normal_form(ctx, SuperspaceElement(ctx, terms))[0].terms
-        memo[g, word] = out
-        return out
+            return dot_action_on_word(ctx, g, word).terms
+        terms = {}
+        for x1, x2, c in _signed_opposite_legs(ctx, g, word[0]):
+            head = act_word(x1, {word[:1]: ONE})
+            tail = act_word(x2, {word[1:]: ONE}) if head else {}
+            for hw, hc in head.items():
+                for tw, tc in tail.items():
+                    add_term(terms, hw + tw, c * hc * tc)
+        return normal_form(ctx, SuperspaceElement(ctx, terms))[0].terms
 
     def act_word(gens, terms):
         for g in reversed(gens):
@@ -355,8 +352,8 @@ def build_induced(ctx, k, barred):
     """Left-translation module on the degree-k normal monomials.
 
     The action is built by the module-algebra rule of
-    ``translation_rule``, on the coproduct base, with a memo
-    local to this call: a memo shared between calls would let one build
+    ``translation_rule``, on the coproduct base, with an action cache
+    local to this call: a cache shared between calls would let one build
     read the actions of another.  Verifies block stability (the action
     lands exactly in the span, else ValueError) and the defining
     relations (else RelationError); returns the Representation and its

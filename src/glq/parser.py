@@ -25,6 +25,7 @@ built.  Errors carry the 0-based offset where they were detected.
 """
 
 import sys
+from functools import cache
 
 from .coeff import _POLY_ONE, ONE, RatFunc, add_term
 from .superspace import (
@@ -58,7 +59,6 @@ _PUNCTUATION = {"+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
 _DIGITS = "0123456789"  # not str.isdigit, which holds for "²" and "٣"
 
 
-_UNPRINTABLE = {}
 _TOO_LONG = "an integer has more than %d digits"
 
 # The most letters a word of a parsed value may hold.  A product
@@ -69,11 +69,11 @@ MAX_WORD_LENGTH = 10 ** 6
 _TOO_MANY_LETTERS = "a word has more than %d letters" % MAX_WORD_LENGTH
 
 
+@cache
 def _unprintable(limit):
     """10**L, the least integer that str() refuses to print at digit
     limit L, computed once per limit."""
-    return _UNPRINTABLE.get(limit) or _UNPRINTABLE.setdefault(limit,
-                                                              10 ** limit)
+    return 10 ** limit
 
 
 def _checked(value, at, words=None):

@@ -18,8 +18,8 @@ Provided constructions:
   * graded tensor products via the coproduct and Koszul matrix tensor;
   * the trivial representation; the submodule generated by a
     highest-weight vector (``submodule_rep``), with its basis;
-  * `profile_rep`, the one cache of the tensor products of vector and
-    dual legs, each built once per size and leg profile.
+  * `profile_rep`, the tensor products of vector and dual legs, each
+    built once per size and leg profile (``functools.cache``).
 
 Decomposition finds all joint highest-weight vectors (kernels of the
 raising operators, one weight block at a time) and closes each under the
@@ -43,6 +43,8 @@ some positive-definite Gram matrix G satisfies M(g)^T G = G M(*g) for
 every generator g.  The natural Gram matrices of the vector
 representation, its dual, and their tensor products are provided.
 """
+
+from functools import cache
 
 from .coeff import ONE, add_term, q_int
 from .graded import (
@@ -203,29 +205,22 @@ def tensor_rep(r1, r2):
                           name="%s(x)%s" % (r1.name, r2.name))
 
 
-_profile_reps = {}
-
-
+@cache
 def profile_rep(ctx, profile):
     """The module with one vector leg per False and one dual leg per True
-    in `profile`, built once per (ctx, profile): no legs is the trivial
-    module, and a longer profile is the tensor product of the module of
-    all but its last leg with the module of its last leg."""
-    profile = tuple(profile)
-    key = (ctx, profile)
-    rep = _profile_reps.get(key)
-    if rep is None:
-        if not profile:
-            rep = trivial_rep(ctx)
-        elif profile == (False,):
-            rep = vector_rep(ctx)
-        elif profile == (True,):
-            rep = dual_rep(profile_rep(ctx, (False,)))
-        else:
-            rep = tensor_rep(profile_rep(ctx, profile[:-1]),
-                             profile_rep(ctx, profile[-1:]))
-        _profile_reps[key] = rep
-    return rep
+    in the tuple `profile`, built once per (ctx, profile): no legs is the
+    trivial module, and a longer profile is the tensor product of the
+    module of all but its last leg with the module of its last leg.
+    Call it with positional arguments: the cache keys a keyword call
+    apart, and would build a second module."""
+    if not profile:
+        return trivial_rep(ctx)
+    if profile == (False,):
+        return vector_rep(ctx)
+    if profile == (True,):
+        return dual_rep(profile_rep(ctx, (False,)))
+    return tensor_rep(profile_rep(ctx, profile[:-1]),
+                      profile_rep(ctx, profile[-1:]))
 
 
 def check_relations(rep, relations=None):
@@ -441,7 +436,11 @@ def in_first_family(ctx, weight):
     return False, None
 
 
-_dual_power_cache = {}
+@cache
+def _power_summands(ctx, k):
+    """The summands of the k-th tensor power of the vector module,
+    decomposed once per (ctx, k)."""
+    return decompose(profile_rep(ctx, (False,) * k))
 
 
 def dual_label_of(ctx, weight):
@@ -449,10 +448,7 @@ def dual_label_of(ctx, weight):
     the given weight (found inside the k-th tensor power, whose summands
     are decomposed once per size and k)."""
     k = sum(weight)
-    key = (ctx, k)
-    if key not in _dual_power_cache:
-        _dual_power_cache[key] = decompose(profile_rep(ctx, (False,) * k))
-    for s in _dual_power_cache[key]:
+    for s in _power_summands(ctx, k):
         if s.highest_weight == tuple(weight):
             return s.dual_label
     raise ValueError("label %s not found in the %d-th tensor power"
@@ -511,18 +507,13 @@ def is_adjoint_pair(rep, gram, theta):
 
 
 def gram_is_positive(gram, q0):
-    """Positive-definiteness for diagonal Gram matrices at rational q0."""
-    dense = gram.specialize(q0)
-    d = gram.domain.dim
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                if dense[i][i] <= 0:
-                    return False
-            elif dense[i][j] != 0:
-                raise ValueError("positivity test implemented for "
-                                 "diagonal Gram matrices only")
-    return True
+    """Positive-definiteness for diagonal Gram matrices at rational q0;
+    ValueError on any off-diagonal entry."""
+    if any(r != c for r, c in gram.entries):
+        raise ValueError("positivity test implemented for "
+                         "diagonal Gram matrices only")
+    return all(gram.get(i, i).specialize(q0) > 0
+               for i in range(gram.domain.dim))
 
 
 def unitarity_check(rep, gram, q0):

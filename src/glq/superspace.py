@@ -2,10 +2,10 @@
 generated by the last-column entries z_a = t_{a,N} and their barred
 partners, presented by an explicit rewriting system.
 
-A letter is (barred, index).  The rules are one table per (m, n),
-keyed by adjacent letter pair: a pair that rewrites maps to its
-replacement {word: coeff}, and a word is normal exactly when none of its
-adjacent pairs is a key.  The table
+A letter is (barred, index).  The rules are one table per (m, n)
+(``functools.cache``), keyed by adjacent letter pair: a pair that
+rewrites maps to its replacement {word: coeff}, and a word is normal
+exactly when none of its adjacent pairs is a key.  The table
 
   * sorts same-type neighbours (plain ascending, barred descending;
     the square of an odd letter maps to zero),
@@ -28,13 +28,13 @@ superalgebra.
 
 Words are tuples of letters everywhere except inside `normal_form`.
 There each word is spelled as a string with one character per letter,
-the table is restated on those strings once per (m, n), and one
-compiled alternation of its pair keys finds the leftmost redex; the
-words are read back into tuples on the way out.  Most rules have one
-replacement with a unit coefficient +-q^e, and the word it makes is
-rewritten next, so `normal_form` follows such a chain with the shift e
-and the sign summed as ints and builds the Q(q) coefficient once, where
-the chain ends.
+the table is restated on those strings once per (m, n), cached the
+same way, and one compiled alternation of its pair keys finds the
+leftmost redex; the words are read back into tuples on the way out.
+Most rules have one replacement with a unit coefficient +-q^e, and the
+word it makes is rewritten next, so `normal_form` follows such a chain
+with the shift e and the sign summed as ints and builds the Q(q)
+coefficient once, where the chain ends.
 
 The rewriting system needs only Q(q) and the grading.  The map to
 coordinate functions, the co-action and the invariant subalgebra live
@@ -44,6 +44,7 @@ in `induction`, so `glq normalform` loads no algebra layer.
 import random
 import re
 from collections import namedtuple
+from functools import cache
 
 from .coeff import Combination, ONE, add_term, q_int
 
@@ -99,16 +100,11 @@ def measure(ctx, word):
     return (cross, cross_weight, top, inversions)
 
 
-_rule_tables = {}
-
-
+@cache
 def _rules(ctx):
     """The rewriting system as one table, built once per ctx: each
     adjacent pair (x, y) that is a redex maps to {replacement: coeff},
     and x y rewrites to the sum of coeff * replacement."""
-    table = _rule_tables.get(ctx)
-    if table is not None:
-        return table
     N = ctx.N
 
     def odd(letter):
@@ -148,7 +144,6 @@ def _rules(ctx):
         ordered[z_(c), zb_(c)] = e if ctx.parity(c) != ctx.parity(N) else -e
     table[zb_(N), z_(N)] = crossed
     table[z_(N), zb_(N)] = ordered
-    _rule_tables[ctx] = table
     return table
 
 
@@ -177,6 +172,7 @@ class _Spelling(dict):
         return char
 
 
+# A dict, not a functools.cache: _spell reads its hits in C.
 _CHARS = _Spelling()
 
 
@@ -192,27 +188,22 @@ def _read(spelled):
                   for o in map(ord, spelled)])
 
 
-_spelled_tables = {}
-
-
+@cache
 def _spelled_rules(ctx):
     """The table of _rules(ctx) on spelled words, each pair key mapping
     to its [(replacement, coeff)]; the alternation of the keys, whose
     first match in a word starts at its leftmost redex; and the unit
     rules, each pair whose one replacement has a coefficient +-q^e
     mapping to (replacement, e, negated)."""
-    spelled = _spelled_tables.get(ctx)
-    if spelled is None:
-        table = {_spell(pair): [(_spell(w), c) for w, c in out.items()]
-                 for pair, out in _rules(ctx).items()}
-        pattern = re.compile("|".join(map(re.escape, table)))
-        units = {}
-        for pair, out in table.items():
-            unit = len(out) == 1 and out[0][1].signed_q_power()
-            if unit:
-                units[pair] = out[0][0], unit[0], unit[1] < 0
-        spelled = _spelled_tables[ctx] = table, pattern, units
-    return spelled
+    table = {_spell(pair): [(_spell(w), c) for w, c in out.items()]
+             for pair, out in _rules(ctx).items()}
+    pattern = re.compile("|".join(map(re.escape, table)))
+    units = {}
+    for pair, out in table.items():
+        unit = len(out) == 1 and out[0][1].signed_q_power()
+        if unit:
+            units[pair] = out[0][0], unit[0], unit[1] < 0
+    return table, pattern, units
 
 
 def normal_form(ctx, element, strategy="leftmost", seed=0,

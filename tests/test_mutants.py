@@ -14,9 +14,9 @@ must-fail check of every row to carry a ``witness`` under its mutant, or
 to be in ``BARE`` with the reason it does not.
 
 The module caches (`reps.profile_rep`, the dual-power decompositions and
-the `coords` word layouts) are swapped for empty dicts before each report,
-so a mutant's report builds its own modules and none of them outlives the
-test.
+the `coords` word layouts) are cleared before each report and after each
+test, so a mutant's report builds its own modules and none of them
+outlives the test.
 """
 
 import json
@@ -38,6 +38,20 @@ RMATRIX = ["rmatrix", "--m", "2", "--n", "1", "--kind", "pp",
 INDUCE = ["induce", "--m", "2", "--n", "1", "--k", "2", "--side"]
 COORDS = ["coords", "--m", "2", "--n", "1", "--check"]
 E12 = uq.gen_E(1, 2)
+
+# Held from import time: a planted defect rebinds coords.word_layout.
+CACHES = (reps.profile_rep, reps._power_summands, coords.word_layout)
+
+
+def _clear_caches():
+    for cached in CACHES:
+        cached.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _fresh_caches():
+    yield
+    _clear_caches()
 
 
 def _flip_antipode_sign_of_e12(monkeypatch):
@@ -209,9 +223,7 @@ MUTANTS = {
 
 
 def _report(capsys, monkeypatch, argv):
-    monkeypatch.setattr(reps, "_profile_reps", {})
-    monkeypatch.setattr(reps, "_dual_power_cache", {})
-    monkeypatch.setattr(coords, "_layouts", {})
+    _clear_caches()
     code = main(argv)
     return code, json.loads(capsys.readouterr().out)
 

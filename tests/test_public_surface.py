@@ -1,13 +1,15 @@
 """The public surface: every exported name and every library entry point
 that the README names imports and does what its name says, every
-function of `src/glq` that no subcommand reaches is listed with the
-reason it stays, and every function that the benchmark tracer's
-per-layer metrics are named after exists."""
+function of `src/glq` that no subcommand reaches, and every module-level
+table that `src/glq` fills at run time, is listed with the reason it
+stays, and every function that the benchmark tracer's per-layer metrics
+are named after exists."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pathlib
 
@@ -45,6 +47,13 @@ def _modules():
     return sorted(PACKAGE.rglob("*.py"))
 
 
+def _module_name(path):
+    """The dotted name of a source file below glq: "coords",
+    "reports.verify", and "" for glq's own __init__."""
+    parts = path.relative_to(PACKAGE).with_suffix("").parts
+    return ".".join(part for part in parts if part != "__init__")
+
+
 def test_every_import_is_used():
     """Each name that a module of src/glq imports is used in that module,
     or, in the package's __init__, exported through glq.__all__."""
@@ -65,6 +74,42 @@ def test_every_import_is_used():
     assert unused == []
 
 
+# Module-level tables filled at run time, each with the reason it is not
+# a functools.cache.
+MODULE_TABLES = {
+    "coeff._Q_POWERS": ("tests/test_cli.py::"
+                        "test_reports_mutate_no_shared_value lists every "
+                        "shared q^e from it"),
+}
+
+
+def _is_empty_container(node):
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("set", "dict", "list")
+            and not node.args and not node.keywords)
+
+
+def test_every_module_table_is_listed_with_a_reason():
+    """A value computed once per key is memoised with functools.cache, not
+    in a module-level {}, [], set(), dict() or list() filled by hand."""
+    tables = set()
+    for path in _modules():
+        for stmt in ast.parse(path.read_text()).body:
+            if (isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                    and stmt.value is not None
+                    and _is_empty_container(stmt.value)):
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target])
+                tables |= {"%s.%s" % (_module_name(path), n.id)
+                           for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name)}
+    assert sorted(tables) == sorted(MODULE_TABLES)
+
+
 # ---------------------------------------------------------------------------
 # Reachability: functions that no `glq` subcommand reaches.
 # ---------------------------------------------------------------------------
@@ -83,85 +128,143 @@ REWRITING = ("paper check waiting for a report (ROADMAP item 5): the "
 GRADING = ("paper check waiting for a report (ROADMAP item 5): the "
            "circle grading of superspace")
 
+TEST_USE = ("used by the tests: tests/test_coords.py checks the "
+            "coordinate counit on pairings with it")
+
 UNREACHED = {
-    "joint_kernel": ORACLE,
-    "pair_coproduct": ORACLE,
-    "parse_uq": README,
-    "parse_coords": README,
-    "parse_scalar": README,
-    "is_normal": BENCH,
-    "hook_partitions": LABELS,
-    "in_first_family": LABELS,
-    "in_second_family": LABELS,
-    "dual_label_of": LABELS,
-    "dual_label": LABELS,
-    "equivariance_defects": EQUIVARIANCE,
-    "right_translation": EQUIVARIANCE,
-    "functional_witness": EQUIVARIANCE,
-    "coaction": COACTION,
-    "coaction_pair": COACTION,
-    "cp_basis": COACTION,
-    "verify_identities": REWRITING,
-    "sphere_relation_element": REWRITING,
-    "redexes": REWRITING,
-    "apply_rule": REWRITING,
-    "gl1_weight": GRADING,
-    "classical_limit_is_identity": ("paper check waiting for a report "
-                                    "(ROADMAP item 5): the R-matrix is "
-                                    "the identity at q = 1"),
+    "graded.joint_kernel": ORACLE,
+    "coords.pair_coproduct": ORACLE,
+    "coords.counit": TEST_USE,
+    "parser.parse_uq": README,
+    "parser.parse_coords": README,
+    "parser.parse_scalar": README,
+    "superspace.is_normal": BENCH,
+    "reps.hook_partitions": LABELS,
+    "reps.in_first_family": LABELS,
+    "reps.in_second_family": LABELS,
+    "reps.dual_label_of": LABELS,
+    "reps._power_summands": LABELS,
+    "reps.Summand.dual_label": LABELS,
+    "induction.equivariance_defects": EQUIVARIANCE,
+    "induction.right_translation": EQUIVARIANCE,
+    "coords.functional_witness": EQUIVARIANCE,
+    "induction.coaction": COACTION,
+    "induction.coaction_pair": COACTION,
+    "induction.cp_basis": COACTION,
+    "superspace.verify_identities": REWRITING,
+    "superspace.sphere_relation_element": REWRITING,
+    "superspace.redexes": REWRITING,
+    "superspace.apply_rule": REWRITING,
+    "superspace.gl1_weight": GRADING,
+    "rmatrix.classical_limit_is_identity": ("paper check waiting for a "
+                                            "report (ROADMAP item 5): the "
+                                            "R-matrix is the identity at "
+                                            "q = 1"),
 }
 
 
-def _names(node):
-    """Every name and attribute name that a piece of code mentions."""
-    out = set()
+def _mentions(node):
+    """The bare names and the attribute names that a piece of code
+    mentions."""
+    bare, attrs = set(), set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            out.add(n.id)
+            bare.add(n.id)
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
-    return out
+            attrs.add(n.attr)
+    return bare, attrs
+
+
+def _imported(path, node):
+    """(bound name, source module, name there) for each name that an
+    import of glq code binds in the module at ``path``."""
+    package = ".".join(("glq",) + path.parent.relative_to(PACKAGE).parts)
+    source = importlib.util.resolve_name(
+        "." * node.level + (node.module or ""), package)
+    if source != "glq" and not source.startswith("glq."):
+        return []
+    return [(alias.asname or alias.name, source[4:], alias.name)
+            for alias in node.names]
 
 
 def _unreached_functions():
-    """Names of the functions in src/glq that no subcommand reaches.
+    """The functions in src/glq that no subcommand reaches, each named
+    module.function or module.Class.method.
 
-    The walk goes by name, over glq and its subpackages: it starts from
-    the functions of glq.cli, the module-level code of every module and
-    the dunder functions and methods (which run on import, through an
-    operator, or, for a module's __getattr__, on an attribute lookup),
-    and a reached body reaches every function, in any module, named like
-    a name or attribute it mentions.  So glq.cli's call of report(args)
-    reaches the report function of every module of glq.reports."""
-    bodies = {}
+    The walk starts from the functions of glq.cli, the module-level code
+    of every module and the dunder functions and methods (which run on
+    import, through an operator, or, for a module's __getattr__, on an
+    attribute lookup).  A reached piece of code reaches, by a bare name,
+    the function that its module defines or imports under that name
+    (in a class body, first the method of that class), and by an
+    attribute, every function and method of that name in any module.  So
+    glq.cli's call of report(args) reaches the report function of every
+    module of glq.reports.  A nested function is part of its parent and
+    is reached with it."""
+    bodies = {}     # key -> (module, FunctionDef)
+    by_attr = {}    # function or method name -> keys
+    defined = {}    # module -> {name: key} of its top-level functions
+    imports = {}    # module -> {bound name: (source module, name there)}
     roots = set()
+    code = []       # (module, class key prefix or "", module-level code)
+
+    def define(key, module, node):
+        bodies[key] = module, node
+        by_attr.setdefault(node.name, []).append(key)
+        if node.name.startswith("__") and node.name.endswith("__"):
+            roots.add(key)
+
     for path in _modules():
+        module = _module_name(path)
         tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef):
-                bodies.setdefault(node.name, []).append(node)
+        imports[module] = {
+            name: (source, there) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for name, source, there in _imported(path, node)}
+        defined[module] = {}
         for stmt in tree.body:
             if isinstance(stmt, ast.FunctionDef):
-                if path == PACKAGE / "cli.py" or (
-                        stmt.name.startswith("__")
-                        and stmt.name.endswith("__")):
-                    roots.add(stmt.name)
-                continue
-            parts = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
-            for part in parts:
-                if not isinstance(part, ast.FunctionDef):
-                    roots |= _names(part)
-                elif part.name.startswith("__") and part.name.endswith("__"):
-                    roots.add(part.name)
+                key = defined[module][stmt.name] = module + "." + stmt.name
+                define(key, module, stmt)
+                if module == "cli":
+                    roots.add(key)
+            elif isinstance(stmt, ast.ClassDef):
+                prefix = "%s.%s." % (module, stmt.name)
+                for part in stmt.body:
+                    if isinstance(part, ast.FunctionDef):
+                        define(prefix + part.name, module, part)
+                    else:
+                        code.append((module, prefix, part))
+            else:
+                code.append((module, "", stmt))
+
+    def resolve(module, name):
+        """The key of the function bound to ``name`` in ``module``."""
+        if name in defined.get(module, {}):
+            return defined[module][name]
+        source = imports.get(module, {}).get(name)
+        return resolve(*source) if source else None
+
+    def reached_from(module, prefix, node):
+        bare, attrs = _mentions(node)
+        out = [key for name in attrs for key in by_attr.get(name, ())]
+        for name in bare:
+            if prefix and prefix + name in bodies:
+                out.append(prefix + name)
+            else:
+                out.append(resolve(module, name))
+        return [key for key in out if key is not None]
+
+    queue = list(roots)
+    for module, prefix, node in code:
+        queue.extend(reached_from(module, prefix, node))
     reached = set()
-    queue = [name for name in roots if name in bodies]
     while queue:
-        name = queue.pop()
-        if name in reached:
-            continue
-        reached.add(name)
-        for node in bodies[name]:
-            queue.extend(n for n in _names(node) if n in bodies)
+        key = queue.pop()
+        if key not in reached:
+            reached.add(key)
+            module, node = bodies[key]
+            queue.extend(reached_from(module, "", node))
     return set(bodies) - reached
 
 

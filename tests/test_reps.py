@@ -10,7 +10,9 @@ from math import factorial
 
 import pytest
 
+from glq import superspace
 from glq.coeff import ONE, QINV, ZERO, q_int
+from glq.coords import t_, tbar_, word_layout
 from glq.graded import (Echelon, GradedMap, GradedSpace, GradingContext,
                         rank, solve)
 from glq.reps import (
@@ -22,6 +24,7 @@ from glq.reps import (
     dual_label_of,
     dual_rep,
     eval_tensor_pair,
+    gram_is_positive,
     highest_weight_vectors,
     hook_partitions,
     in_first_family,
@@ -29,6 +32,7 @@ from glq.reps import (
     is_adjoint_pair,
     partition_weight,
     profile_rep,
+    _power_summands,
     submodule_rep,
     tensor_rep,
     trivial_rep,
@@ -146,7 +150,23 @@ def test_profile_rep_is_built_once_per_context_and_profile():
         rep = profile_rep(ctx, profile)
         assert profile_rep(GradingContext(2, 1), profile) is rep
         assert profile_rep(GradingContext(1, 2), profile) is not rep
-    assert profile_rep(ctx, [True, False]) is profile_rep(ctx, (True, False))
+
+
+# Each cached table, as a function of the context alone.
+CACHED = {
+    "word_layout": lambda ctx: word_layout(ctx, (t_(1, 2), tbar_(3, 1))),
+    "_rules": superspace._rules,
+    "_spelled_rules": superspace._spelled_rules,
+    "_power_summands": lambda ctx: _power_summands(ctx, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHED))
+def test_cached_table_is_built_once_per_key(name):
+    build = CACHED[name]
+    table = build(GradingContext(2, 1))
+    assert build(GradingContext(2, 1)) is table
+    assert build(GradingContext(1, 2)) is not table
 
 
 @pytest.mark.parametrize("size", [(1, 1), (2, 1), (1, 2)])
@@ -689,6 +709,26 @@ def test_tensor_square_unitarity(ctx, q0):
     g = vector_gram(ctx).tensor(vector_gram(ctx))
     types = unitarity_check(sq, g, q0)["unitary_types"]
     assert types == [1]
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 0): ONE, (0, 1): q_int(1), (1, 1): ONE},
+    {(0, 0): -ONE, (1, 0): ONE, (1, 1): ONE},
+], ids=["positive-diagonal", "negative-diagonal-first"])
+def test_gram_positivity_rejects_a_non_diagonal_gram(entries):
+    space = GradedSpace((0, 1))
+    with pytest.raises(ValueError, match="diagonal Gram matrices only"):
+        gram_is_positive(GradedMap(space, space, entries), Fraction(3, 2))
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 0): ONE},
+    {(0, 0): ONE, (1, 1): q_int(1) - q_int(-1)},
+], ids=["zero", "vanishing-at-q0"])
+def test_gram_with_a_zero_diagonal_entry_is_not_positive(entries):
+    space = GradedSpace((0, 1))
+    gram = GradedMap(space, space, entries)
+    assert gram_is_positive(gram, -1) is False
 
 
 def test_adjoint_pair_is_exact_over_the_field():

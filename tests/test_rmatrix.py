@@ -301,7 +301,9 @@ def test_compose_indexes_each_left_factor_once(capsys, monkeypatch):
         return compose(self, other)
 
     monkeypatch.setattr(GradedMap, "_columns", counting_columns)
+    # `@` is bound to compose itself, so it is patched too.
     monkeypatch.setattr(GradedMap, "compose", counting_compose)
+    monkeypatch.setattr(GradedMap, "__matmul__", counting_compose)
     assert main(["rmatrix", "--m", "2", "--n", "2", "--kind", "pp"]) == 0
     capsys.readouterr()
     # Both lists hold their maps, so no id is reused while they live.

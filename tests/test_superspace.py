@@ -368,10 +368,14 @@ def test_instrument_catches_a_rule_that_raises_the_measure(monkeypatch):
     table = dict(superspace._rules(ctx))
     table[z_(2), z_(1)] = {(zb_(1), z_(1)): ONE}
     monkeypatch.setattr(superspace, "_rules", lambda c: table)
-    monkeypatch.setattr(superspace, "_spelled_tables", {})
+    superspace._spelled_rules.cache_clear()
     element = SuperspaceElement.from_word(ctx, (z_(2), z_(1)))
-    with pytest.raises(AssertionError, match="measure failed to decrease"):
-        normal_form(ctx, element, instrument=True)
+    try:
+        with pytest.raises(AssertionError,
+                           match="measure failed to decrease"):
+            normal_form(ctx, element, instrument=True)
+    finally:
+        superspace._spelled_rules.cache_clear()
 
 
 def test_normal_form_is_idempotent(ctx):
