@@ -79,16 +79,24 @@ def _unprintable(limit):
 def _checked(value, at, words=None):
     """The parsed value, unless str() would refuse to print an exponent,
     numerator or denominator of the Q(q) value or of the coefficients of
-    the element (at ``words`` only, when given)."""
+    the element (at ``words`` only, when given).  The shared polynomial
+    denominator 1 is printable, and an int is its own numerator."""
     limit = sys.get_int_max_str_digits()
     if limit:
         bound = _unprintable(limit)
         terms = {(): value} if isinstance(value, RatFunc) else value.terms
-        for x in [terms[w] for w in words or terms if w in terms]:
-            for part in (x.coeffs, x.den):
+        for w in words or terms:
+            x = terms.get(w)
+            if x is None:
+                continue
+            for part in ((x.coeffs,) if x.den is _POLY_ONE
+                         else (x.coeffs, x.den)):
                 for e, c in part.items():
-                    if not (-bound < e < bound and c.denominator < bound
-                            and -bound < c.numerator < bound):
+                    if type(c) is not int:
+                        if c.denominator >= bound:
+                            raise ParseError(_TOO_LONG % limit, at)
+                        c = c.numerator
+                    if not (-bound < e < bound and -bound < c < bound):
                         raise ParseError(_TOO_LONG % limit, at)
     return value
 
@@ -342,20 +350,27 @@ class _Parser:
 
     # -- letters ------------------------------------------------------------
 
-    def _index(self):
-        sign = 1
-        if self.peek()[0] == "MINUS":
-            self.advance()
-            sign = -1
-        tok = self.expect("INT", "an index")
-        return sign * tok[1], tok[2]
-
     def _index_list(self):
-        out = [self._index()]
-        while self.peek()[0] == "COMMA":
-            self.advance()
-            out.append(self._index())
-        return out
+        """The (value, offset) of each index of a comma-separated list,
+        an index being an integer with an optional leading minus, read
+        in one pass over the tokens."""
+        tokens = self.tokens
+        pos = self.pos
+        out = []
+        while True:  # the END token stops every read before the end
+            kind, value, at = tokens[pos]
+            sign = 1
+            if kind == "MINUS":
+                pos += 1
+                kind, value, at = tokens[pos]
+                sign = -1
+            if kind != "INT":
+                raise ParseError("expected an index", at)
+            out.append((sign * value, at))
+            if tokens[pos + 1][0] != "COMMA":
+                self.pos = pos + 1
+                return out
+            pos += 2
 
     def _index_group(self, size):
         """One index group of Z[...] or Zb[...]; it may be empty exactly
@@ -410,12 +425,18 @@ class _Parser:
                 raise ParseError("exponent must be non-negative", p)
         index = (tuple(v for v, _ in first), tuple(v for v, _ in second))
         _reject_long_word(sum(index[0]) + sum(index[1]), at)
-        zero = ((0,) * ctx.m, (0,) * ctx.n)
-        if name == "Z":
-            word = word_of_multi_index(ctx, index, zero)
-        else:
-            word = word_of_multi_index(ctx, zero, index)
-        return SuperspaceElement.from_word(ctx, word)
+        return SuperspaceElement.from_word(
+            ctx, _monomial_word(ctx, name, index))
+
+
+@cache
+def _monomial_word(ctx, name, index):
+    """The word of Z[index] or Zb[index], built once per (ctx, name,
+    index): a printed normal form repeats its monomials many times."""
+    zero = ((0,) * ctx.m, (0,) * ctx.n)
+    if name == "Z":
+        return word_of_multi_index(ctx, index, zero)
+    return word_of_multi_index(ctx, zero, index)
 
 
 def parse_scalar(text):

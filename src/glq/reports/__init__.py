@@ -17,9 +17,14 @@ def _witnessed(name, found, fields, **extra):
     """The check that holds when found, its first witness, is None.  A
     failed one carries found's values under the given fields as witness."""
     if found is not None:
-        extra["witness"] = {f: _WITNESS_FORMATS.get(f, str)(v)
-                            for f, v in zip(fields, found)}
+        extra["witness"] = _witness(fields, found)
     return _check(name, found is None, **extra)
+
+
+def _witness(fields, found):
+    """found's values under the given fields, each written as
+    _WITNESS_FORMATS says."""
+    return {f: _WITNESS_FORMATS.get(f, str)(v) for f, v in zip(fields, found)}
 
 
 def _suite(name, checks, **extra):
@@ -41,7 +46,8 @@ def _format_word(word):
 
 # How _witnessed writes a witness field; any other field is a string.
 _WITNESS_FORMATS = {"probe": _format_word, "entry": list,
-                    "generator": lambda g: _format_word((g,))}
+                    "generator": lambda g: _format_word((g,)),
+                    "gram-entry": list, "not-adjoint": list}
 
 
 def _probe_check(name, ctx, probe_degree, sides):

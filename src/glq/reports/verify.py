@@ -7,7 +7,7 @@ from ..graded import GradedMap, GradingContext
 from ..uq import (UqExpression, all_generators, antipode, antipode_word,
                   coproduct, counit, counit_word, k2rho, star)
 from . import (_check, _default_probe_degree, _probe_check, _suite,
-               _witnessed)
+               _witness, _witnessed)
 
 
 def _suite_relations(ctx):
@@ -80,12 +80,28 @@ def _suite_star(ctx, probe_degree, q0):
                        V.evaluate_expr(x))))
     for label, rep, gram in (("vector", V, reps_mod.vector_gram(ctx)),
                              ("dual", D, reps_mod.dual_gram(ctx))):
-        result = reps_mod.unitarity_check(rep, gram, q0)
-        checks.append(_check("unitary-%s" % label,
-                             bool(result["unitary_types"]),
-                             types=result["unitary_types"],
-                             positive=result["positive"]))
+        checks.append(_unitary_check(
+            "unitary-" + label, reps_mod.unitarity_check(rep, gram, q0)))
     return _suite("star", checks, q0=str(q0))
+
+
+def _unitary_check(name, result):
+    """Holds when some star type is adjoint and the Gram matrix is
+    positive at q0.  A failing one names the first Gram diagonal entry
+    that is not positive there or, with a positive Gram matrix, each
+    star type with its first generator where adjointness fails."""
+    found, fields = None, ()
+    if not result["unitary_types"]:
+        if result["nonpositive_entry"] is not None:
+            found = result["nonpositive_entry"]
+            fields = ("gram-entry", "value")
+        else:
+            found = ([dict(_witness(("generator", "entry", "residual"), f),
+                           type=t)
+                      for t, f in sorted(result["not_adjoint"].items())],)
+            fields = ("not-adjoint",)
+    return _witnessed(name, found, fields, types=result["unitary_types"],
+                      positive=result["positive"])
 
 
 def _suite_k2rho(ctx, probe_degree):

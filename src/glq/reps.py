@@ -51,6 +51,7 @@ from .graded import (
     Echelon,
     GradedMap,
     GradedSpace,
+    first_difference,
     nullspace,
     vec_sub_scaled,
 )
@@ -494,36 +495,51 @@ def dual_gram(ctx):
 
 
 def is_adjoint_pair(rep, gram, theta):
-    """Does M(g)^T G = G M(*g) hold exactly in Q(q) for every generator?
+    """None when M(g)^T G = G M(*g) holds exactly in Q(q) for every
+    generator g; else the first g where it fails, with the first
+    difference of the two sides, as (generator, entry, residual).
     Equality over the field implies it at every rational point."""
     ctx = rep.ctx
     for g in all_generators(ctx):
         lhs = rep.image(g).transpose() @ gram
         rhs = gram @ rep.evaluate_expr(star(UqExpression.from_gen(ctx, g),
                                             theta))
-        if lhs != rhs:
-            return False
-    return True
+        found = first_difference(lhs, rhs)
+        if found is not None:
+            return (g,) + found
+    return None
 
 
-def gram_is_positive(gram, q0):
-    """Positive-definiteness for diagonal Gram matrices at rational q0;
-    ValueError on any off-diagonal entry."""
+def first_nonpositive_entry(gram, q0):
+    """None when the diagonal Gram matrix is positive-definite at the
+    rational point q0; else its first diagonal entry that is not positive
+    there, as (entry, value at q0).  ValueError on any off-diagonal
+    entry."""
     if any(r != c for r, c in gram.entries):
         raise ValueError("positivity test implemented for "
                          "diagonal Gram matrices only")
-    return all(gram.get(i, i).specialize(q0) > 0
-               for i in range(gram.domain.dim))
+    for i in range(gram.domain.dim):
+        value = gram.get(i, i).specialize(q0)
+        if not value > 0:
+            return (i, i), value
+    return None
 
 
 def unitarity_check(rep, gram, q0):
     """Unitarity report: Gram positivity at the rational point q0, the
-    star types with the adjointness identity in Q(q), and both combined."""
-    positive = gram_is_positive(gram, q0)
-    adjoint = [t for t in (1, 2) if is_adjoint_pair(rep, gram, t)]
+    star types with the adjointness identity in Q(q), and both combined;
+    with the witnesses of what fails: the first diagonal entry that is
+    not positive at q0, and each star type's (generator, entry,
+    residual) where adjointness fails."""
+    nonpositive = first_nonpositive_entry(gram, q0)
+    not_adjoint = {t: is_adjoint_pair(rep, gram, t) for t in (1, 2)}
+    adjoint = [t for t, found in not_adjoint.items() if found is None]
     return {
         "q0": q0,
-        "positive": positive,
+        "positive": nonpositive is None,
         "adjoint_types": adjoint,
-        "unitary_types": adjoint if positive else [],
+        "unitary_types": adjoint if nonpositive is None else [],
+        "nonpositive_entry": nonpositive,
+        "not_adjoint": {t: found for t, found in not_adjoint.items()
+                        if found is not None},
     }

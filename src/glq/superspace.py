@@ -183,9 +183,15 @@ def _spell(word):
     return "".join(map(_CHARS.__getitem__, word))
 
 
+@cache
+def _letter(char):
+    """The letter spelled as char, built once per character."""
+    o = ord(char)
+    return SpaceLetter(bool(o & 1), o >> 1)
+
+
 def _read(spelled):
-    return tuple([SpaceLetter(bool(o & 1), o >> 1)
-                  for o in map(ord, spelled)])
+    return tuple(map(_letter, spelled))
 
 
 @cache
@@ -253,17 +259,20 @@ def normal_form(ctx, element, strategy="leftmost", seed=0,
                 break
             steps += 1
             pair = word[i:i + 2]
-            head, tail = word[:i], word[i + 2:]
             if instrument:
                 before = measure(ctx, _read(word))
                 for mid, _ in table[pair]:
-                    new_word = head + mid + tail
+                    new_word = word[:i] + mid + word[i + 2:]
                     assert measure(ctx, _read(new_word)) < before, (
                         "measure failed to decrease", i, _read(word),
                         _read(new_word))
             unit = units.get(pair)
             if unit is not None:
-                new_word = head + unit[0] + tail
+                # The leftmost redex is the first occurrence of its pair,
+                # since an earlier one would be an earlier match of the
+                # pattern; so replacing that occurrence rewrites it.
+                new_word = (word.replace(pair, unit[0], 1) if leftmost
+                            else word[:i] + unit[0] + word[i + 2:])
                 if new_word not in work:
                     word = new_word
                     shift += unit[1]
@@ -271,6 +280,7 @@ def normal_form(ctx, element, strategy="leftmost", seed=0,
                     continue
             out = table[pair]
             if out:
+                head, tail = word[:i], word[i + 2:]
                 coeff = coeff.times_unit(shift, negate)
                 for mid, c in out:
                     add_term(work, head + mid + tail, coeff * c)

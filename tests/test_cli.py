@@ -10,11 +10,15 @@ import resource
 import subprocess
 import sys
 import time
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from glq.cli import main
-from glq.coeff import ONE, Q
+from glq.coeff import _POLY_ONE, ONE, Q, RatFunc, _canon, _make
 from glq.graded import GradingContext
 from glq import parser
 from glq.parser import (
@@ -38,6 +42,70 @@ def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out, json.loads(out)
+
+
+def _checked_oracle(value, at, words=None):
+    """parser._checked as it was before it skipped the polynomial
+    denominator and read an int without the Fraction interface: every
+    exponent, numerator and denominator of both dicts is compared."""
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        bound = 10 ** limit
+        terms = {(): value} if isinstance(value, RatFunc) else value.terms
+        for x in [terms[w] for w in words or terms if w in terms]:
+            for part in (x.coeffs, x.den):
+                for e, c in part.items():
+                    if not (-bound < e < bound and c.denominator < bound
+                            and -bound < c.numerator < bound):
+                        raise ParseError(parser._TOO_LONG % limit, at)
+    return value
+
+
+# The smallest digit limit, and integers just below, at and past its
+# bound 10^L, with small ones between.
+_LIMIT = 640
+_BOUND = 10 ** _LIMIT
+_NEAR = st.sampled_from([_BOUND - 1, _BOUND, _BOUND + 1]) | st.integers(1, 3)
+_SIGNED = st.builds(lambda k, s: s * k, _NEAR, st.sampled_from([1, -1]))
+_RATIONAL = _SIGNED | st.builds(lambda a, b: _canon(Fraction(a, b)), _SIGNED,
+                                _NEAR)
+_POLY = st.dictionaries(_SIGNED | st.integers(-2, 2), _RATIONAL,
+                        min_size=1, max_size=3)
+_VALUE = st.builds(_make, _POLY,
+                   st.just(_POLY_ONE) | _POLY.filter(lambda d: len(d) > 1))
+_WORDS = [(), (z_(1),), (zb_(2), z_(1)), (z_(2), z_(2))]
+_ELEMENT = st.builds(
+    lambda values: SuperspaceElement(GradingContext(1, 1),
+                                     dict(zip(_WORDS, values))),
+    st.lists(_VALUE, min_size=1, max_size=len(_WORDS)))
+
+
+@given(value=_VALUE | _ELEMENT,
+       words=st.none() | st.lists(st.sampled_from(_WORDS), unique=True))
+@example(value=_make({_BOUND - 1: -(_BOUND - 1)}, {0: 1, 1: _BOUND - 1}),
+         words=None)
+@example(value=_make({1: Fraction(1, _BOUND)}), words=None)
+@example(value=_make({1: 1}, {0: 1, -_BOUND: 2}), words=None)
+@example(value=_make({_BOUND: 1}), words=None)
+@example(value=SuperspaceElement(GradingContext(1, 1), {
+    (z_(1),): _make({0: _BOUND}), (): _make({0: 1})}), words=[(), (z_(2),)])
+def test_checked_agrees_with_the_full_check(value, words):
+    """Under the smallest digit limit, parser._checked accepts or rejects
+    exactly what the check of every part of every coefficient does:
+    ints, Fractions, polynomial and other denominators, and elements
+    checked at some of their words."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(_LIMIT)
+    outcomes = []
+    try:
+        for check in (parser._checked, _checked_oracle):
+            try:
+                outcomes.append(check(value, 7, words) is value)
+            except ParseError as exc:
+                outcomes.append((exc.message, exc.position))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert outcomes[0] == outcomes[1]
 
 
 class TestParser:
@@ -192,6 +260,11 @@ class TestParser:
         ((word, _),) = parsed.terms.items()
         assert [l.index for l in word] == [3, 2, 1]
 
+    # The rows read at another size than (1|1): malformed index groups of
+    # Z and Zb with two indices in a block.
+    ERROR_SIZES = {"Z[1,;0]": (2, 2), "Z[1,1;0,]": (2, 2),
+                   "Zb[-;0]": (2, 2), "Z[1 1;0]": (2, 2)}
+
     @pytest.mark.parametrize("text,position", [
         ("z[9]", 2),
         ("K[1]*z[1]", 5),
@@ -211,9 +284,13 @@ class TestParser:
         ("z\u00e9[1]", 0),
         ("z\u00b2[1]", 0),
         ("qq", 0),
+        ("Z[1,;0]", 4),
+        ("Z[1,1;0,]", 8),
+        ("Zb[-;0]", 4),
+        ("Z[1 1;0]", 4),
     ])
     def test_errors_carry_position(self, text, position):
-        ctx = GradingContext(1, 1)
+        ctx = GradingContext(*self.ERROR_SIZES.get(text, (1, 1)))
         with pytest.raises(ParseError) as info:
             if "K" in text or "E" in text:
                 parse_uq(ctx, text)
@@ -309,6 +386,34 @@ class TestNormalFormPrinter:
             ctx, parse_superspace(ctx, "zb[3]*z[3]*zb[2]*z[1]"))
         rendered = format_normal_form(ctx, nf)
         assert parse_superspace(ctx, rendered) == nf
+
+    def test_reparse_builds_each_monomial_word_once(self, monkeypatch):
+        """Re-parsing the printed normal forms of the 12 rewrite jobs in
+        bench/golden.json builds the word of each distinct Z/Zb monomial
+        once per size: 233 words, where one per occurrence made 3065."""
+        golden = json.loads((Path(_SRC).parent / "bench"
+                             / "golden.json").read_text())
+        printed = []
+        for key in sorted(golden):
+            if key.startswith("normalform "):
+                _, _, m, _, n, text = key.split(" ", 5)
+                ctx = GradingContext(int(m), int(n))
+                nf, _ = normal_form(ctx, parse_superspace(ctx, text))
+                printed.append((ctx, format_normal_form(ctx, nf)))
+        assert len(printed) == 12
+        built = Counter()
+        build = parser.word_of_multi_index
+
+        def counted(ctx, plain, barred):
+            built[ctx.m, ctx.n, plain, barred] += 1
+            return build(ctx, plain, barred)
+
+        parser._monomial_word.cache_clear()
+        monkeypatch.setattr(parser, "word_of_multi_index", counted)
+        for ctx, text in printed:
+            parse_superspace(ctx, text)
+        assert set(built.values()) == {1}
+        assert len(built) == 233
 
 
 SMOKE_COMMANDS = [
@@ -579,6 +684,19 @@ class TestReports:
             sys.set_int_max_str_digits(limit)
         assert checked == looped
         assert [code for code, _ in checked] == [0, 2, 2, 2]
+
+    def test_unitary_failure_names_the_first_nonpositive_gram_entry(
+            self, capsys):
+        """At q0 = -2 a Gram entry q^-1 is -1/2: both unitary checks fail,
+        each naming its first diagonal entry that is not positive."""
+        code, _, report = run_cli(capsys, ["verify", "--q0", "-2",
+                                           "--probe-degree", "1"])
+        assert code == 1
+        checks = {c["name"]: c for s in report["suites"] for c in s["checks"]}
+        assert checks["unitary-vector"]["witness"] == {
+            "gram-entry": [1, 1], "value": "-1/2"}
+        assert checks["unitary-dual"]["witness"] == {
+            "gram-entry": [0, 0], "value": "-1/2"}
 
     def test_injected_failure_flips_exit_code(self, capsys):
         argv = ["verify", "--m", "1", "--n", "1"]

@@ -37,6 +37,8 @@ from glq.uq import (
     word_parity,
 )
 
+from test_reps import _supertableaux
+
 SIZES = [(1, 1), (2, 1), (1, 2), (2, 2)]
 
 
@@ -439,6 +441,28 @@ class TestMatrixCoefficients:
                 coords.evaluate(ctx, f, x) for x in probes) if v}
             for f in funcs]
         assert rank(vecs) == 51
+
+    @pytest.mark.parametrize("size,count", [
+        ((1, 1), 13), ((2, 1), 51), ((1, 2), 51), ((2, 2), 145),
+        ((3, 2), 339)], ids=lambda x: "m%dn%d" % x if isinstance(x, tuple)
+        else str(x))
+    def test_peter_weyl_family_counts_its_matrix_coefficients(self, size,
+                                                               count):
+        """The family holds 1 + (m+n)^2 + sum over lambda |- 2 of
+        (dim L(lambda))^2 functionals: the unit, the letters, and a
+        square grid per summand of V (x) V, whose dimensions the
+        supertableau count of tests/test_reps.py gives."""
+        m, n = size
+        dims = [_supertableaux(m, n, diagram) for diagram in ((2,), (1, 1))]
+        assert 1 + (m + n) ** 2 + sum(d * d for d in dims) == count
+        assert len(self._coefficient_family(GradingContext(m, n))) == count
+
+    @pytest.mark.parametrize("size", [(2, 1), (3, 2), (3, 1)],
+                             ids=lambda s: "m%dn%d" % s)
+    def test_peter_weyl_count_agrees_under_the_super_swap(self, size):
+        m, n = size
+        assert (len(self._coefficient_family(GradingContext(m, n)))
+                == len(self._coefficient_family(GradingContext(n, m))))
 
     @staticmethod
     def _coefficient_family(ctx):

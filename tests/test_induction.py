@@ -247,6 +247,18 @@ class TestBorelWeil:
                         assert wt == tuple(acc)
 
     @pytest.mark.parametrize("size", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_parity_is_the_sum_of_the_letter_parities(self, size):
+        """Each basis word's parity is the sum over its letters of the
+        parity of z_a (or zbar_a): odd exactly for a <= m."""
+        ctx = ctx_of(size)
+        for k in range(4):
+            for barred in (False, True):
+                rep, words = build_induced(ctx, k, barred)
+                assert rep.space.parities == tuple(
+                    sum(1 for l in w if l.index <= ctx.m) % 2
+                    for w in words), (k, barred)
+
+    @pytest.mark.parametrize("size", [(1, 1), (2, 1), (1, 2), (2, 2)])
     def test_relations_without_e_hold_by_construction(self, size,
                                                       monkeypatch):
         """build_induced evaluates only the relations with an E in them.

@@ -19,7 +19,10 @@ test, so a mutant's report builds its own modules and none of them
 outlives the test.
 """
 
+import ast
+import importlib.util
 import json
+import pathlib
 from functools import partial
 
 import pytest
@@ -397,11 +400,7 @@ UNEARNED = {
 # Must-fail checks that report a bare false, with the reason.
 COORDS_BARE = ("a coords check: its witness waits for the next step of "
                "ROADMAP item 12")
-UNITARY_BARE = ("reports the star types and the positivity that make it, "
-                "not where adjointness fails")
 BARE = {
-    "unitary-vector": UNITARY_BARE,
-    "unitary-dual": UNITARY_BARE,
     "antipode-dual-to-enveloping": COORDS_BARE,
     "star-coproduct-type-1": COORDS_BARE,
     "star-coproduct-type-2": COORDS_BARE,
@@ -427,6 +426,21 @@ def test_every_failing_mutant_check_names_a_witness(capsys, monkeypatch):
     assert sorted(set(BARE) - bare) == [], "listed, never failed"
 
 
+def test_unitary_witness_names_each_star_type(capsys, monkeypatch):
+    """With the theta = 2 star sign dropped, neither star type is adjoint
+    on the dual module at (2|1): the witness names both, each with its
+    first generator, entry and residual."""
+    plant, argv, _ = MUTANTS["star-theta2-sign-dropped"]
+    plant(monkeypatch)
+    _, report = _report(capsys, monkeypatch, argv)
+    check = _checks(report)["unitary-dual"]
+    assert (check["ok"], check["positive"]) == (False, True)
+    found = check["witness"]["not-adjoint"]
+    assert [f["type"] for f in found] == [1, 2]
+    assert all(set(f) == {"type", "generator", "entry", "residual"}
+               and f["residual"] != "0" for f in found)
+
+
 def test_every_report_check_is_earned_or_listed(capsys, monkeypatch):
     emitted = set()
     for argv in REPORTS:
@@ -437,3 +451,52 @@ def test_every_report_check_is_earned_or_listed(capsys, monkeypatch):
     assert sorted(emitted - earned - set(UNEARNED)) == [], "unearned, unlisted"
     assert sorted(set(UNEARNED) & earned) == [], "listed, now earned"
     assert sorted(set(UNEARNED) - emitted) == [], "listed, not emitted"
+
+
+# ---------------------------------------------------------------------------
+# The ledger of tools/mutation_sweep.py: the survivors of its sweep.
+# ---------------------------------------------------------------------------
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _sweep_tool():
+    spec = importlib.util.spec_from_file_location(
+        "mutation_sweep", ROOT / "tools" / "mutation_sweep.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_ledger_site_still_exists():
+    """The ledger names each survivor by module, function and expression;
+    each is still a site of the sweep, an equivalent one says why, and a
+    killed one names a test that exists."""
+    sweep = _sweep_tool()
+    ledger = json.loads(sweep.LEDGER.read_text())
+    names = {sweep.site_name(site) for site in sweep.sites()}
+    assert sorted(set(sweep.ledger_names(ledger)) - names) == []
+    for entry in ledger["survivors"]:
+        if entry["status"] == "equivalent":
+            assert entry["reason"]
+            continue
+        assert entry["status"] == "killed"
+        path, *names = entry["test"].split("::")
+        tree = ast.parse((ROOT / path).read_text())
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert set(names) <= defined, entry["test"]
+
+
+def test_sweep_plants_the_flip_at_its_site():
+    """A flip wraps exactly the operand of its site's % 2, and the
+    mutated module still parses."""
+    sweep = _sweep_tool()
+    site, = [s for s in sweep.sites()
+             if sweep.site_name(s).startswith("induction.build_induced:")]
+    source = (ROOT / site["path"]).read_text()
+    mutant = sweep.flipped(source, site["span"])
+    ast.parse(mutant)
+    assert mutant.replace(
+        "(sum(space_letter_parity(ctx, l) for l in w) + 1) % 2",
+        "sum(space_letter_parity(ctx, l) for l in w) % 2") == source

@@ -10,7 +10,7 @@ from math import factorial
 
 import pytest
 
-from glq import superspace
+from glq import parser, superspace
 from glq.coeff import ONE, QINV, ZERO, q_int
 from glq.coords import t_, tbar_, word_layout
 from glq.graded import (Echelon, GradedMap, GradedSpace, GradingContext,
@@ -24,7 +24,7 @@ from glq.reps import (
     dual_label_of,
     dual_rep,
     eval_tensor_pair,
-    gram_is_positive,
+    first_nonpositive_entry,
     highest_weight_vectors,
     hook_partitions,
     in_first_family,
@@ -41,7 +41,7 @@ from glq.reps import (
     unitarity_check,
 )
 from glq.uq import (UqExpression, all_generators, coproduct,
-                    defining_relations, gen_E, gen_K, gen_Kinv)
+                    defining_relations, gen_E, gen_K, gen_Kinv, star)
 
 SIZES = [(1, 1), (2, 1), (1, 2), (2, 2)]
 
@@ -158,6 +158,10 @@ CACHED = {
     "_rules": superspace._rules,
     "_spelled_rules": superspace._spelled_rules,
     "_power_summands": lambda ctx: _power_summands(ctx, 2),
+    "_monomial_word": lambda ctx: parser._monomial_word(
+        ctx, "Zb", ((1,) * ctx.m, (2,) * ctx.n)),
+    # zbar_m, read back from its one-character spelling.
+    "_letter": lambda ctx: superspace._letter(chr(2 * ctx.m + 1)),
 }
 
 
@@ -718,7 +722,8 @@ def test_tensor_square_unitarity(ctx, q0):
 def test_gram_positivity_rejects_a_non_diagonal_gram(entries):
     space = GradedSpace((0, 1))
     with pytest.raises(ValueError, match="diagonal Gram matrices only"):
-        gram_is_positive(GradedMap(space, space, entries), Fraction(3, 2))
+        first_nonpositive_entry(GradedMap(space, space, entries),
+                                Fraction(3, 2))
 
 
 @pytest.mark.parametrize("entries", [
@@ -728,14 +733,28 @@ def test_gram_positivity_rejects_a_non_diagonal_gram(entries):
 def test_gram_with_a_zero_diagonal_entry_is_not_positive(entries):
     space = GradedSpace((0, 1))
     gram = GradedMap(space, space, entries)
-    assert gram_is_positive(gram, -1) is False
+    assert first_nonpositive_entry(gram, -1) == ((1, 1), 0)
 
 
 def test_adjoint_pair_is_exact_over_the_field():
+    """Type 1 is adjoint on the vector module; type 2 is not, and its
+    witness is the first generator whose two sides differ, with their
+    first differing entry and the residual there."""
     ctx = GradingContext(1, 1)
     pi = vector_rep(ctx)
-    assert is_adjoint_pair(pi, vector_gram(ctx), 1)
-    assert not is_adjoint_pair(pi, vector_gram(ctx), 2)
+    gram = vector_gram(ctx)
+    assert is_adjoint_pair(pi, gram, 1) is None
+    g, entry, residual = is_adjoint_pair(pi, gram, 2)
+    differences = []
+    for h in all_generators(ctx):
+        diff = (pi.image(h).transpose() @ gram
+                - gram @ pi.evaluate_expr(star(UqExpression.from_gen(ctx, h),
+                                               2)))
+        if diff.entries:
+            differences.append((h, diff))
+    first, diff = differences[0]
+    assert g == first
+    assert entry == min(diff.entries) and diff.entries[entry] == residual
 
 
 class TestClassifyWeight:
@@ -771,3 +790,6 @@ class TestUnitarityCheck:
         assert out["positive"] is True
         assert out["adjoint_types"] == [1]
         assert out["unitary_types"] == [1]
+        assert out["nonpositive_entry"] is None
+        assert out["not_adjoint"] == {2: is_adjoint_pair(
+            rep, vector_gram(ctx), 2)}
