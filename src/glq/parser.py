@@ -25,7 +25,7 @@ built.  Errors carry the 0-based offset where they were detected.
 """
 
 import sys
-from functools import cache
+from functools import cache, lru_cache
 
 from .coeff import _POLY_ONE, ONE, RatFunc, add_term
 from .superspace import (
@@ -424,15 +424,24 @@ class _Parser:
             if v < 0:
                 raise ParseError("exponent must be non-negative", p)
         index = (tuple(v for v, _ in first), tuple(v for v, _ in second))
-        _reject_long_word(sum(index[0]) + sum(index[1]), at)
-        return SuperspaceElement.from_word(
-            ctx, _monomial_word(ctx, name, index))
+        length = sum(index[0]) + sum(index[1])
+        _reject_long_word(length, at)
+        build = (_monomial_word if length <= _CACHED_WORD_LENGTH
+                 else _monomial_word.__wrapped__)
+        return SuperspaceElement.from_word(ctx, build(ctx, name, index))
 
 
-@cache
+# A printed normal form repeats its short monomials many times, so the
+# words of at most _CACHED_WORD_LENGTH letters are cached, the last
+# _CACHED_WORDS of them; a longer word, up to MAX_WORD_LENGTH letters,
+# is built afresh, so that the cache stays small in a long-lived caller.
+_CACHED_WORD_LENGTH = 64
+_CACHED_WORDS = 1024
+
+
+@lru_cache(maxsize=_CACHED_WORDS)
 def _monomial_word(ctx, name, index):
-    """The word of Z[index] or Zb[index], built once per (ctx, name,
-    index): a printed normal form repeats its monomials many times."""
+    """The word of Z[index] or Zb[index]."""
     zero = ((0,) * ctx.m, (0,) * ctx.n)
     if name == "Z":
         return word_of_multi_index(ctx, index, zero)

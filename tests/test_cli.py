@@ -657,6 +657,21 @@ class TestReports:
         assert code == 2
         assert report["error"]["position"] == len(power)
 
+    def test_word_at_the_budget_is_not_cached(self):
+        """Only short monomial words stay in the parser's cache, and only
+        a bounded number of them: a budget-sized word is built afresh."""
+        ctx = GradingContext(1, 1)
+        parser._monomial_word.cache_clear()
+        long = parse_superspace(ctx, "Z[0;%d]" % parser.MAX_WORD_LENGTH)
+        assert parser._monomial_word.cache_info().currsize == 0
+        assert long == parse_superspace(
+            ctx, "z[2]^%d" % parser.MAX_WORD_LENGTH)
+        short = "Z[1;%d]" % (parser._CACHED_WORD_LENGTH - 1)
+        assert parse_superspace(ctx, short) == parse_superspace(ctx, short)
+        info = parser._monomial_word.cache_info()
+        assert (info.currsize, info.hits) == (1, 1)
+        assert info.maxsize == parser._CACHED_WORDS
+
     @pytest.mark.parametrize("text", ["(9*q+9)^%d*z[1]",
                                       "((9*q+9)*z[1])^%d"],
                              ids=["scalar", "one-term-element"])

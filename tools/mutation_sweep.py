@@ -1,9 +1,7 @@
 """Plant one defect at a time in a copy of the sources, and list the ones
 that no test catches.
 
-    python3 tools/mutation_sweep.py            # sweep every site
-    python3 tools/mutation_sweep.py --list     # name the sites, run nothing
-    python3 tools/mutation_sweep.py --only induction.build_induced
+    python3 tools/mutation_sweep.py
 
 Run it from anywhere; it finds the checkout from its own path and needs
 only the standard library plus the test suite's own packages.
@@ -28,7 +26,6 @@ The checkout is never changed: the sweep copies it into a temporary
 directory and plants each mutant in the copy.
 """
 
-import argparse
 import ast
 import json
 import os
@@ -135,11 +132,11 @@ def _pytest(workdir, args):
     return result.returncode == 0
 
 
-def sweep(chosen, workdir):
-    """{site name: "golden" | "tier1" | "survived"} for the chosen sites,
+def sweep(targets, workdir):
+    """{site name: "golden" | "tier1" | "survived"} for the given sites,
     each planted alone in the copy at workdir."""
     outcome = {}
-    for site in chosen:
+    for site in targets:
         path = workdir / site["path"]
         original = path.read_text()
         path.write_text(flipped(original, site["span"]))
@@ -178,18 +175,7 @@ def verdict(outcome, ledger):
     return problems
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--list", action="store_true",
-                    help="print the site names and exit")
-    ap.add_argument("--only", default="",
-                    help="sweep only the sites whose name contains this")
-    args = ap.parse_args(argv)
-    chosen = [s for s in sites() if args.only in site_name(s)]
-    if args.list:
-        for site in chosen:
-            print(site_name(site))
-        return 0
+def main():
     tmp = tempfile.mkdtemp(prefix="glq-mutants-")
     workdir = Path(tmp) / "checkout"
     try:
@@ -199,7 +185,7 @@ def main(argv=None):
         if not (_pytest(workdir, TRIAGE) and _pytest(workdir, TIER1)):
             print("the unmutated copy fails its tests; nothing swept")
             return 2
-        outcome = sweep(chosen, workdir)
+        outcome = sweep(sites(), workdir)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     counts = {r: list(outcome.values()).count(r)
